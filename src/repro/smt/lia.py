@@ -6,14 +6,10 @@ procedure is Fourier–Motzkin elimination over the rationals with integer
 tightening of strict inequalities and Gaussian substitution of equalities;
 disequalities are handled by case splitting.
 
-Soundness note (documented in DESIGN.md): an *infeasible* verdict is always
-correct (rational infeasibility implies integer infeasibility), which is the
-direction refinement-type soundness depends on — ``Valid(phi)`` is decided as
-``not Sat(not phi)``.  A *feasible* verdict can in rare corner cases (for
-example ``2*x == 1``) be rationally feasible but integer-infeasible; this can
-only make the type checker reject a correct program, never accept a wrong
-one.  The benchmark suite's constraints are unit-coefficient, where the
-procedure is exact.
+Like the incremental :class:`Simplex` below, it decides rational
+feasibility, which is sound for validity checking but incomplete over the
+integers; the argument is the "Rational relaxation" note in the SMT
+section of ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -276,14 +272,23 @@ DERIVED = object()
 class Simplex:
     """An incremental Dutertre–de Moura general simplex over the rationals.
 
-    The tableau is *permanent*: every linear atom gets a slack variable
-    ``s = expr`` whose defining row is installed once and reused by all
-    later constraints over the same (gcd/sign-normalized) expression.
-    Asserting a constraint only adds or tightens a *bound* on a variable —
-    recorded on an undo trail so :meth:`mark` / :meth:`undo_to` retract it
-    in O(1) — and :meth:`check` restores bound feasibility by Bland-rule
-    pivoting that resumes from the previous feasible basis rather than
-    re-solving from scratch.
+    Every linear atom gets a slack variable ``s = expr`` whose id is
+    permanent and shared by all later constraints over the same
+    (gcd/sign-normalized) expression; its defining row is installed on
+    demand.  Asserting a constraint only adds or tightens a *bound* on a
+    variable — recorded on an undo trail so :meth:`mark` / :meth:`undo_to`
+    retract it in O(1) — and :meth:`check` restores bound feasibility by
+    Bland-rule pivoting that resumes from the previous feasible basis
+    rather than re-solving from scratch.
+
+    The tableau stays bounded by one rule: when :meth:`undo_to` empties
+    the trail, the whole tableau is dropped if any installed row went
+    unasked-for since the trail last emptied.  With no live bound every
+    assignment is feasible, so the empty tableau is equisatisfiable, and
+    each row is re-derived from its slack's expression when a constraint
+    needs it again.  A basis whose rows were all asked for again — the
+    same bounds re-asserted cycle after cycle — is kept and resumes warm,
+    where a rebuilt tableau would pivot back to it every cycle.
 
     Decides the same theory as the one-shot :class:`LiaSolver` (rational
     feasibility of integer-tightened constraints, disequalities by ±1 case
@@ -301,7 +306,7 @@ class Simplex:
         #: memo of :meth:`_variable_for` resolutions keyed by the raw
         #: coefficient tuple: (variable, scale, normalized key or None).
         #: Sound because the form -> variable mapping is persistent —
-        #: ids are never deallocated, only defining *rows* are GC'd.
+        #: ids are never deallocated, only the tableau's rows are dropped.
         self._form_cache: Dict[
             Tuple[Tuple[str, Fraction], ...],
             Tuple[int, Fraction, Optional[Tuple[Tuple[int, Fraction], ...]]],
@@ -319,8 +324,11 @@ class Simplex:
         self._neqs: List[Tuple[int, object, Tuple, Tuple]] = []
         self._trail: List[Tuple] = []
         #: slack ids whose defining relation is currently in the tableau
-        #: (uninstalled rows are re-derived on demand, see _collect_garbage)
+        #: (all are dropped together by undo_to and re-derived on demand)
         self._row_installed: Set[int] = set()
+        #: slack ids whose rows _variable_for asked for since the trail
+        #: last emptied; an installed row outside it went unused
+        self._requested: Set[int] = set()
         #: slack id -> normalized expression key (for row reinstallation)
         self._slack_keys: Dict[int, Tuple[Tuple[int, Fraction], ...]] = {}
         #: basic variables whose value or bounds changed since they were
@@ -342,11 +350,14 @@ class Simplex:
 
         The assignment is *not* rolled back: bounds only loosen on undo, so
         the current assignment stays bound-feasible whenever it was, and
-        :meth:`check` repairs it from wherever it is otherwise.
+        :meth:`check` repairs it from wherever it is otherwise.  Emptying
+        the trail drops the tableau if it holds a row nothing asked for
+        since the trail last emptied (see the class docstring).
         """
         trail = self._trail
-        if len(trail) > mark:
-            self._dirty = True
+        if len(trail) <= mark:
+            return
+        self._dirty = True
         while len(trail) > mark:
             record = trail.pop()
             kind = record[0]
@@ -364,6 +375,13 @@ class Simplex:
                     self._lower[var] = old
             else:  # "neq"
                 self._neqs.pop()
+        if not trail:
+            if not self._row_installed <= self._requested:
+                self._rows.clear()
+                self._cols.clear()
+                self._row_installed.clear()
+                self._suspects.clear()
+            self._requested.clear()
 
     # -- constraint assertion ------------------------------------------------
 
@@ -435,8 +453,10 @@ class Simplex:
             cached = self._resolve_form(coefficients)
             self._form_cache[coefficients] = cached
         variable, scale, key = cached
-        if need_row and key is not None and variable not in self._row_installed:
-            self._install_row(variable, key)
+        if need_row and key is not None:
+            self._requested.add(variable)
+            if variable not in self._row_installed:
+                self._install_row(variable, key)
         return variable, scale
 
     def _resolve_form(
@@ -483,8 +503,8 @@ class Simplex:
     def _install_row(self, slack: int, key: Tuple[Tuple[int, Fraction], ...]) -> None:
         """(Re)install the defining row ``slack == sum(coeff * var)``,
         substituting current basics away and recomputing the slack's
-        assignment.  Rows of slacks with no bounds are garbage-collected
-        between checks, so installation must be repeatable."""
+        assignment.  :meth:`undo_to` may drop the tableau whenever the
+        trail empties, so installation must be repeatable."""
         row: Dict[int, Fraction] = {}
         for var, coeff in key:
             basic_row = self._rows.get(var)
@@ -501,40 +521,6 @@ class Simplex:
         for nonbasic in row:
             self._cols.setdefault(nonbasic, set()).add(slack)
         self._row_installed.add(slack)
-
-    def _collect_garbage(self) -> None:
-        """Drop the defining row of every *basic* slack with no live bound
-        and no live disequality.
-
-        A basic variable appears in no other row, so removing its row is
-        pure projection: satisfiability over the remaining variables is
-        unchanged.  Without this, slacks from long-retracted scopes keep
-        their rows forever and every pivot pays to rewrite them.  The row
-        is re-derived by :meth:`_variable_for` if the expression is ever
-        bounded again.
-        """
-        rows = self._rows
-        lower = self._lower
-        upper = self._upper
-        neq_vars = {var for var, _, _, _ in self._neqs}
-        dead = [
-            slack
-            for slack in self._row_installed
-            if slack in rows
-            and slack not in lower
-            and slack not in upper
-            and slack not in neq_vars
-        ]
-        for slack in dead:
-            row = rows.pop(slack)
-            for nonbasic in row:
-                mentions = self._cols.get(nonbasic)
-                if mentions is not None:
-                    mentions.discard(slack)
-                    if not mentions:
-                        del self._cols[nonbasic]
-            self._row_installed.discard(slack)
-            self._suspects.discard(slack)
 
     def _assert_upper(self, var: int, bound: Fraction, tag: object) -> Optional[List[object]]:
         current = self._upper.get(var)
@@ -588,12 +574,10 @@ class Simplex:
         or the conflicting bounds' tags when not.
 
         No-op when no bound changed since the last feasible check (the
-        assignment is still feasible).  Dead slack rows are collected
-        first so repair pivots never rewrite rows of retracted scopes.
+        assignment is still feasible).
         """
         if not self._dirty:
             return None
-        self._collect_garbage()
         conflict = self._repair()
         if conflict is None:
             conflict = self._check_neqs()

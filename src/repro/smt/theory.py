@@ -11,7 +11,8 @@ propagation):
   terms once for the solver's lifetime, the congruence closure un-merges
   through an undo trail, and the :class:`~repro.smt.lia.Simplex` tableau
   keeps its rows and feasible basis across checks (bounds are added and
-  retracted instead of the tableau being rebuilt).  Conflicts come back as
+  retracted instead of the tableau being rebuilt; rows nothing asks for
+  again are dropped once no bound is live).  Conflicts come back as
   *explanations* — the subset of asserted literals responsible — and the
   solver can *propagate*: report watched atoms whose truth value is
   already entailed by the asserted bounds or the congruence closure.
@@ -24,11 +25,12 @@ propagation):
 
 Propagation between the theories is one-directional (EUF -> LIA).  Missing
 the reverse direction can only make the checkers *fail to detect* a
-conflict, i.e. report "consistent" too often; as discussed in
-``repro.smt.lia`` this keeps refinement-type checking sound (it can only
-reject more programs).  Both solvers decide the same theory, which the
-differential property suite (``tests/test_theory_incremental.py``)
-enforces on random assert/push/pop sequences.
+conflict, i.e. report "consistent" too often; as the "Rational
+relaxation" note in ``docs/architecture.md`` argues for LIA, this keeps
+refinement-type checking sound (it can only reject more programs).  Both
+solvers decide the same theory, which the differential property suite
+(``tests/test_theory_incremental.py``) enforces on random assert/push/pop
+sequences.
 """
 
 from __future__ import annotations

@@ -11,17 +11,30 @@ The lemma-generalization tests pin the cross-candidate replay path: a
 theory conflict refuted once must answer every alpha-renamed copy of
 itself propositionally, without the renamed query ever reaching the
 theory.
+
+The tableau-bound tests pin how the simplex forgets: a row no check asks
+for again is gone once the bound trail empties, while a basis whose rows
+are asked for again every cycle is kept and resumes without pivoting.
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.logic import ops
 from repro.logic.formulas import IntLit
 from repro.logic.sorts import BOOL, INT
+from repro.service.api import compute_check
+from repro.service.worker import WarmStack
+from repro.smt.lia import LinearExpr, Simplex, le, lt
 from repro.smt.solver import IncrementalSolver
 from repro.smt.theory import IncrementalTheory, Literal, TheoryChecker
+from repro.syntax import parse_program
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+SEEDS = (7, 99, 2024, 31337)
 
 
 def _atom_pool():
@@ -62,17 +75,27 @@ class TestDifferential:
     Every step either asserts a literal inside a new scope, opens an
     empty scope, or pops the innermost scope; after every step the
     incremental verdict for the live prefix must match what a stateless
-    check of that prefix says.  Four seeds x 80 sequences x 25 steps
-    gives 320 sequences (8000 differential verdicts) per run.
+    check of that prefix says, and every explained conflict must be
+    inconsistent on its own.  Four seeds x 80 sequences x 25 steps run
+    once with a fresh theory per sequence and once with one long-lived
+    theory whose scopes are all popped between sequences, so the simplex
+    drops and rebuilds tableaus left by earlier sequences: 640 sequences
+    (16000 differential verdicts) per run.
     """
 
-    @pytest.mark.parametrize("seed", [7, 99, 2024, 31337])
-    def test_random_sequences_agree_with_stateless_oracle(self, seed):
+    @pytest.mark.parametrize(
+        "seed, long_lived",
+        [pytest.param(seed, False, id=str(seed)) for seed in SEEDS]
+        + [pytest.param(seed, True, id=f"long-lived-{seed}") for seed in SEEDS],
+    )
+    def test_random_sequences_agree_with_stateless_oracle(self, seed, long_lived):
         rng = random.Random(seed)
         pool = _atom_pool()
         oracle = TheoryChecker()
+        theory = IncrementalTheory()
         for _ in range(80):
-            theory = IncrementalTheory()
+            if not long_lived:
+                theory = IncrementalTheory()
             frames = []  # literals asserted per live scope
             prefix = []  # flat live-literal list, oracle's input
             for _ in range(25):
@@ -81,23 +104,31 @@ class TestDifferential:
                     literal = Literal(rng.choice(pool), rng.random() < 0.7)
                     theory.push()
                     frames.append([literal])
-                    conflict = theory.assert_literal(literal)
                     prefix.append(literal)
-                    incremental_ok = conflict is None and theory.check() is None
+                    conflict = theory.assert_literal(literal) or theory.check()
                 elif roll < 0.85:
                     theory.push()
                     frames.append([])
-                    incremental_ok = theory.check() is None
+                    conflict = theory.check()
                 else:
                     for _ in frames.pop():
                         prefix.pop()
                     theory.pop()
-                    incremental_ok = theory.check() is None
+                    conflict = theory.check()
+                incremental_ok = conflict is None
                 oracle_ok = oracle.is_consistent(list(prefix))
                 assert incremental_ok == oracle_ok, (
                     f"divergence (seed {seed}): incremental={incremental_ok} "
                     f"oracle={oracle_ok} on prefix {prefix}"
                 )
+                if conflict is not None and conflict[1] is True:
+                    assert not oracle.is_consistent(conflict[0]), (
+                        f"explanation {conflict[0]} is consistent (seed {seed})"
+                    )
+            while frames:
+                frames.pop()
+                theory.pop()
+            assert theory.check() is None
 
     def test_conflict_retracts_on_pop(self):
         x = ops.var("x", INT)
@@ -197,3 +228,69 @@ class TestLemmaGeneralization:
         solver.assert_(ops.le(tv1, IntLit(2)))
         assert solver.check() is True
         solver.pop()
+
+
+class TestTableauBound:
+    """The simplex tableau stays bounded over a long-lived theory.
+
+    When the bound trail empties, the tableau is dropped if it holds a
+    row no constraint asked for since the trail last emptied; otherwise
+    the basis is kept and the next check resumes from it.
+    """
+
+    def test_unused_row_is_gone_after_the_trail_empties(self):
+        simplex = Simplex()
+        x, y, u, v = (LinearExpr.variable(name) for name in "xyuv")
+        # The slack of x + y starts at 0, below its bound: repair pivots.
+        first = le(LinearExpr.constant_expr(2), x.add(y))
+        assert simplex.assert_constraint(first, "xy") is None
+        assert simplex.check() is None
+        assert simplex.pivots > 0
+        slack = simplex.bound_form(first)[0]
+        first_vars = {slack, simplex._ids["x"], simplex._ids["y"]}
+        simplex.undo_to(0)
+        for _ in range(3):
+            assert simplex.assert_constraint(lt(u, v), "uv") is None
+            assert simplex.check() is None
+            simplex.undo_to(0)
+        assert slack not in simplex._row_installed
+        for basic, row in simplex._rows.items():
+            assert basic not in first_vars
+            assert not first_vars & row.keys()
+
+    def test_basis_asked_for_every_cycle_is_kept(self):
+        simplex = Simplex()
+        x, y, z = (LinearExpr.variable(name) for name in "xyz")
+        pivots = []
+        for _ in range(5):
+            assert simplex.assert_constraint(lt(x, y), "xy") is None
+            assert simplex.assert_constraint(lt(y, z), "yz") is None
+            assert simplex.check() is None
+            conflict = simplex.assert_constraint(lt(z, x), "zx") or simplex.check()
+            assert sorted(conflict) == ["xy", "yz", "zx"]
+            simplex.undo_to(0)
+            pivots.append(simplex.pivots)
+        # A rebuilt tableau would pivot again to find the cycle each time;
+        # the kept basis finds it where the first cycle left off.
+        assert pivots[0] > 0
+        assert pivots == [pivots[0]] * len(pivots)
+
+    def test_warm_stack_rows_stay_bounded_across_programs(self):
+        source = (EXAMPLES / "list.sq").read_text()
+        names = re.compile(r"\b(?:inc|stutter|length|append|xs|ys|x|y)\b")
+        stack = WarmStack()
+        rows = []
+        for index in range(10):
+            tag = f"_c{index}"
+            program = parse_program(names.sub(lambda match: match.group() + tag, source))
+            with stack.query() as backend:
+                payload = compute_check(program, backend=backend)
+            statuses = [(item["name"], item["status"]) for item in payload["items"]]
+            assert statuses == [
+                ("stutter" + tag, "ok"),
+                ("length" + tag, "goal"),
+                ("append" + tag, "goal"),
+            ]
+            assert payload["failures"] == 0
+            rows.append(len(stack.backend._bridge.theory.simplex._rows))
+        assert rows[-1] <= max(rows[:2]), rows
