@@ -19,7 +19,9 @@ same structures the CLI renders, so a client can diff server answers
 against local runs byte for byte.  Errors are JSON too: ``400`` for a
 malformed body, a parse error, or an unknown goal; ``404`` for any other
 path; ``500`` for an unexpected solver crash (the warm stack has already
-been reset by then).
+been reset by then).  Connections are kept alive, so every reply first
+consumes the request body; a body the handler will not read (malformed,
+oversized or chunked) is a ``400`` that closes the connection.
 
 **Deadlines.** ``--request-timeout`` arms every POST with a wall-clock
 budget (a per-request ``"timeout_ms"`` body field tightens it further);
@@ -66,6 +68,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-service/{package_version()}"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle's algorithm on,
+    # the body waits for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -78,15 +83,36 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
-    def _json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0 or length > MAX_BODY_BYTES:
+    def _read_body(self) -> bytes:
+        """The request body, read in full so a kept-alive connection
+        resumes at the next request.
+
+        A body this handler will not read (chunked, oversized, or behind
+        a malformed ``Content-Length``) is a 400 that also closes the
+        connection, so its bytes are never parsed as a request line.
+        """
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if "Transfer-Encoding" in self.headers:
+            problem = "chunked bodies are not supported: send Content-Length"
+        elif not (declared.isascii() and declared.isdigit()):
+            problem = f"malformed Content-Length: {declared!r}"
+        elif int(declared) > MAX_BODY_BYTES:
+            problem = f"request body over {MAX_BODY_BYTES} bytes"
+        else:
+            return self.rfile.read(int(declared))
+        self.close_connection = True
+        raise _BadRequest(problem)
+
+    def _json_body(self, data: bytes) -> dict:
+        if not data:
             raise _BadRequest("expected a JSON body with Content-Length")
         try:
-            body = json.loads(self.rfile.read(length))
+            body = json.loads(data)
         except ValueError as error:
             raise _BadRequest(f"malformed JSON body: {error}") from error
         if not isinstance(body, dict):
@@ -128,6 +154,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # -- routes --------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        try:
+            self._read_body()
+        except _BadRequest as error:
+            self._reply(400, {"error": str(error)})
+            return
         if self.path == "/healthz":
             self._reply(200, {"status": "ok", "version": package_version()})
         elif self.path == "/stats":
@@ -139,10 +170,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
         server: ReproServer = self.server
         server.request_started()
         try:
+            data = self._read_body()
             if self.path == "/check":
-                self._reply(*self._handle_check(self._json_body()))
+                self._reply(*self._handle_check(self._json_body(data)))
             elif self.path == "/synth":
-                self._reply(*self._handle_synth(self._json_body()))
+                self._reply(*self._handle_synth(self._json_body(data)))
             else:
                 self._reply(404, {"error": f"no such route: {self.path}"})
         except _BadRequest as error:

@@ -16,7 +16,9 @@ whole backend rather than trust a half-unwound one (``resets`` counts
 how often that paranoia fired).  When a :class:`~repro.service.cache.
 LemmaStore` is attached, the stack imports the persisted lemma pool into
 every fresh backend and merges newly learned lemmas back on
-:meth:`flush_lemmas` — the cross-run half of the warm start.
+:meth:`flush_lemmas` — the cross-run half of the warm start.  A flush
+after a query that learned nothing new, such as a cache hit, leaves the
+pool file untouched.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ class WarmStack:
         self.timeout_resets = 0
         self.lemmas_imported = 0
         self.lemmas_flushed = 0
+        #: pool size after the last merge, reported again by a skipped flush.
+        self._pool_size = 0
+        #: the backend's lemma count at the last merge; ``None`` forces one.
+        self._flushed_count: Optional[int] = None
         self._lock = threading.Lock()
         self.backend = self._fresh_backend()
 
@@ -62,6 +68,7 @@ class WarmStack:
         if timeout:
             self.timeout_resets += 1
         self.backend = self._fresh_backend()
+        self._flushed_count = None
 
     @contextmanager
     def query(self) -> Iterator[IncrementalSolver]:
@@ -91,13 +98,22 @@ class WarmStack:
                 backend.pop()
 
     def flush_lemmas(self) -> int:
-        """Merge this backend's learned lemmas into the persistent pool."""
+        """Merge this backend's learned lemmas into the persistent pool.
+
+        The pool file is merged and rewritten only when the backend holds
+        a lemma it did not hold at the last merge (or was replaced since);
+        otherwise nothing is read or written.  Returns the pool size after
+        the last merge.
+        """
         if self.lemma_store is None:
             return 0
         with self._lock:
-            exported = self.backend.export_theory_lemmas()
-        self.lemmas_flushed = len(exported)
-        return self.lemma_store.merge(exported)
+            count = self.backend.lemma_count
+            if count != self._flushed_count:
+                exported = self.backend.export_theory_lemmas()
+                self._pool_size = self.lemma_store.merge(exported)
+                self.lemmas_flushed = self._flushed_count = count
+            return self._pool_size
 
     def stats(self) -> dict:
         return {

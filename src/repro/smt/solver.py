@@ -740,6 +740,13 @@ class IncrementalSolver(SolverBackend):
         """
         return sorted(self._lemma_keys, key=repr)
 
+    @property
+    def lemma_count(self) -> int:
+        """How many canonical lemmas :meth:`export_theory_lemmas` would
+        return; the set only grows, so an unchanged count means nothing
+        new was learned or imported."""
+        return len(self._lemma_keys)
+
     def import_theory_lemmas(
         self, lemmas: Sequence[Tuple[Tuple[Formula, bool], ...]]
     ) -> int:

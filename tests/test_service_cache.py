@@ -10,9 +10,11 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.service import cache as cache_mod
+from repro.service.api import compute_check
 from repro.service.cache import (
     CACHE_SCHEMA_VERSION,
     LemmaStore,
@@ -22,6 +24,7 @@ from repro.service.cache import (
     program_digest,
     query_digest,
 )
+from repro.service.worker import WarmStack
 from repro.smt.solver import IncrementalSolver
 from repro.syntax import parse_program
 
@@ -32,6 +35,14 @@ leq :: a:Int -> b:Int -> {Bool | nu <==> a <= b}
 
 max :: x:Int -> y:Int -> {Int | nu >= x && nu >= y && (nu == x || nu == y)}
 max = ??
+"""
+
+#: Checking this teaches a fresh solver one lemma; list.sq teaches more.
+PLUS2_SQ = """\
+inc :: a:Int -> {Int | nu == a + 1}
+
+plus2 :: a:Int -> {Int | nu == a + 2}
+plus2 = \\a . inc (inc a)
 """
 
 
@@ -152,8 +163,6 @@ class TestResultCache:
 class TestLemmaStore:
     def _learned_lemmas(self):
         """Real lemmas: checking list.sq's `stutter` teaches the solver."""
-        from repro.service.api import compute_check
-
         backend = IncrementalSolver()
         compute_check(parse_program(LIST_SQ), backend=backend)
         lemmas = backend.export_theory_lemmas()
@@ -187,3 +196,63 @@ class TestLemmaStore:
         total = store.merge(lemmas)
         assert total == min(3, len(lemmas))
         assert store.merge(lemmas) == total, "re-merging must not grow the pool"
+
+
+class TestWarmStackFlush:
+    """A flush rewrites the pool file only after something new was learned."""
+
+    @staticmethod
+    def _check(stack, source):
+        with stack.query() as backend:
+            assert compute_check(parse_program(source), backend=backend)["failures"] == 0
+
+    @staticmethod
+    def _identity(store):
+        stat = store.path.stat()
+        return stat.st_ino, stat.st_mtime_ns
+
+    def test_flush_without_new_lemmas_leaves_the_pool_alone(self, tmp_path):
+        store = LemmaStore(tmp_path)
+        stack = WarmStack(store)
+        self._check(stack, PLUS2_SQ)
+        pool = stack.flush_lemmas()
+        assert pool == len(stack.backend.export_theory_lemmas()) > 0
+        written = self._identity(store)
+        assert stack.flush_lemmas() == pool
+        self._check(stack, PLUS2_SQ)  # the same program learns nothing new
+        assert stack.flush_lemmas() == pool
+        assert self._identity(store) == written
+        assert len(store.load()) == pool
+
+    def test_new_lemma_or_reset_forces_a_rewrite(self, tmp_path):
+        store = LemmaStore(tmp_path)
+        stack = WarmStack(store)
+        self._check(stack, PLUS2_SQ)
+        first = stack.flush_lemmas()
+        written = self._identity(store)
+        self._check(stack, LIST_SQ)
+        grown = stack.flush_lemmas()
+        assert grown > first
+        assert self._identity(store) != written
+        written = self._identity(store)
+        stack.reset()
+        assert stack.flush_lemmas() == grown
+        assert self._identity(store) != written
+
+    def test_concurrent_flushes_lose_no_lemma(self, tmp_path):
+        store = LemmaStore(tmp_path)
+        stack = WarmStack(store)
+
+        def serve(source):
+            self._check(stack, source)
+            return stack.flush_lemmas()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(serve, s) for s in [PLUS2_SQ, LIST_SQ] * 4]
+                sizes = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(sizes) == len(store.load()) == stack.backend.lemma_count
