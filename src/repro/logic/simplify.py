@@ -24,14 +24,17 @@ from .transform import transform
 
 
 def simplify(formula: Formula) -> Formula:
-    """Apply local simplification rules bottom-up until no rule applies."""
-    previous = None
+    """Apply local simplification rules bottom-up until no rule applies.
+
+    A formula no rule changes is returned as the same object.
+    """
     current = formula
     # The rule set strictly decreases formula size, so this terminates fast.
-    while previous != current:
-        previous = current
-        current = transform(current, _simplify_node)
-    return current
+    while True:
+        simplified = transform(current, _simplify_node)
+        if simplified == current:
+            return current
+        current = simplified
 
 
 def _simplify_node(node: Formula) -> Formula:
@@ -44,29 +47,30 @@ def _simplify_node(node: Formula) -> Formula:
     return node
 
 
+#: The smart constructor that re-folds each simplifiable binary operator.
+_BUILDERS = {
+    BinaryOp.AND: ops.and_,
+    BinaryOp.OR: ops.or_,
+    BinaryOp.IMPLIES: ops.implies,
+    BinaryOp.IFF: ops.iff,
+    BinaryOp.PLUS: ops.plus,
+    BinaryOp.MINUS: ops.minus,
+    BinaryOp.TIMES: ops.times,
+    BinaryOp.LT: ops.lt,
+    BinaryOp.LE: ops.le,
+    BinaryOp.GT: ops.gt,
+    BinaryOp.GE: ops.ge,
+    BinaryOp.EQ: ops.eq,
+    BinaryOp.NEQ: ops.neq,
+    BinaryOp.UNION: ops.union,
+}
+
+
 def _simplify_binary(node: Binary) -> Formula:
-    lhs, rhs, op = node.lhs, node.rhs, node.op
-    builders = {
-        BinaryOp.AND: ops.and_,
-        BinaryOp.OR: ops.or_,
-        BinaryOp.IMPLIES: ops.implies,
-        BinaryOp.IFF: ops.iff,
-        BinaryOp.PLUS: ops.plus,
-        BinaryOp.MINUS: ops.minus,
-        BinaryOp.TIMES: ops.times,
-        BinaryOp.LT: ops.lt,
-        BinaryOp.LE: ops.le,
-        BinaryOp.GT: ops.gt,
-        BinaryOp.GE: ops.ge,
-        BinaryOp.EQ: ops.eq,
-        BinaryOp.NEQ: ops.neq,
-        BinaryOp.UNION: ops.union,
-    }
-    builder = builders.get(op)
+    builder = _BUILDERS.get(node.op)
     if builder is None:
         return node
-    rebuilt = builder(lhs, rhs)
-    return rebuilt
+    return builder(node.lhs, node.rhs)
 
 
 def conjuncts(formula: Formula) -> List[Formula]:

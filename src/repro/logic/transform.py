@@ -7,7 +7,8 @@ qualifier extractor, and the SMT front end.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Set
+from operator import is_
+from typing import Callable, Iterator, Set, Tuple
 
 from .formulas import (
     App,
@@ -23,39 +24,60 @@ from .formulas import (
 )
 
 
+#: Node classes without formula children.
+_LEAVES = frozenset((BoolLit, IntLit, Var, Unknown))
+
+
 def transform(formula: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """Rebuild ``formula`` bottom-up, applying ``fn`` to every node after its
-    children have been transformed."""
-    if isinstance(formula, (BoolLit, IntLit, Var, Unknown)):
+    children have been transformed.
+
+    ``fn`` is called exactly once per node, in post-order with children
+    left to right; callers rely on that order (fresh-name and placeholder
+    numbering follow it).  Unchanged subtrees are shared: a node is rebuilt
+    only when some child came back as a different object, otherwise ``fn``
+    receives the original node, so ``transform(f, lambda n: n) is f``.
+    """
+    kind = formula.__class__
+    if kind is Binary:
+        lhs = transform(formula.lhs, fn)
+        rhs = transform(formula.rhs, fn)
+        if lhs is not formula.lhs or rhs is not formula.rhs:
+            formula = Binary(formula.op, lhs, rhs)
         return fn(formula)
-    if isinstance(formula, Unary):
-        return fn(Unary(formula.op, transform(formula.arg, fn)))
-    if isinstance(formula, Binary):
-        return fn(Binary(formula.op, transform(formula.lhs, fn), transform(formula.rhs, fn)))
-    if isinstance(formula, Ite):
-        return fn(
-            Ite(
-                transform(formula.cond, fn),
-                transform(formula.then_, fn),
-                transform(formula.else_, fn),
-            )
-        )
-    if isinstance(formula, App):
-        return fn(
-            App(
-                formula.func,
-                tuple(transform(arg, fn) for arg in formula.args),
-                formula.result_sort,
-            )
-        )
-    if isinstance(formula, SetLit):
-        return fn(
-            SetLit(
-                formula.element_sort,
-                tuple(transform(el, fn) for el in formula.elements),
-            )
-        )
+    if kind in _LEAVES:
+        return fn(formula)
+    if kind is Unary:
+        arg = transform(formula.arg, fn)
+        if arg is not formula.arg:
+            formula = Unary(formula.op, arg)
+        return fn(formula)
+    if kind is App:
+        args = _transform_all(formula.args, fn)
+        if args is not formula.args:
+            formula = App(formula.func, args, formula.result_sort)
+        return fn(formula)
+    if kind is Ite:
+        cond = transform(formula.cond, fn)
+        then_ = transform(formula.then_, fn)
+        else_ = transform(formula.else_, fn)
+        if cond is not formula.cond or then_ is not formula.then_ or else_ is not formula.else_:
+            formula = Ite(cond, then_, else_)
+        return fn(formula)
+    if kind is SetLit:
+        elements = _transform_all(formula.elements, fn)
+        if elements is not formula.elements:
+            formula = SetLit(formula.element_sort, elements)
+        return fn(formula)
     raise TypeError(f"unknown formula node: {formula!r}")
+
+
+def _transform_all(
+    children: Tuple[Formula, ...], fn: Callable[[Formula], Formula]
+) -> Tuple[Formula, ...]:
+    """Transform each child in order; ``children`` itself when none changed."""
+    results = tuple([transform(child, fn) for child in children])
+    return children if all(map(is_, results, children)) else results
 
 
 def subterms(formula: Formula) -> Iterator[Formula]:

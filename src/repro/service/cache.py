@@ -19,6 +19,10 @@ answers — payloads are exactly the structures a fresh computation
 produces, so serial CLI output is byte-identical with and without it —
 only how fast.  Eviction is size-bounded: when ``max_entries`` is
 exceeded the oldest entries (by file modification time) are dropped.
+The cache counts its entries once when it opens and keeps the count as it
+writes, evicts and drops entries, so a write lists the directory only
+when the count passes the limit; a directory shared by several processes
+is trimmed when this process's count passes the limit.
 
 Next to the result objects lives the :class:`LemmaStore`: the pool of
 alpha-canonical theory lemmas exported from
@@ -121,11 +125,16 @@ class ResultCache:
         self.corrupt = 0
         self._lock = threading.Lock()
         self.objects.mkdir(parents=True, exist_ok=True)
+        #: entries on disk as this process knows them (guarded by _lock)
+        self._entries = len(self._listing())
 
     # -- result objects ------------------------------------------------------
 
     def _path(self, digest: str) -> Path:
         return self.objects / digest[:2] / f"{digest}.json"
+
+    def _listing(self) -> List[Path]:
+        return list(self.objects.glob("*/*.json"))
 
     def get(self, digest: str) -> Optional[dict]:
         """The stored payload for ``digest``, or ``None`` on a miss.
@@ -155,6 +164,9 @@ class ResultCache:
                 path.unlink()
             except OSError:
                 pass
+            else:
+                with self._lock:
+                    self._entries -= 1
             return None
         with self._lock:
             self.hits += 1
@@ -168,23 +180,27 @@ class ResultCache:
             {"schema": CACHE_SCHEMA_VERSION, "digest": digest, "payload": payload},
             sort_keys=True,
         )
+        created = not path.exists()
         _atomic_write(path, body.encode())
         with self._lock:
             self.puts += 1
-        self._evict_overflow()
+            if created:
+                self._entries += 1
+            if self._entries > self.max_entries:
+                self._evict_overflow()
 
     def _evict_overflow(self) -> None:
-        entries = sorted(
-            self.objects.glob("*/*.json"), key=lambda p: (p.stat().st_mtime, p.name)
-        )
-        excess = len(entries) - self.max_entries
-        for path in entries[: max(0, excess)]:
+        """Drop the oldest entries down to ``max_entries`` and recount from
+        the listing (called with ``_lock`` held)."""
+        entries = sorted(self._listing(), key=lambda p: (p.stat().st_mtime, p.name))
+        self._entries = len(entries)
+        for path in entries[: max(0, len(entries) - self.max_entries)]:
             try:
                 path.unlink()
             except OSError:
                 continue
-            with self._lock:
-                self.evictions += 1
+            self._entries -= 1
+            self.evictions += 1
 
     # -- reporting -----------------------------------------------------------
 
@@ -197,7 +213,7 @@ class ResultCache:
                 "puts": self.puts,
                 "evictions": self.evictions,
                 "corrupt": self.corrupt,
-                "entries": sum(1 for _ in self.objects.glob("*/*.json")),
+                "entries": len(self._listing()),
             }
 
 

@@ -10,6 +10,13 @@ Like the incremental :class:`Simplex` below, it decides rational
 feasibility, which is sound for validity checking but incomplete over the
 integers; the argument is the "Rational relaxation" note in the SMT
 section of ``docs/architecture.md``.
+
+Numbers are exact and stay plain ``int`` until a division is inexact,
+which promotes them to :class:`fractions.Fraction` (``_exact_div``).  The
+two types compare and hash equal at equal values, so the number type
+never changes a comparison, a dictionary lookup or a pivot choice; it only
+keeps the mostly unit-coefficient constraints of refinement checking off
+the slow ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -18,9 +25,28 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import limits
+
+#: An exact rational: an ``int``, or a ``Fraction`` after an inexact division.
+Number = Union[int, Fraction]
+
+
+def _exact_div(numerator: Number, denominator: Number) -> Number:
+    """``numerator / denominator``, as an ``int`` when the result is one."""
+    if numerator.__class__ is int and denominator.__class__ is int:
+        if numerator % denominator:
+            return Fraction(numerator, denominator)
+        return numerator // denominator
+    return _demote(numerator / denominator)
+
+
+def _demote(value: Number) -> Number:
+    """An integral ``Fraction`` as an ``int``; anything else unchanged."""
+    if value.__class__ is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
 
 
 class Relation(enum.Enum):
@@ -35,14 +61,17 @@ class Relation(enum.Enum):
 class LinearExpr:
     """A linear expression ``sum(coeff * var) + constant``.
 
-    Coefficients are :class:`fractions.Fraction` so eliminations stay exact.
+    Coefficients and the constant are exact :data:`Number` values: ``int``
+    for everything built from integer terms, and a ``Fraction`` once a
+    Fourier–Motzkin substitution divides inexactly, so eliminations stay
+    exact.
     """
 
-    coefficients: Tuple[Tuple[str, Fraction], ...] = ()
-    constant: Fraction = Fraction(0)
+    coefficients: Tuple[Tuple[str, Number], ...] = ()
+    constant: Number = 0
 
     @staticmethod
-    def from_dict(coefficients: Dict[str, Fraction], constant: Fraction) -> "LinearExpr":
+    def from_dict(coefficients: Dict[str, Number], constant: Number) -> "LinearExpr":
         """Build an expression, dropping zero coefficients and fixing order."""
         cleaned = tuple(
             sorted((name, coeff) for name, coeff in coefficients.items() if coeff != 0)
@@ -52,18 +81,18 @@ class LinearExpr:
     @staticmethod
     def constant_expr(value: int) -> "LinearExpr":
         """The constant expression ``value``."""
-        return LinearExpr((), Fraction(value))
+        return LinearExpr((), value)
 
     @staticmethod
     def variable(name: str) -> "LinearExpr":
         """The expression consisting of a single variable."""
-        return LinearExpr(((name, Fraction(1)),), Fraction(0))
+        return LinearExpr(((name, 1),), 0)
 
-    def as_dict(self) -> Dict[str, Fraction]:
+    def as_dict(self) -> Dict[str, Number]:
         """Coefficients as a mutable dictionary."""
         return dict(self.coefficients)
 
-    def scale(self, factor: Fraction) -> "LinearExpr":
+    def scale(self, factor: Number) -> "LinearExpr":
         """Multiply the whole expression by ``factor``."""
         return LinearExpr.from_dict(
             {name: coeff * factor for name, coeff in self.coefficients},
@@ -74,20 +103,16 @@ class LinearExpr:
         """Pointwise sum of two expressions."""
         coefficients = self.as_dict()
         for name, coeff in other.coefficients:
-            coefficients[name] = coefficients.get(name, Fraction(0)) + coeff
+            coefficients[name] = coefficients.get(name, 0) + coeff
         return LinearExpr.from_dict(coefficients, self.constant + other.constant)
 
     def subtract(self, other: "LinearExpr") -> "LinearExpr":
         """Pointwise difference of two expressions."""
-        return self.add(other.scale(Fraction(-1)))
+        return self.add(other.scale(-1))
 
-    def coefficient(self, name: str) -> Fraction:
+    def coefficient(self, name: str) -> Number:
         """Coefficient of ``name`` (zero if absent)."""
-        return dict(self.coefficients).get(name, Fraction(0))
-
-    def variables(self) -> List[str]:
-        """Names of variables with non-zero coefficients."""
-        return [name for name, _ in self.coefficients]
+        return dict(self.coefficients).get(name, 0)
 
     def is_constant(self) -> bool:
         """Does the expression mention no variables?"""
@@ -100,10 +125,6 @@ class Constraint:
 
     expr: LinearExpr
     relation: Relation
-
-    def variables(self) -> List[str]:
-        """Variables mentioned by the constraint."""
-        return self.expr.variables()
 
 
 def le(lhs: LinearExpr, rhs: LinearExpr) -> Constraint:
@@ -147,7 +168,7 @@ class LiaSolver:
                     constraint.expr.add(LinearExpr.constant_expr(1)), Relation.LE
                 )
                 strictly_greater = Constraint(
-                    constraint.expr.scale(Fraction(-1)).add(LinearExpr.constant_expr(1)),
+                    constraint.expr.scale(-1).add(LinearExpr.constant_expr(1)),
                     Relation.LE,
                 )
                 return self._solve(rest + [strictly_less]) or self._solve(
@@ -168,7 +189,7 @@ class LiaSolver:
                     return self._solve(substituted)
                 as_inequalities = [
                     Constraint(constraint.expr, Relation.LE),
-                    Constraint(constraint.expr.scale(Fraction(-1)), Relation.LE),
+                    Constraint(constraint.expr.scale(-1), Relation.LE),
                 ]
                 return self._solve(rest + as_inequalities)
 
@@ -192,7 +213,7 @@ class LiaSolver:
         rest = LinearExpr.from_dict(
             {n: c for n, c in expr.coefficients if n != name}, expr.constant
         )
-        replacement = rest.scale(Fraction(-1) / coeff)
+        replacement = rest.scale(_exact_div(-1, coeff))
 
         def substitute(target: LinearExpr) -> LinearExpr:
             c = target.coefficient(name)
@@ -272,6 +293,13 @@ DERIVED = object()
 class Simplex:
     """An incremental Dutertre–de Moura general simplex over the rationals.
 
+    Row coefficients, the assignment and the bounds are exact
+    :data:`Number` values: ``int`` until a bound of a scaled form or a
+    pivot on a coefficient other than ±1 divides inexactly, and demoted
+    back to ``int`` whenever a sum comes out integral.  Difference
+    constraints (``x - y <= c``) only ever pivot on ±1, so their tableaus
+    never leave integer arithmetic.
+
     Every linear atom gets a slack variable ``s = expr`` whose id is
     permanent and shared by all later constraints over the same
     (gcd/sign-normalized) expression; its defining row is installed on
@@ -302,24 +330,24 @@ class Simplex:
         #: external name -> variable id
         self._ids: Dict[str, int] = {}
         #: normalized multi-variable expression -> slack variable id
-        self._slacks: Dict[Tuple[Tuple[int, Fraction], ...], int] = {}
+        self._slacks: Dict[Tuple[Tuple[int, Number], ...], int] = {}
         #: memo of :meth:`_variable_for` resolutions keyed by the raw
         #: coefficient tuple: (variable, scale, normalized key or None).
         #: Sound because the form -> variable mapping is persistent —
         #: ids are never deallocated, only the tableau's rows are dropped.
         self._form_cache: Dict[
-            Tuple[Tuple[str, Fraction], ...],
-            Tuple[int, Fraction, Optional[Tuple[Tuple[int, Fraction], ...]]],
+            Tuple[Tuple[str, Number], ...],
+            Tuple[int, Number, Optional[Tuple[Tuple[int, Number], ...]]],
         ] = {}
         self._next_var = 0
         #: basic variable -> {nonbasic variable: coefficient}
-        self._rows: Dict[int, Dict[int, Fraction]] = {}
+        self._rows: Dict[int, Dict[int, Number]] = {}
         #: nonbasic variable -> basic variables whose row mentions it
         self._cols: Dict[int, Set[int]] = {}
         #: the current rational assignment (beta)
-        self._value: Dict[int, Fraction] = {}
-        self._lower: Dict[int, Tuple[Fraction, object]] = {}
-        self._upper: Dict[int, Tuple[Fraction, object]] = {}
+        self._value: Dict[int, Number] = {}
+        self._lower: Dict[int, Tuple[Number, object]] = {}
+        self._upper: Dict[int, Tuple[Number, object]] = {}
         #: live disequalities: (variable, tag, left split bound, right split bound)
         self._neqs: List[Tuple[int, object, Tuple, Tuple]] = []
         self._trail: List[Tuple] = []
@@ -330,7 +358,7 @@ class Simplex:
         #: last emptied; an installed row outside it went unused
         self._requested: Set[int] = set()
         #: slack id -> normalized expression key (for row reinstallation)
-        self._slack_keys: Dict[int, Tuple[Tuple[int, Fraction], ...]] = {}
+        self._slack_keys: Dict[int, Tuple[Tuple[int, Number], ...]] = {}
         #: basic variables whose value or bounds changed since they were
         #: last verified in-bounds; _repair only scans these
         self._suspects: Set[int] = set()
@@ -401,7 +429,7 @@ class Simplex:
             )
             return None if trivially_true else [tag]
         var, scale = self._variable_for(expr.coefficients)
-        target = -expr.constant / scale
+        target = _exact_div(-expr.constant, scale)
         if relation is Relation.LE:
             if scale > 0:
                 return self._assert_upper(var, target, tag)
@@ -413,8 +441,8 @@ class Simplex:
             return self._assert_lower(var, target, tag)
         # Relation.NEQ — recorded for case splitting at check time, exactly
         # mirroring LiaSolver: expr <= -1 or expr >= 1 over the integers.
-        low = (-1 - expr.constant) / scale
-        high = (1 - expr.constant) / scale
+        low = _exact_div(-1 - expr.constant, scale)
+        high = _exact_div(1 - expr.constant, scale)
         if scale > 0:
             left, right = ("ub", low), ("lb", high)
         else:
@@ -424,7 +452,7 @@ class Simplex:
         self._dirty = True
         return None
 
-    def bound_form(self, constraint: Constraint) -> Optional[Tuple[int, str, Fraction]]:
+    def bound_form(self, constraint: Constraint) -> Optional[Tuple[int, str, Number]]:
         """Normalize a LE/EQ constraint into ``(variable, kind, bound)`` with
         ``kind`` one of ``"ub"``/``"lb"``/``"eq"``, for bound-propagation
         bookkeeping.  Returns ``None`` for constant or NEQ constraints.
@@ -435,14 +463,14 @@ class Simplex:
         if expr.is_constant() or constraint.relation is Relation.NEQ:
             return None
         var, scale = self._variable_for(expr.coefficients, need_row=False)
-        bound = -expr.constant / scale
+        bound = _exact_div(-expr.constant, scale)
         if constraint.relation is Relation.EQ:
             return (var, "eq", bound)
         return (var, "ub" if scale > 0 else "lb", bound)
 
     def _variable_for(
-        self, coefficients: Tuple[Tuple[str, Fraction], ...], need_row: bool = True
-    ) -> Tuple[int, Fraction]:
+        self, coefficients: Tuple[Tuple[str, Number], ...], need_row: bool = True
+    ) -> Tuple[int, Number]:
         """The tableau variable standing for a linear form, plus the scale
         such that ``form == scale * variable``  (gcd/sign normalization, so
         ``2x+2y`` and ``-x-y`` share one slack).  With ``need_row`` the
@@ -460,8 +488,8 @@ class Simplex:
         return variable, scale
 
     def _resolve_form(
-        self, coefficients: Tuple[Tuple[str, Fraction], ...]
-    ) -> Tuple[int, Fraction, Optional[Tuple[Tuple[int, Fraction], ...]]]:
+        self, coefficients: Tuple[Tuple[str, Number], ...]
+    ) -> Tuple[int, Number, Optional[Tuple[Tuple[int, Number], ...]]]:
         """Allocate (or find) the variable for a linear form: the slow
         gcd/sign normalization behind :meth:`_variable_for`'s memo."""
         if len(coefficients) == 1:
@@ -476,11 +504,11 @@ class Simplex:
         magnitude = 0
         for numerator in numerators:
             magnitude = gcd(magnitude, abs(numerator))
-        scale = Fraction(magnitude, denominator_lcm)
+        scale = _exact_div(magnitude, denominator_lcm)
         if numerators[0] < 0:
             scale = -scale
         key = tuple(
-            (self._plain_var(name), coeff / scale) for name, coeff in coefficients
+            (self._plain_var(name), _exact_div(coeff, scale)) for name, coeff in coefficients
         )
         slack = self._slacks.get(key)
         if slack is None:
@@ -488,7 +516,7 @@ class Simplex:
             self._next_var += 1
             self._slacks[key] = slack
             self._slack_keys[slack] = key
-            self._value[slack] = Fraction(0)
+            self._value[slack] = 0
         return slack, scale, key
 
     def _plain_var(self, name: str) -> int:
@@ -497,32 +525,32 @@ class Simplex:
             var = self._next_var
             self._next_var += 1
             self._ids[name] = var
-            self._value[var] = Fraction(0)
+            self._value[var] = 0
         return var
 
-    def _install_row(self, slack: int, key: Tuple[Tuple[int, Fraction], ...]) -> None:
+    def _install_row(self, slack: int, key: Tuple[Tuple[int, Number], ...]) -> None:
         """(Re)install the defining row ``slack == sum(coeff * var)``,
         substituting current basics away and recomputing the slack's
         assignment.  :meth:`undo_to` may drop the tableau whenever the
         trail empties, so installation must be repeatable."""
-        row: Dict[int, Fraction] = {}
+        row: Dict[int, Number] = {}
         for var, coeff in key:
             basic_row = self._rows.get(var)
             if basic_row is None:
-                row[var] = row.get(var, Fraction(0)) + coeff
+                row[var] = row.get(var, 0) + coeff
             else:
                 for nonbasic, inner in basic_row.items():
-                    row[nonbasic] = row.get(nonbasic, Fraction(0)) + coeff * inner
-        row = {var: coeff for var, coeff in row.items() if coeff != 0}
-        self._value[slack] = sum(
-            (coeff * self._value[var] for var, coeff in row.items()), Fraction(0)
+                    row[nonbasic] = row.get(nonbasic, 0) + coeff * inner
+        row = {var: _demote(coeff) for var, coeff in row.items() if coeff != 0}
+        self._value[slack] = _demote(
+            sum(coeff * self._value[var] for var, coeff in row.items())
         )
         self._rows[slack] = row
         for nonbasic in row:
             self._cols.setdefault(nonbasic, set()).add(slack)
         self._row_installed.add(slack)
 
-    def _assert_upper(self, var: int, bound: Fraction, tag: object) -> Optional[List[object]]:
+    def _assert_upper(self, var: int, bound: Number, tag: object) -> Optional[List[object]]:
         current = self._upper.get(var)
         if current is not None and bound >= current[0]:
             return None  # not a tightening
@@ -539,7 +567,7 @@ class Simplex:
             self._suspects.add(var)
         return None
 
-    def _assert_lower(self, var: int, bound: Fraction, tag: object) -> Optional[List[object]]:
+    def _assert_lower(self, var: int, bound: Number, tag: object) -> Optional[List[object]]:
         current = self._lower.get(var)
         if current is not None and bound <= current[0]:
             return None
@@ -556,7 +584,7 @@ class Simplex:
             self._suspects.add(var)
         return None
 
-    def _update(self, var: int, value: Fraction) -> None:
+    def _update(self, var: int, value: Number) -> None:
         """Move a nonbasic variable, adjusting every dependent basic."""
         delta = value - self._value[var]
         self._value[var] = value
@@ -564,7 +592,7 @@ class Simplex:
         rows = self._rows
         suspects = self._suspects
         for basic in self._cols.get(var, ()):
-            values[basic] += rows[basic][var] * delta
+            values[basic] = _demote(values[basic] + rows[basic][var] * delta)
             suspects.add(basic)
 
     # -- feasibility ---------------------------------------------------------
@@ -656,27 +684,27 @@ class Simplex:
             limits.checkpoint("tableau_pivots")
             self._pivot_and_update(broken, pivot_col, target)
 
-    def _pivot_and_update(self, leaving: int, entering: int, target: Fraction) -> None:
+    def _pivot_and_update(self, leaving: int, entering: int, target: Number) -> None:
         self.pivots += 1
         values = self._value
         rows = self._rows
         cols = self._cols
         row = rows.pop(leaving)
         coeff = row.pop(entering)
-        theta = (target - values[leaving]) / coeff
+        theta = _exact_div(target - values[leaving], coeff)
         values[leaving] = target
-        values[entering] += theta
+        values[entering] = _demote(values[entering] + theta)
         mentioning = cols.pop(entering, set())
         mentioning.discard(leaving)
         suspects = self._suspects
         suspects.add(entering)
         for basic in mentioning:
-            values[basic] += rows[basic][entering] * theta
+            values[basic] = _demote(values[basic] + rows[basic][entering] * theta)
             suspects.add(basic)
         # New defining row for the entering variable.
-        new_row: Dict[int, Fraction] = {leaving: Fraction(1) / coeff}
+        new_row: Dict[int, Number] = {leaving: _exact_div(1, coeff)}
         for var, inner in row.items():
-            new_row[var] = -inner / coeff
+            new_row[var] = _exact_div(-inner, coeff)
             cols[var].discard(leaving)
         rows[entering] = new_row
         for var in new_row:
@@ -686,18 +714,18 @@ class Simplex:
             other = rows[basic]
             factor = other.pop(entering)
             for var, inner in new_row.items():
-                merged = other.get(var, Fraction(0)) + factor * inner
+                merged = other.get(var, 0) + factor * inner
                 if merged == 0:
                     if var in other:
                         del other[var]
                         cols.get(var, set()).discard(basic)
                 else:
-                    other[var] = merged
+                    other[var] = _demote(merged)
                     cols.setdefault(var, set()).add(basic)
 
     def _branch_satisfied(self, var: int, branch: Tuple) -> bool:
         kind, bound = branch
-        value = self._value.get(var, Fraction(0))
+        value = self._value.get(var, 0)
         return value <= bound if kind == "ub" else value >= bound
 
     def _check_neqs(self) -> Optional[List[object]]:

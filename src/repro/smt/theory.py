@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import limits
@@ -190,7 +189,7 @@ class TheoryChecker:
             if isinstance(term, IntLit):
                 return LinearExpr.constant_expr(term.value)
             if isinstance(term, Unary) and term.op is UnaryOp.NEG:
-                return to_linear(term.arg).scale(Fraction(-1))
+                return to_linear(term.arg).scale(-1)
             if isinstance(term, Binary):
                 if term.op is BinaryOp.PLUS:
                     return to_linear(term.lhs).add(to_linear(term.rhs))
@@ -198,9 +197,9 @@ class TheoryChecker:
                     return to_linear(term.lhs).subtract(to_linear(term.rhs))
                 if term.op is BinaryOp.TIMES:
                     if isinstance(term.lhs, IntLit):
-                        return to_linear(term.rhs).scale(Fraction(term.lhs.value))
+                        return to_linear(term.rhs).scale(term.lhs.value)
                     if isinstance(term.rhs, IntLit):
-                        return to_linear(term.lhs).scale(Fraction(term.rhs.value))
+                        return to_linear(term.lhs).scale(term.rhs.value)
                     # Non-linear product: treat the whole product as opaque.
                     return LinearExpr.variable(atom_variable(term))
             return LinearExpr.variable(atom_variable(term))
@@ -255,11 +254,6 @@ class TheoryChecker:
         if isinstance(term, IntLit):
             return LinearExpr.constant_expr(term.value)
         return LinearExpr.variable(f"t{term_id}")
-
-    @staticmethod
-    def _comparison(op: BinaryOp, lhs: LinearExpr, rhs: LinearExpr, polarity: bool) -> Constraint:
-        """Translate a (possibly negated) integer comparison."""
-        return _comparison_constraint(op, lhs, rhs, polarity)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +379,6 @@ class IncrementalTheory:
         """Number of open push scopes."""
         return len(self._frames)
 
-    def asserted_literals(self) -> List[Literal]:
-        """The currently asserted literals, oldest first."""
-        return list(self._asserted)
-
     # -- term translation ----------------------------------------------------
 
     def _translate(self, term: Formula) -> int:
@@ -494,7 +484,7 @@ class IncrementalTheory:
         if isinstance(term, IntLit):
             return LinearExpr.constant_expr(term.value)
         if isinstance(term, Unary) and term.op is UnaryOp.NEG:
-            return self._to_linear(term.arg, leaves).scale(Fraction(-1))
+            return self._to_linear(term.arg, leaves).scale(-1)
         if isinstance(term, Binary):
             if term.op is BinaryOp.PLUS:
                 return self._to_linear(term.lhs, leaves).add(
@@ -506,13 +496,9 @@ class IncrementalTheory:
                 )
             if term.op is BinaryOp.TIMES:
                 if isinstance(term.lhs, IntLit):
-                    return self._to_linear(term.rhs, leaves).scale(
-                        Fraction(term.lhs.value)
-                    )
+                    return self._to_linear(term.rhs, leaves).scale(term.lhs.value)
                 if isinstance(term.rhs, IntLit):
-                    return self._to_linear(term.lhs, leaves).scale(
-                        Fraction(term.rhs.value)
-                    )
+                    return self._to_linear(term.lhs, leaves).scale(term.rhs.value)
         term_id = self._translate(term)
         self._int_terms.setdefault(term_id, term)
         if leaves is not None:

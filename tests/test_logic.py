@@ -4,23 +4,28 @@ from repro.logic import ops
 from repro.logic.formulas import (
     FALSE,
     TRUE,
+    App,
     Binary,
     BinaryOp,
+    BoolLit,
     IntLit,
+    Ite,
+    SetLit,
+    Unary,
     Unknown,
     Var,
     intern_formula,
     value_var,
 )
 from repro.logic.simplify import conjuncts, negation_normal_form, simplify
-from repro.logic.sorts import BOOL, INT
+from repro.logic.sorts import BOOL, INT, SetSort
 from repro.logic.substitution import (
     apply_assignment,
     instantiate_value_var,
     rename,
     substitute,
 )
-from repro.logic.transform import free_vars, has_unknowns, subterms
+from repro.logic.transform import free_vars, has_unknowns, subterms, transform
 
 x = ops.var("x", INT)
 y = ops.var("y", INT)
@@ -152,3 +157,52 @@ class TestSubstitution:
         assert free_vars(formula) == {"x", "y"}
         assert has_unknowns(formula)
         assert not has_unknowns(ops.le(x, y))
+
+
+def _every_kind(with_unknown=True):
+    """A formula with a node of every kind (the Unknown optional)."""
+    elems = ops.measure("elems", ops.var("xs", INT), SetSort(INT))
+    picked = ops.member(ops.ite(p, ops.neg(x), IntLit(3)), ops.union(ops.singleton(y), elems))
+    rest = Binary(BinaryOp.AND, ops.not_(p), TRUE)
+    if with_unknown:
+        rest = Binary(BinaryOp.OR, Unknown("P", (("_v", x),)), rest)
+    return Binary(BinaryOp.AND, picked, rest)
+
+
+class TestCopyFreeRewriting:
+    """Rewrites share every subtree they leave unchanged."""
+
+    def test_identity_transform_returns_the_same_object(self):
+        formula = _every_kind()
+        kinds = {type(node) for node in subterms(formula)}
+        assert kinds == {BoolLit, IntLit, Var, Unknown, Unary, Binary, Ite, App, SetLit}
+        assert transform(formula, lambda node: node) is formula
+
+    def test_rewrites_that_change_nothing_return_the_same_object(self):
+        formula = _every_kind(with_unknown=False)
+        assert substitute(formula, {"absent": x}) is formula
+        assert rename(formula, {"absent": "z"}) is formula
+        assert apply_assignment(formula, {"P": [ops.le(x, y)]}) is formula
+        simple = ops.and_(ops.le(x, y), ops.or_(p, ops.neq(x, IntLit(0))))
+        assert simplify(simple) is simple
+
+    def test_only_the_changed_spine_is_rebuilt(self):
+        untouched = ops.le(y, IntLit(3))
+        formula = ops.and_(ops.le(x, y), untouched)
+        result = substitute(formula, {"x": IntLit(0)})
+        assert result == ops.and_(ops.le(IntLit(0), y), untouched)
+        assert result.rhs is untouched
+
+    def test_callback_order_is_post_order_left_to_right(self):
+        length = ops.measure("len", x, INT)
+        larger = ops.app("max", [x, y], INT)
+        formula = ops.ite(p, length, larger)
+        visited = []
+
+        def record(node):
+            visited.append(node)
+            return node
+
+        transform(formula, record)
+        assert visited == [p, x, length, x, y, larger, formula]
+

@@ -131,6 +131,51 @@ class TestResultCache:
         assert stats["entries"] == 2
         assert stats["evictions"] == 2
 
+    def test_puts_below_the_limit_never_list_the_directory(self, tmp_path, monkeypatch):
+        ResultCache(tmp_path).put("aa" * 32, {"index": -1})
+        cache = ResultCache(tmp_path, max_entries=22)
+        listings = []
+        real_glob = Path.glob
+
+        def counting_glob(self, pattern):
+            listings.append(pattern)
+            return real_glob(self, pattern)
+
+        monkeypatch.setattr(Path, "glob", counting_glob)
+        for index in range(20):
+            cache.put(f"{index:02d}" * 32, {"index": index})
+        cache.put("00" * 32, {"index": 0})  # overwriting adds no entry
+        assert listings == []
+        # The count opened at one entry and reached 21: one more fits,
+        # and the put after it lists the directory to evict.
+        cache.put("ff" * 32, {"index": 21})
+        assert listings == []
+        cache.put("fe" * 32, {"index": 22})
+        assert len(listings) == 1 and cache.evictions == 1
+        monkeypatch.undo()
+        assert cache.stats()["entries"] == 22
+
+    def test_concurrent_puts_count_every_entry(self, tmp_path):
+        # Below the limit only the running count can trigger an eviction,
+        # so a lost update would let the directory outgrow max_entries.
+        cache = ResultCache(tmp_path, max_entries=200)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(cache.put, f"{index:02x}" * 32, {"index": index})
+                    for index in range(200)
+                ]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache._entries == 200
+        cache.put("ff" * 32, {"index": 200})
+        stats = cache.stats()
+        assert stats["entries"] == 200 and stats["evictions"] == 1
+
     def test_corrupted_entry_recomputes(self, tmp_path):
         cache = ResultCache(tmp_path)
         digest = "cd" * 32

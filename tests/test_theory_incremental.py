@@ -15,17 +15,23 @@ theory.
 The tableau-bound tests pin how the simplex forgets: a row no check asks
 for again is gone once the bound trail empties, while a basis whose rows
 are asked for again every cycle is kept and resumes without pivoting.
+
+The exact-arithmetic tests pin the simplex's number types: difference
+constraints never leave ``int``, and a non-unit coefficient promotes to an
+exact ``Fraction`` only where a division is inexact.
 """
 
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from repro.logic import ops
-from repro.logic.formulas import IntLit
+from repro.logic.formulas import Binary, BinaryOp, IntLit
 from repro.logic.sorts import BOOL, INT
+from repro.logic.transform import subterms
 from repro.service.api import compute_check
 from repro.service.worker import WarmStack
 from repro.smt.lia import LinearExpr, Simplex, le, lt
@@ -69,6 +75,36 @@ def _atom_pool():
     ]
 
 
+def _scaled_atom_pool():
+    """Atoms with non-unit coefficients, so the simplex divides inexactly:
+    fractional bound targets (``2*y >= 3``, ``2*len x <= 5``), fractional
+    disequality split bounds (``2*x != 4`` splits at 3/2 and 5/2), a
+    gcd-scaled slack (``2*x + 2*z``), and rows whose pivots divide by 2
+    and 3."""
+    x = ops.var("x", INT)
+    y = ops.var("y", INT)
+    z = ops.var("z", INT)
+    p = ops.var("p", BOOL)
+    len_x = ops.measure("len", x, INT)
+    len_y = ops.measure("len", y, INT)
+    two, three = IntLit(2), IntLit(3)
+    return [
+        ops.le(ops.plus(ops.times(three, x), ops.times(two, y)), IntLit(7)),
+        ops.eq(ops.minus(ops.times(two, x), ops.times(three, y)), IntLit(1)),
+        ops.ge(ops.times(two, y), three),
+        ops.neq(ops.times(three, z), ops.times(two, x)),
+        ops.le(ops.times(two, len_x), IntLit(5)),
+        ops.neq(ops.times(two, x), IntLit(4)),
+        ops.ge(ops.times(three, len_y), ops.plus(ops.times(two, len_x), IntLit(1))),
+        ops.le(ops.plus(ops.times(two, x), ops.times(two, z)), three),
+        ops.eq(len_x, len_y),
+        ops.eq(x, y),
+        ops.lt(z, IntLit(2)),
+        ops.ge(x, IntLit(-1)),
+        p,
+    ]
+
+
 class TestDifferential:
     """IncrementalTheory vs fresh TheoryChecker on random sequences.
 
@@ -80,17 +116,20 @@ class TestDifferential:
     once with a fresh theory per sequence and once with one long-lived
     theory whose scopes are all popped between sequences, so the simplex
     drops and rebuilds tableaus left by earlier sequences: 640 sequences
-    (16000 differential verdicts) per run.
+    (16000 differential verdicts) per run.  The ``scaled`` runs draw from
+    the non-unit-coefficient pool with one long-lived theory, so inexact
+    divisions reach the warm tableau.
     """
 
     @pytest.mark.parametrize(
-        "seed, long_lived",
-        [pytest.param(seed, False, id=str(seed)) for seed in SEEDS]
-        + [pytest.param(seed, True, id=f"long-lived-{seed}") for seed in SEEDS],
+        "seed, long_lived, atom_pool",
+        [pytest.param(seed, False, _atom_pool, id=str(seed)) for seed in SEEDS]
+        + [pytest.param(seed, True, _atom_pool, id=f"long-lived-{seed}") for seed in SEEDS]
+        + [pytest.param(seed, True, _scaled_atom_pool, id=f"scaled-{seed}") for seed in SEEDS],
     )
-    def test_random_sequences_agree_with_stateless_oracle(self, seed, long_lived):
+    def test_random_sequences_agree_with_stateless_oracle(self, seed, long_lived, atom_pool):
         rng = random.Random(seed)
-        pool = _atom_pool()
+        pool = atom_pool()
         oracle = TheoryChecker()
         theory = IncrementalTheory()
         for _ in range(80):
@@ -294,3 +333,54 @@ class TestTableauBound:
             assert payload["failures"] == 0
             rows.append(len(stack.backend._bridge.theory.simplex._rows))
         assert rows[-1] <= max(rows[:2]), rows
+
+
+def _tableau_numbers(simplex):
+    """Every value, bound and row coefficient the simplex holds."""
+    yield from simplex._value.values()
+    for bounds in (simplex._lower, simplex._upper):
+        for bound, _ in bounds.values():
+            yield bound
+    for row in simplex._rows.values():
+        yield from row.values()
+
+
+class TestExactArithmetic:
+    """The simplex computes in ``int`` and promotes only inexact divisions."""
+
+    def test_fractional_bound_is_exact(self):
+        simplex = Simplex()
+        x = LinearExpr.variable("x")
+        two_x, three = x.scale(2), LinearExpr.constant_expr(3)
+        assert simplex.assert_constraint(le(two_x, three), "2x<=3") is None
+        assert simplex.assert_constraint(le(three, two_x), "2x>=3") is None
+        assert simplex.check() is None
+        value = simplex._value[simplex._ids["x"]]
+        assert type(value) is Fraction and value == Fraction(3, 2)
+        conflict = simplex.assert_constraint(
+            le(LinearExpr.constant_expr(2), x), "x>=2"
+        ) or simplex.check()
+        assert sorted(conflict) == ["2x<=3", "x>=2"]
+
+    def test_difference_constraint_tableau_stays_integral(self):
+        # Atoms over differences of two terms (x <= y, x - y <= -1, ...)
+        # keep every pivot a division by +-1, so no number leaves int.
+        differences = [
+            atom for atom in _atom_pool()
+            if not any(
+                isinstance(node, Binary) and node.op in (BinaryOp.PLUS, BinaryOp.TIMES)
+                for node in subterms(atom)
+            )
+        ]
+        rng = random.Random(5)
+        theory = IncrementalTheory()
+        for _ in range(40):
+            for _ in range(12):
+                theory.push()
+                literal = Literal(rng.choice(differences), rng.random() < 0.7)
+                theory.assert_literal(literal) or theory.check()
+                numbers = list(_tableau_numbers(theory.simplex))
+                assert all(type(number) is int for number in numbers), numbers
+            while theory.depth:
+                theory.pop()
+        assert theory.simplex.pivots > 0
