@@ -15,7 +15,6 @@ constraint valid.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Mapping, Optional, Tuple
 
@@ -33,9 +32,7 @@ class HornConstraint:
     emits: the judgments (program location, branch, subtyping obligation)
     that produced the constraint, outermost first, so an unsolvable system
     can name the failing obligation precisely.  :meth:`origin` is the
-    single diagnostics entry point; the free-form ``label`` string that
-    used to sit next to the trail is folded into it (a bare tag becomes a
-    one-element trail) and survives only as a deprecated alias property.
+    single diagnostics entry point.
     """
 
     premises: Tuple[Formula, ...]
@@ -101,21 +98,6 @@ class HornConstraint:
         if self.provenance:
             return " / ".join(self.provenance)
         return "<unlabeled constraint>"
-
-    @property
-    def label(self) -> str:
-        """Deprecated alias for the innermost provenance entry.
-
-        The free-form label field was folded into ``provenance``; use
-        :meth:`origin` for diagnostics.
-        """
-        warnings.warn(
-            "HornConstraint.label is deprecated; use origin() (the label was "
-            "folded into the provenance trail)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.provenance[-1] if self.provenance else ""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         lhs = " && ".join(repr(p) for p in self.premises) or "True"

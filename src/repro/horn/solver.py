@@ -48,9 +48,8 @@ preconditions.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import limits
@@ -322,17 +321,6 @@ def screen_singletons(
     return verdicts
 
 
-def resolve_options(options: Optional[SolveOptions], minimize: Optional[bool]) -> SolveOptions:
-    if minimize is not None:
-        warnings.warn(
-            "the minimize= keyword is deprecated; pass SolveOptions(minimize=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return replace(options if options is not None else SolveOptions(), minimize=minimize)
-    return options if options is not None else SolveOptions()
-
-
 class HornSolver:
     """Solves systems of Horn constraints over predicate unknowns."""
 
@@ -366,8 +354,6 @@ class HornSolver:
         constraints: Sequence[HornConstraint],
         spaces: SpacesLike,
         options: Optional[SolveOptions] = None,
-        *,
-        minimize: Optional[bool] = None,
     ) -> HornSolution:
         """Find assignments making every constraint valid.
 
@@ -376,11 +362,8 @@ class HornSolver:
         Systems without abducible spaces take the classic greatest-fixpoint
         path; abducible spaces trigger the candidate-set search (and, for
         ``max_workers > 1``, the process portfolio).
-
-        ``minimize`` as a keyword is a one-release deprecation shim for the
-        old boolean API; pass ``SolveOptions(minimize=True)`` instead.
         """
-        opts = resolve_options(options, minimize)
+        opts = options if options is not None else SolveOptions()
         space_map = as_space_map(spaces)
         abducibles = sorted(name for name, sp in space_map.items() if sp.abducible)
         if abducibles:

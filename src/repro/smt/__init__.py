@@ -1,52 +1,31 @@
 """The SMT substrate: SAT core, EUF, LIA, set encoding, lazy DPLL(T)."""
 
 from .euf import CongruenceClosure, TermBank
-from .interface import (
-    SolverBackend,
-    default_solver,
-    reset_default_solver,
-    satisfiable,
-    statistics,
-    valid,
-)
-from .lia import Constraint, LiaSolver, LinearExpr, Relation
+from .interface import SolverBackend
+from .lia import Constraint, LinearExpr, Relation
 from .names import FreshNames
 from .sat import SatResult, SatSolver, SatStatistics, solve_clauses
 from .sets import eliminate_sets, mentions_sets
-from .solver import (
-    DEFAULT_CACHE_SIZE,
-    IncrementalSolver,
-    SmtSolver,
-    SolverStatistics,
-    TseitinEncoder,
-)
+from .solver import IncrementalSolver, SolverStatistics, TseitinEncoder
 from .theory import Literal, TheoryChecker
 
 __all__ = [
     "CongruenceClosure",
     "Constraint",
-    "DEFAULT_CACHE_SIZE",
     "FreshNames",
     "IncrementalSolver",
-    "LiaSolver",
     "LinearExpr",
     "Literal",
     "Relation",
     "SatResult",
     "SatSolver",
     "SatStatistics",
-    "SmtSolver",
     "SolverBackend",
     "SolverStatistics",
     "TermBank",
     "TheoryChecker",
     "TseitinEncoder",
-    "default_solver",
     "eliminate_sets",
     "mentions_sets",
-    "reset_default_solver",
-    "satisfiable",
     "solve_clauses",
-    "statistics",
-    "valid",
 ]

@@ -1,34 +1,27 @@
-"""Solver backend protocol and module-level convenience interface.
+"""Solver backend protocol.
 
 The type checker and the Horn solver issue a very large number of small
-validity / satisfiability queries.  Two layers serve them:
-
-* :class:`SolverBackend` — the abstract *incremental* interface
-  (``push`` / ``pop`` / ``assert_`` / ``check``).  The concrete
-  :class:`repro.smt.solver.IncrementalSolver` implements it with assumption
-  literals over a single persistent SAT solver running DPLL(T) against one
-  persistent, trail-backed theory state, so a fixpoint loop that re-asserts
-  the same premises thousands of times pays for their encoding exactly
-  once, keeps every learned (and alpha-generalized) theory lemma, and
-  resumes every simplex check from the previous feasible basis.
-
-* the module-level functions (:func:`valid`, :func:`satisfiable`) — a
-  back-compat shim routing one-shot queries through a process-wide shared
-  :class:`repro.smt.solver.SmtSolver` so results are memoized across the
-  whole synthesis run.
+validity / satisfiability queries, all through :class:`SolverBackend`:
+the abstract *incremental* interface (``push`` / ``pop`` / ``assert_`` /
+``check``), whose scoped :meth:`~SolverBackend.check_assuming` and
+:meth:`~SolverBackend.is_valid_implication` also answer one-shot
+questions.  The concrete :class:`repro.smt.solver.IncrementalSolver`
+implements it with assumption literals over a single persistent SAT
+solver running DPLL(T) against one persistent, trail-backed theory state,
+so a fixpoint loop that re-asserts the same premises thousands of times
+pays for their encoding exactly once, keeps every learned (and
+alpha-generalized) theory lemma, and resumes every simplex check from the
+previous feasible basis.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from ..logic import ops
 from ..logic.formulas import Formula
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .solver import SmtSolver, SolverStatistics
 
 
 class SolverBackend(ABC):
@@ -57,16 +50,6 @@ class SolverBackend(ABC):
     @abstractmethod
     def check(self) -> bool:
         """Is the conjunction of all live assertions satisfiable?"""
-
-    def has_assertions(self) -> bool:
-        """Is any assertion live in any scope (base frame included)?
-
-        Consumers use this to decide whether a ``check`` answer is
-        context-free (cacheable).  The conservative default is ``True`` —
-        backends that track their scopes, like
-        :class:`repro.smt.solver.IncrementalSolver`, override it.
-        """
-        return True
 
     # -- conveniences shared by all backends --------------------------------
 
@@ -128,43 +111,3 @@ def new_backend() -> SolverBackend:
     from .solver import IncrementalSolver
 
     return IncrementalSolver()
-
-
-# ---------------------------------------------------------------------------
-# process-wide shared solver (back-compat shim)
-# ---------------------------------------------------------------------------
-
-_default_solver: Optional["SmtSolver"] = None
-
-
-def default_solver() -> "SmtSolver":
-    """The process-wide shared solver instance."""
-    global _default_solver
-    if _default_solver is None:
-        from .solver import SmtSolver
-
-        _default_solver = SmtSolver()
-    return _default_solver
-
-
-def reset_default_solver() -> None:
-    """Replace the shared solver (drops caches and statistics)."""
-    global _default_solver
-    from .solver import SmtSolver
-
-    _default_solver = SmtSolver()
-
-
-def valid(formula: Formula) -> bool:
-    """Is the formula valid (true in all models)?"""
-    return default_solver().is_valid(formula)
-
-
-def satisfiable(formula: Formula) -> bool:
-    """Is the formula satisfiable (true in some model)?"""
-    return default_solver().is_satisfiable(formula)
-
-
-def statistics() -> "SolverStatistics":
-    """Counters of the shared solver."""
-    return default_solver().statistics

@@ -1,15 +1,15 @@
 """Linear integer arithmetic over conjunctions of literals.
 
-The theory solver receives a conjunction of linear constraints (produced by
-the purifier in ``repro.smt.theory``) and decides feasibility.  The decision
-procedure is Fourier–Motzkin elimination over the rationals with integer
-tightening of strict inequalities and Gaussian substitution of equalities;
-disequalities are handled by case splitting.
+The theory solver (``repro.smt.theory``) translates each arithmetic
+literal into a linear :class:`Constraint` and asserts it into the
+incremental :class:`Simplex`, which decides feasibility with integer
+tightening of strict inequalities (``lhs < rhs`` becomes
+``lhs + 1 <= rhs``) and disequalities split into ``expr <= -1`` or
+``expr >= 1``.
 
-Like the incremental :class:`Simplex` below, it decides rational
-feasibility, which is sound for validity checking but incomplete over the
-integers; the argument is the "Rational relaxation" note in the SMT
-section of ``docs/architecture.md``.
+The simplex decides rational feasibility, which is sound for validity
+checking but incomplete over the integers; the argument is the "Rational
+relaxation" note in the SMT section of ``docs/architecture.md``.
 
 Numbers are exact and stay plain ``int`` until a division is inexact,
 which promotes them to :class:`fractions.Fraction` (``_exact_div``).  The
@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .. import limits
 
@@ -61,10 +61,8 @@ class Relation(enum.Enum):
 class LinearExpr:
     """A linear expression ``sum(coeff * var) + constant``.
 
-    Coefficients and the constant are exact :data:`Number` values: ``int``
-    for everything built from integer terms, and a ``Fraction`` once a
-    Fourier–Motzkin substitution divides inexactly, so eliminations stay
-    exact.
+    Coefficients and the constant are exact :data:`Number` values; an
+    expression built from integer terms holds only ``int``.
     """
 
     coefficients: Tuple[Tuple[str, Number], ...] = ()
@@ -110,10 +108,6 @@ class LinearExpr:
         """Pointwise difference of two expressions."""
         return self.add(other.scale(-1))
 
-    def coefficient(self, name: str) -> Number:
-        """Coefficient of ``name`` (zero if absent)."""
-        return dict(self.coefficients).get(name, 0)
-
     def is_constant(self) -> bool:
         """Does the expression mention no variables?"""
         return not self.coefficients
@@ -135,149 +129,6 @@ def le(lhs: LinearExpr, rhs: LinearExpr) -> Constraint:
 def lt(lhs: LinearExpr, rhs: LinearExpr) -> Constraint:
     """Constraint ``lhs < rhs`` tightened over the integers to ``lhs + 1 <= rhs``."""
     return Constraint(lhs.subtract(rhs).add(LinearExpr.constant_expr(1)), Relation.LE)
-
-
-def eq(lhs: LinearExpr, rhs: LinearExpr) -> Constraint:
-    """Constraint ``lhs == rhs``."""
-    return Constraint(lhs.subtract(rhs), Relation.EQ)
-
-
-def neq(lhs: LinearExpr, rhs: LinearExpr) -> Constraint:
-    """Constraint ``lhs != rhs``."""
-    return Constraint(lhs.subtract(rhs), Relation.NEQ)
-
-
-class LiaSolver:
-    """Feasibility checking for conjunctions of linear integer constraints."""
-
-    #: Safety cap on Fourier–Motzkin growth; queries stay far below it.
-    MAX_INEQUALITIES = 20_000
-
-    def is_feasible(self, constraints: Sequence[Constraint]) -> bool:
-        """Is the conjunction of ``constraints`` satisfiable?"""
-        return self._solve(list(constraints))
-
-    # -- internals ---------------------------------------------------------
-
-    def _solve(self, constraints: List[Constraint]) -> bool:
-        # Split on the first disequality, if any.
-        for index, constraint in enumerate(constraints):
-            if constraint.relation is Relation.NEQ:
-                rest = constraints[:index] + constraints[index + 1:]
-                strictly_less = Constraint(
-                    constraint.expr.add(LinearExpr.constant_expr(1)), Relation.LE
-                )
-                strictly_greater = Constraint(
-                    constraint.expr.scale(-1).add(LinearExpr.constant_expr(1)),
-                    Relation.LE,
-                )
-                return self._solve(rest + [strictly_less]) or self._solve(
-                    rest + [strictly_greater]
-                )
-
-        # Eliminate equalities by substitution (or split into two inequalities
-        # when no unit coefficient is available).
-        for index, constraint in enumerate(constraints):
-            if constraint.relation is Relation.EQ:
-                rest = constraints[:index] + constraints[index + 1:]
-                if constraint.expr.is_constant():
-                    if constraint.expr.constant != 0:
-                        return False
-                    return self._solve(rest)
-                substituted = self._substitute_equality(constraint, rest)
-                if substituted is not None:
-                    return self._solve(substituted)
-                as_inequalities = [
-                    Constraint(constraint.expr, Relation.LE),
-                    Constraint(constraint.expr.scale(-1), Relation.LE),
-                ]
-                return self._solve(rest + as_inequalities)
-
-        inequalities = [c.expr for c in constraints]
-        return self._fourier_motzkin(inequalities)
-
-    @staticmethod
-    def _substitute_equality(
-        equality: Constraint, others: List[Constraint]
-    ) -> Optional[List[Constraint]]:
-        """Solve ``equality`` for one of its variables and substitute it away.
-
-        Any variable can be isolated because coefficients are rational; the
-        substitution preserves rational feasibility exactly.
-        """
-        expr = equality.expr
-        if not expr.coefficients:
-            return None
-        name, coeff = expr.coefficients[0]
-        # name = -(rest)/coeff
-        rest = LinearExpr.from_dict(
-            {n: c for n, c in expr.coefficients if n != name}, expr.constant
-        )
-        replacement = rest.scale(_exact_div(-1, coeff))
-
-        def substitute(target: LinearExpr) -> LinearExpr:
-            c = target.coefficient(name)
-            if c == 0:
-                return target
-            without = LinearExpr.from_dict(
-                {n: k for n, k in target.coefficients if n != name}, target.constant
-            )
-            return without.add(replacement.scale(c))
-
-        return [Constraint(substitute(c.expr), c.relation) for c in others]
-
-    def _fourier_motzkin(self, inequalities: List[LinearExpr]) -> bool:
-        """Rational feasibility of ``expr <= 0`` constraints by elimination."""
-        inequalities = list(inequalities)
-        while True:
-            # Constant rows are decided immediately.
-            remaining: List[LinearExpr] = []
-            for expr in inequalities:
-                if expr.is_constant():
-                    if expr.constant > 0:
-                        return False
-                else:
-                    remaining.append(expr)
-            inequalities = remaining
-            if not inequalities:
-                return True
-
-            variable = self._pick_variable(inequalities)
-            lower, upper, unrelated = [], [], []
-            for expr in inequalities:
-                coeff = expr.coefficient(variable)
-                if coeff > 0:
-                    upper.append(expr)       # variable <= bound
-                elif coeff < 0:
-                    lower.append(expr)       # bound <= variable
-                else:
-                    unrelated.append(expr)
-
-            combined: List[LinearExpr] = []
-            for up in upper:
-                for low in lower:
-                    up_coeff = up.coefficient(variable)
-                    low_coeff = -low.coefficient(variable)
-                    merged = up.scale(low_coeff).add(low.scale(up_coeff))
-                    combined.append(merged)
-            inequalities = unrelated + combined
-            if len(inequalities) > self.MAX_INEQUALITIES:
-                # Give up on proving infeasibility; "feasible" is the safe
-                # (sound) answer for validity checking.
-                return True
-
-    @staticmethod
-    def _pick_variable(inequalities: List[LinearExpr]) -> str:
-        """Choose the variable whose elimination creates the fewest rows."""
-        occurrences: Dict[str, Tuple[int, int]] = {}
-        for expr in inequalities:
-            for name, coeff in expr.coefficients:
-                lower, upper = occurrences.get(name, (0, 0))
-                if coeff < 0:
-                    occurrences[name] = (lower + 1, upper)
-                else:
-                    occurrences[name] = (lower, upper + 1)
-        return min(occurrences, key=lambda n: occurrences[n][0] * occurrences[n][1])
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +169,9 @@ class Simplex:
     same bounds re-asserted cycle after cycle — is kept and resumes warm,
     where a rebuilt tableau would pivot back to it every cycle.
 
-    Decides the same theory as the one-shot :class:`LiaSolver` (rational
-    feasibility of integer-tightened constraints, disequalities by ±1 case
-    splitting), which the differential test suite relies on.  Every bound
+    It decides rational feasibility of integer-tightened constraints, with
+    disequalities split into ±1 cases; the differential test suite checks
+    it against a Fourier–Motzkin oracle kept under ``tests/``.  Every bound
     carries the caller's *tag* (typically the asserting theory literal);
     infeasibility verdicts return the tags of a conflicting bound set, so
     theory conflicts are explained without a minimization pass.
@@ -439,8 +290,8 @@ class Simplex:
             if conflict is not None:
                 return conflict
             return self._assert_lower(var, target, tag)
-        # Relation.NEQ — recorded for case splitting at check time, exactly
-        # mirroring LiaSolver: expr <= -1 or expr >= 1 over the integers.
+        # Relation.NEQ — recorded for case splitting at check time:
+        # expr <= -1 or expr >= 1 over the integers.
         low = _exact_div(-1 - expr.constant, scale)
         high = _exact_div(1 - expr.constant, scale)
         if scale > 0:
@@ -730,9 +581,9 @@ class Simplex:
 
     def _check_neqs(self) -> Optional[List[object]]:
         """Case-split every disequality neither of whose ±1 branches the
-        current assignment satisfies (mirroring the one-shot solver, which
-        decides ``expr <= -1  or  expr >= 1`` rather than rational
-        ``!=``)."""
+        current assignment satisfies: over the integers ``expr != 0`` is
+        ``expr <= -1  or  expr >= 1``, which rules out more than rational
+        ``!=`` does."""
         for index in range(len(self._neqs)):
             var, tag, left, right = self._neqs[index]
             if self._branch_satisfied(var, left) or self._branch_satisfied(var, right):

@@ -10,31 +10,27 @@ assignments — so inconsistent branches are refuted while they are still
 partial; the theory also *propagates*, pushing atom values it can already
 entail (LIA bound subsumption, congruence-entailed equalities) back into
 the SAT trail as implications with reason clauses.  Theory conflicts are
-explained (simplex bound tags) or QuickXplain-minimized, learned as
-lemmas, and additionally *generalized*: lemmas are keyed by their
-alpha-canonical renaming, so a structurally identical conflict over fresh
-type variables is answered by instantiating the stored lemma instead of a
-new theory refutation.
+explained (simplex bound tags) or QuickXplain-minimized with probes on
+fresh theories, learned as lemmas, and additionally *generalized*: lemmas
+are keyed by their alpha-canonical renaming, so a structurally identical
+conflict over fresh type variables is answered by instantiating the
+stored lemma instead of a new theory refutation.
 
-Two entry points share that loop:
-
-* :class:`IncrementalSolver` — the workhorse.  One persistent Tseitin
-  encoder, **one persistent CDCL SAT solver**, and one theory checker
-  serve every query for the solver's whole lifetime; each asserted formula
-  is guarded by an *assumption literal* (a selector), its CNF is loaded
-  into the SAT core exactly once at selector-creation time, and ``check``
-  merely solves under the active selectors.  Clause relevance is free:
-  watched-literal propagation never touches clauses whose selectors are
-  inactive (their guards are satisfied by the solver's negative default
-  phase).  Re-asserting a formula (the Horn fixpoint loop does this
-  constantly) reuses its existing CNF, theory lemmas learned in one query
-  prune all later ones, and the learned-lemma database is garbage
-  collected by clause activity so it stays bounded.
-
-* :class:`SmtSolver` — the one-shot façade kept for back compatibility.
-  It owns an :class:`IncrementalSolver`, wraps each query in a
-  ``push``/``assert_``/``check``/``pop`` bracket, and memoizes results in a
-  bounded LRU cache keyed by interned formulas.
+:class:`IncrementalSolver` runs that loop and is the one way to run a
+query.  One persistent Tseitin encoder, **one persistent CDCL SAT
+solver**, and one theory serve every query for the solver's whole
+lifetime; each asserted formula is guarded by an *assumption literal* (a
+selector), its CNF is loaded into the SAT core exactly once at
+selector-creation time, and ``check`` merely solves under the active
+selectors.  Clause relevance is free: watched-literal propagation never
+touches clauses whose selectors are inactive (their guards are satisfied
+by the solver's negative default phase).  Re-asserting a formula (the
+Horn fixpoint loop does this constantly) reuses its existing CNF, theory
+lemmas learned in one query prune all later ones, and the learned-lemma
+database is garbage collected by clause activity so it stays bounded.
+A one-shot question is a scoped query on it:
+:meth:`~repro.smt.interface.SolverBackend.check_assuming` or
+:meth:`~repro.smt.interface.SolverBackend.is_valid_implication`.
 
 Per-query preprocessing (see :meth:`IncrementalSolver._preprocess`):
 
@@ -47,7 +43,6 @@ Per-query preprocessing (see :meth:`IncrementalSolver._preprocess`):
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -83,10 +78,7 @@ class SolverStatistics:
     """Counters exposed for the evaluation harness."""
 
     sat_queries: int = 0
-    validity_queries: int = 0
     theory_checks: int = 0
-    cache_hits: int = 0
-    cache_evictions: int = 0
     #: Distinct formulas encoded into CNF (selector created).
     encoded_assertions: int = 0
     #: Assertions answered from the selector table without re-encoding.
@@ -411,7 +403,7 @@ class IncrementalSolver(SolverBackend):
     sentences of the theory, so keeping them across scopes is sound (and
     dropping them in a garbage collection merely means the theory may have
     to refute the same assignment again).  Each ``check`` restricts the
-    theory checker to the atoms of the *active* assertions, maintained
+    theory to the atoms of the *active* assertions, maintained
     incrementally as scopes are pushed and popped.
 
     Note on finite sets: set atoms are compiled away per assertion, so the
@@ -427,7 +419,7 @@ class IncrementalSolver(SolverBackend):
     #: Upper bound on lazy refinement iterations per query (safety net).
     MAX_ITERATIONS = 20_000
 
-    def __init__(self, statistics: Optional[SolverStatistics] = None) -> None:
+    def __init__(self) -> None:
         self._encoder = TseitinEncoder()
         self._sat = SatSolver()
         self._theory = TheoryChecker()
@@ -466,7 +458,7 @@ class IncrementalSolver(SolverBackend):
         self._lemma_keys: Set[Tuple] = set()
         #: instantiated lemma clauses already emitted (dedup).
         self._emitted_instances: Set[frozenset] = set()
-        self.statistics = statistics if statistics is not None else SolverStatistics()
+        self.statistics = SolverStatistics()
 
     # -- SolverBackend -------------------------------------------------------
 
@@ -484,10 +476,6 @@ class IncrementalSolver(SolverBackend):
                     counts[variable] = remaining
                 else:
                     del counts[variable]
-
-    def has_assertions(self) -> bool:
-        """Is any assertion live in any scope (base frame included)?"""
-        return any(self._frames)
 
     def assert_(self, formula: Formula) -> None:
         formula = intern_formula(formula)
@@ -514,7 +502,7 @@ class IncrementalSolver(SolverBackend):
 
         Returns ``None`` when the assertions are unsatisfiable.  Otherwise
         the list holds one entry per probe: the probe is evaluated
-        three-valued over exactly the atoms the theory checker vouched for
+        three-valued over exactly the atoms the theory vouched for
         (the model's prime implicant), so a ``True``/``False`` entry holds
         in a genuine theory model of the live assertions; ``None`` means
         the checked atoms leave the probe undetermined (or the probe is
@@ -584,7 +572,7 @@ class IncrementalSolver(SolverBackend):
 
         Explained conflicts (simplex bound tags) are near-minimal already;
         unexplained ones (congruence, Nelson–Oppen) are QuickXplain-shrunk
-        against the stateless checker before blocking.
+        before blocking, each probe decided on a fresh theory.
         """
         literals, explained = conflict
         if not explained:
@@ -909,7 +897,7 @@ def _evaluate_partial(
 ) -> Optional[bool]:
     """Three-valued evaluation of a (raw) probe formula under a model.
 
-    Atoms count as decided only when the theory checker vouched for their
+    Atoms count as decided only when the theory vouched for their
     model value (``checked``); every other leaf — unknown atoms, set
     atoms compiled away during encoding, lifted ``ite`` terms — is unknown,
     and unknowns propagate by three-valued logic.  A definite answer
@@ -1022,87 +1010,6 @@ def _shrink_conflict(
     if core and not consistent(core):
         return core
     return list(literals)
-
-
-# ---------------------------------------------------------------------------
-# the one-shot façade
-# ---------------------------------------------------------------------------
-
-#: Default bound on the memoized query cache of :class:`SmtSolver`.
-DEFAULT_CACHE_SIZE = 4096
-
-
-class SmtSolver:
-    """Satisfiability and validity of quantifier-free refinement formulas.
-
-    A thin memoizing façade over a :class:`SolverBackend` (by default a
-    private :class:`IncrementalSolver`): each query runs in its own scope,
-    and results are cached in a bounded LRU keyed by the interned formula.
-    Cached answers are context-free, so the cache is bypassed whenever the
-    backend reports live assertions (the iteration budget also lives on the
-    backend: ``solver.backend.MAX_ITERATIONS``).
-    """
-
-    def __init__(
-        self,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        backend: Optional[SolverBackend] = None,
-    ) -> None:
-        if backend is None:
-            self.statistics = SolverStatistics()
-            self._backend: SolverBackend = IncrementalSolver(self.statistics)
-        else:
-            self._backend = backend
-            self.statistics = getattr(backend, "statistics", SolverStatistics())
-        if cache_size < 1:
-            raise ValueError("cache_size must be positive")
-        self._cache: "OrderedDict[Formula, bool]" = OrderedDict()
-        self._cache_size = cache_size
-
-    # -- public API ----------------------------------------------------------
-
-    @property
-    def backend(self) -> SolverBackend:
-        """The incremental backend answering this solver's queries."""
-        return self._backend
-
-    def is_valid(self, formula: Formula) -> bool:
-        """Is ``formula`` true in every model?"""
-        self.statistics.validity_queries += 1
-        return not self.is_satisfiable(ops.not_(formula))
-
-    def is_satisfiable(self, formula: Formula) -> bool:
-        """Does ``formula`` have a model?
-
-        Answers are memoized only when the backend carries no live
-        assertions — in a non-empty context the answer depends on that
-        context and must not be cached as context-free.
-        """
-        key = intern_formula(formula)
-        contextual = self._backend.has_assertions()
-        if not contextual:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self.statistics.cache_hits += 1
-                return cached
-        self._backend.push()
-        try:
-            self._backend.assert_(key)
-            result = self._backend.check()
-        finally:
-            self._backend.pop()
-        if contextual:
-            return result
-        self._cache[key] = result
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-            self.statistics.cache_evictions += 1
-        return result
-
-    def clear_cache(self) -> None:
-        """Drop memoized query results (used between benchmark runs)."""
-        self._cache.clear()
 
 
 # ---------------------------------------------------------------------------

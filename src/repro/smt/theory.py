@@ -1,36 +1,35 @@
 """Theory solving for the combined EUF + LIA theory (the "T" in DPLL(T)).
 
-Two solvers live here, sharing one literal translation (congruence closure
-for equality with uninterpreted functions, linear arithmetic for
-comparisons, a pragmatic one-directional Nelson–Oppen EUF -> LIA equality
-propagation):
+One decision procedure lives here: congruence closure for equality with
+uninterpreted functions, linear arithmetic for comparisons, and a
+pragmatic one-directional Nelson–Oppen EUF -> LIA equality propagation.
 
-* :class:`IncrementalTheory` — the primary, *stateful* solver driving the
-  DPLL(T) loop.  Literals are asserted one at a time between ``push`` /
-  ``pop`` marks; a persistent :class:`~repro.smt.euf.TermBank` interns
-  terms once for the solver's lifetime, the congruence closure un-merges
-  through an undo trail, and the :class:`~repro.smt.lia.Simplex` tableau
-  keeps its rows and feasible basis across checks (bounds are added and
-  retracted instead of the tableau being rebuilt; rows nothing asks for
-  again are dropped once no bound is live).  Conflicts come back as
-  *explanations* — the subset of asserted literals responsible — and the
-  solver can *propagate*: report watched atoms whose truth value is
-  already entailed by the asserted bounds or the congruence closure.
+* :class:`IncrementalTheory` — the *stateful* solver driving the DPLL(T)
+  loop.  Literals are asserted one at a time between ``push`` / ``pop``
+  marks; a persistent :class:`~repro.smt.euf.TermBank` interns terms once
+  for the solver's lifetime, the congruence closure un-merges through an
+  undo trail, and the :class:`~repro.smt.lia.Simplex` tableau keeps its
+  rows and feasible basis across checks (bounds are added and retracted
+  instead of the tableau being rebuilt; rows nothing asks for again are
+  dropped once no bound is live).  Conflicts come back as *explanations*
+  — the subset of asserted literals responsible — and the solver can
+  *propagate*: report watched atoms whose truth value is already entailed
+  by the asserted bounds or the congruence closure.
 
-* :class:`TheoryChecker` — the stateless fallback for non-incremental
-  backends and for conflict minimization probes.  Each call rebuilds a
-  fresh term bank and runs the one-shot Fourier–Motzkin
-  :class:`~repro.smt.lia.LiaSolver`; answers are memoized per literal
-  *set* in a bounded LRU (consistency is order-insensitive).
+* :class:`TheoryChecker` — consistency of one literal *set*, decided on a
+  fresh :class:`IncrementalTheory` and memoized per set in a bounded LRU
+  (consistency is order-insensitive).  It answers the probes that shrink
+  unexplained conflicts, so a shrunk core is inconsistent for the very
+  solver whose conflict it came from.
 
 Propagation between the theories is one-directional (EUF -> LIA).  Missing
-the reverse direction can only make the checkers *fail to detect* a
+the reverse direction can only make the theory *fail to detect* a
 conflict, i.e. report "consistent" too often; as the "Rational
 relaxation" note in ``docs/architecture.md`` argues for LIA, this keeps
-refinement-type checking sound (it can only reject more programs).  Both
-solvers decide the same theory, which the differential property suite
-(``tests/test_theory_incremental.py``) enforces on random assert/push/pop
-sequences.
+refinement-type checking sound (it can only reject more programs).  The
+differential property suite (``tests/test_theory_incremental.py``) pins
+both classes to a stateless Fourier–Motzkin oracle, kept under ``tests/``,
+on random assert/push/pop sequences.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from ..logic.formulas import (
 from ..logic.sorts import BOOL, IntSort
 from . import lia
 from .euf import CongruenceClosure, TermBank
-from .lia import DERIVED, Constraint, LiaSolver, LinearExpr, Relation, Simplex
+from .lia import DERIVED, Constraint, LinearExpr, Relation, Simplex
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,6 @@ class Literal:
 
     atom: Formula
     polarity: bool
-
-
-class TheoryConflict(Exception):
-    """Raised internally when a conflict is found while asserting literals."""
 
 
 def _negated_comparison(op: BinaryOp) -> BinaryOp:
@@ -96,164 +91,6 @@ def _comparison_constraint(
     if op is BinaryOp.GE:
         return lia.le(rhs, lhs)
     return lia.lt(rhs, lhs)
-
-
-class TheoryChecker:
-    """Checks consistency of a conjunction of theory literals, statelessly.
-
-    Answers are memoized per literal *set* in a bounded LRU (hits move the
-    entry to the young end, the oldest entry is evicted past
-    :attr:`MAX_CACHE`): consistency is order-insensitive and each call is
-    independent, so the conflict minimization probes — which test many
-    overlapping subsets of the same assignment, often across queries
-    sharing their atoms — pay for each distinct subset once.  This is the
-    fallback path; incremental backends drive :class:`IncrementalTheory`.
-    """
-
-    #: Bound on the memo; the oldest (least recently used) entry is evicted.
-    MAX_CACHE = 65536
-
-    def __init__(self) -> None:
-        self._lia = LiaSolver()
-        self._cache: "OrderedDict[frozenset, bool]" = OrderedDict()
-
-    def is_consistent(self, literals: Sequence[Literal]) -> bool:
-        """Is the conjunction of the given literals satisfiable?"""
-        key = frozenset(literals)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            return cached
-        try:
-            result = self._check(literals)
-        except TheoryConflict:
-            result = False
-        self._cache[key] = result
-        if len(self._cache) > self.MAX_CACHE:
-            self._cache.popitem(last=False)
-        return result
-
-    # -- internals ---------------------------------------------------------
-
-    def _check(self, literals: Sequence[Literal]) -> bool:
-        bank = TermBank()
-        closure = CongruenceClosure(bank)
-        true_id = bank.constant("__true")
-        false_id = bank.constant("__false")
-        closure.assert_distinct(true_id, false_id)
-
-        term_ids: Dict[Formula, int] = {}
-        int_terms: Dict[int, Formula] = {}
-        constraints: List[Constraint] = []
-
-        def intern(term: Formula) -> int:
-            """Intern a formula term for congruence closure purposes."""
-            if term in term_ids:
-                return term_ids[term]
-            if isinstance(term, Var):
-                term_id = bank.constant(f"var:{term.name}")
-            elif isinstance(term, IntLit):
-                term_id = bank.constant(f"int:{term.value}")
-            elif isinstance(term, BoolLit):
-                term_id = true_id if term.value else false_id
-            elif isinstance(term, App):
-                term_id = bank.apply(term.func, [intern(arg) for arg in term.args])
-            elif isinstance(term, Unary):
-                term_id = bank.apply(f"unary:{term.op.value}", [intern(term.arg)])
-            elif isinstance(term, Binary):
-                term_id = bank.apply(
-                    f"binary:{term.op.value}", [intern(term.lhs), intern(term.rhs)]
-                )
-            elif isinstance(term, Ite):
-                term_id = bank.apply(
-                    "ite",
-                    [intern(term.cond), intern(term.then_), intern(term.else_)],
-                )
-            elif isinstance(term, SetLit):
-                term_id = bank.apply("setlit", [intern(element) for element in term.elements])
-            else:
-                term_id = bank.constant(f"opaque:{term!r}")
-            term_ids[term] = term_id
-            if isinstance(term.sort, IntSort):
-                int_terms.setdefault(term_id, term)
-            return term_id
-
-        def atom_variable(term: Formula) -> str:
-            """Arithmetic variable standing for a non-arithmetic integer term."""
-            term_id = intern(term)
-            int_terms.setdefault(term_id, term)
-            return f"t{term_id}"
-
-        def to_linear(term: Formula) -> LinearExpr:
-            """Translate an integer-sorted term into a linear expression."""
-            if isinstance(term, IntLit):
-                return LinearExpr.constant_expr(term.value)
-            if isinstance(term, Unary) and term.op is UnaryOp.NEG:
-                return to_linear(term.arg).scale(-1)
-            if isinstance(term, Binary):
-                if term.op is BinaryOp.PLUS:
-                    return to_linear(term.lhs).add(to_linear(term.rhs))
-                if term.op is BinaryOp.MINUS:
-                    return to_linear(term.lhs).subtract(to_linear(term.rhs))
-                if term.op is BinaryOp.TIMES:
-                    if isinstance(term.lhs, IntLit):
-                        return to_linear(term.rhs).scale(term.lhs.value)
-                    if isinstance(term.rhs, IntLit):
-                        return to_linear(term.lhs).scale(term.rhs.value)
-                    # Non-linear product: treat the whole product as opaque.
-                    return LinearExpr.variable(atom_variable(term))
-            return LinearExpr.variable(atom_variable(term))
-
-        # -- assert each literal -------------------------------------------
-        for literal in literals:
-            atom, polarity = literal.atom, literal.polarity
-            if isinstance(atom, BoolLit):
-                if atom.value != polarity:
-                    raise TheoryConflict()
-                continue
-            if isinstance(atom, (Var, App)) and atom.sort == BOOL:
-                closure.assert_equal(intern(atom), true_id if polarity else false_id)
-                continue
-            if isinstance(atom, Binary) and atom.op in COMPARISON_OPS:
-                lhs, rhs = to_linear(atom.lhs), to_linear(atom.rhs)
-                constraints.append(_comparison_constraint(atom.op, lhs, rhs, polarity))
-                continue
-            if isinstance(atom, Binary) and atom.op in (BinaryOp.EQ, BinaryOp.NEQ):
-                is_equality = (atom.op is BinaryOp.EQ) == polarity
-                lhs_id, rhs_id = intern(atom.lhs), intern(atom.rhs)
-                if is_equality:
-                    closure.assert_equal(lhs_id, rhs_id)
-                else:
-                    closure.assert_distinct(lhs_id, rhs_id)
-                if isinstance(atom.lhs.sort, IntSort):
-                    lhs, rhs = to_linear(atom.lhs), to_linear(atom.rhs)
-                    relation = Relation.EQ if is_equality else Relation.NEQ
-                    constraints.append(Constraint(lhs.subtract(rhs), relation))
-                continue
-            # Anything else (set atoms that escaped the encoder, etc.) is
-            # treated as unconstrained — the safe, conservative answer.
-            continue
-
-        if not closure.is_consistent():
-            return False
-
-        # -- propagate entailed equalities between integer terms ------------
-        tracked = sorted(int_terms)
-        for class_root, members in closure.classes().items():
-            class_members = [t for t in tracked if t in members]
-            for first, second in zip(class_members, class_members[1:]):
-                lhs = self._term_expr(int_terms[first], first)
-                rhs = self._term_expr(int_terms[second], second)
-                constraints.append(Constraint(lhs.subtract(rhs), Relation.EQ))
-
-        return self._lia.is_feasible(constraints)
-
-    @staticmethod
-    def _term_expr(term: Formula, term_id: int) -> LinearExpr:
-        """Linear expression for a tracked integer term."""
-        if isinstance(term, IntLit):
-            return LinearExpr.constant_expr(term.value)
-        return LinearExpr.variable(f"t{term_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +122,14 @@ class _Frame:
 class IncrementalTheory:
     """Persistent, backtrackable solver for the combined EUF + LIA theory.
 
-    Mirrors :meth:`TheoryChecker._check` literal for literal, but keeps all
-    of its state — term bank, congruence closure, simplex tableau — alive
-    across checks.  ``push`` snapshots the undo trails; ``pop`` retracts
-    everything asserted since the matching push.  Consistency of the
-    current assertion stack is (re-)established by :meth:`check`, which
-    resumes from the previous feasible simplex basis and only re-closes
-    congruence over the *live* applications (those referenced by currently
-    asserted literals; the bank's dead terms are never scanned).
+    All of its state — term bank, congruence closure, simplex tableau —
+    stays alive across checks.  ``push`` snapshots the undo trails;
+    ``pop`` retracts everything asserted since the matching push.
+    Consistency of the current assertion stack is (re-)established by
+    :meth:`check`, which resumes from the previous feasible simplex basis
+    and only re-closes congruence over the *live* applications (those
+    referenced by currently asserted literals; the bank's dead terms are
+    never scanned).
     """
 
     def __init__(self) -> None:
@@ -449,8 +286,8 @@ class IncrementalTheory:
 
     def _touch(self, term: Formula) -> int:
         """Translate ``term`` and count its whole subtree as live at the
-        current scope (mirroring the stateless checker, which re-interns
-        the subtree on every call)."""
+        current scope (only live terms take part in congruence closure and
+        Nelson–Oppen propagation)."""
         term_id = self._translate(term)
         apps, ints = self._term_refs[term]
         frame = self._frames[-1] if self._frames else self._base
@@ -654,8 +491,8 @@ class IncrementalTheory:
                 link = (first, second)
                 if link in self._linked:
                     continue
-                lhs = TheoryChecker._term_expr(self._int_terms[first], first)
-                rhs = TheoryChecker._term_expr(self._int_terms[second], second)
+                lhs = self._term_expr(self._int_terms[first], first)
+                rhs = self._term_expr(self._int_terms[second], second)
                 conflict = self.simplex.assert_constraint(
                     Constraint(lhs.subtract(rhs), Relation.EQ), DERIVED
                 )
@@ -666,6 +503,13 @@ class IncrementalTheory:
                 self._linked.add(link)
                 frame.links.append(link)
         return None
+
+    @staticmethod
+    def _term_expr(term: Formula, term_id: int) -> LinearExpr:
+        """Linear expression for a tracked integer term."""
+        if isinstance(term, IntLit):
+            return LinearExpr.constant_expr(term.value)
+        return LinearExpr.variable(f"t{term_id}")
 
     # -- propagation ---------------------------------------------------------
 
@@ -794,3 +638,42 @@ class IncrementalTheory:
                     reasons.append(high[1])
                 return reasons
         return None
+
+
+class TheoryChecker:
+    """Checks consistency of a conjunction of theory literals, one set at
+    a time.
+
+    Each set is decided on a fresh :class:`IncrementalTheory`: every
+    literal is asserted, the set is inconsistent at the first assert-time
+    conflict, and otherwise consistent when :meth:`IncrementalTheory.check`
+    finds none.  Answers are memoized per literal *set* in a bounded LRU
+    (hits move the entry to the young end, the oldest entry is evicted
+    past :attr:`MAX_CACHE`): consistency is order-insensitive and each
+    call is independent, so the conflict minimization probes — which test
+    many overlapping subsets of the same assignment, often across queries
+    sharing their atoms — pay for each distinct subset once.
+    """
+
+    #: Bound on the memo; the oldest (least recently used) entry is evicted.
+    MAX_CACHE = 65536
+
+    def __init__(self) -> None:
+        self._cache: "OrderedDict[frozenset, bool]" = OrderedDict()
+
+    def is_consistent(self, literals: Sequence[Literal]) -> bool:
+        """Is the conjunction of the given literals satisfiable?"""
+        key = frozenset(literals)
+        cached = self._cache.get(key)
+        if cached is not None:
+            self._cache.move_to_end(key)
+            return cached
+        theory = IncrementalTheory()
+        result = (
+            all(theory.assert_literal(literal) is None for literal in literals)
+            and theory.check() is None
+        )
+        self._cache[key] = result
+        if len(self._cache) > self.MAX_CACHE:
+            self._cache.popitem(last=False)
+        return result

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..horn.constraints import HornConstraint
-from ..horn.solver import Assignment, HornSolver, SolveOptions, resolve_options
+from ..horn.solver import Assignment, HornSolver, SolveOptions
 from ..horn.spaces import QualifierSpace, build_space
 from ..logic import ops
 from ..logic.formulas import Formula, Unknown, value_var
@@ -348,12 +348,7 @@ class TypecheckSession:
 
     # -- solving -------------------------------------------------------------
 
-    def solve(
-        self,
-        options: Optional[SolveOptions] = None,
-        *,
-        minimize: Optional[bool] = None,
-    ) -> TypecheckResult:
+    def solve(self, options: Optional[SolveOptions] = None) -> TypecheckResult:
         """Solve the accumulated system with a Horn solver running on this
         session's shared incremental backend.
 
@@ -361,10 +356,9 @@ class TypecheckSession:
         MUS budget, and the portfolio's worker count (``max_workers > 1``
         fans candidate branches across processes when the system has
         abducible spaces); omitted, the session's :attr:`solve_options`
-        apply.  ``minimize`` as a keyword is a one-release deprecation shim
-        for the old boolean API.
+        apply.
         """
-        opts = resolve_options(options if options is not None else self.solve_options, minimize)
+        opts = options if options is not None else self.solve_options
         solver = HornSolver(self.backend, validity_memo=self._validity_memo)
         self.last_solver = solver
         solution = solver.solve(self.constraints, self.spaces, opts)
@@ -376,14 +370,9 @@ class TypecheckSession:
             failed=solution.failed,
         )
 
-    def solve_or_raise(
-        self,
-        options: Optional[SolveOptions] = None,
-        *,
-        minimize: Optional[bool] = None,
-    ) -> TypecheckResult:
+    def solve_or_raise(self, options: Optional[SolveOptions] = None) -> TypecheckResult:
         """Like :meth:`solve`, raising :class:`SubtypingError` on failure."""
-        result = self.solve(resolve_options(options, minimize))
+        result = self.solve(options)
         if not result.solved:
             assert result.error_message is not None
             raise SubtypingError(result.error_message, result.failed)

@@ -259,13 +259,6 @@ class TestSolveOptions:
         assert by_default.assignment == by_options.assignment
         assert by_default.candidates == by_options.candidates
 
-    def test_minimize_keyword_warns_but_works(self):
-        constraints, spaces = max_system()
-        with pytest.warns(DeprecationWarning, match="SolveOptions"):
-            solution = HornSolver().solve(constraints, spaces, minimize=True)
-        assert solution.solved
-        assert set(solution.weakest["P"]) == {ops.le(x, nu), ops.le(y, nu)}
-
     def test_unsolved_classic_path_has_no_candidates(self):
         space = build_space("P", default_qualifiers(), [x], value_sort=INT)
         constraints = [
@@ -329,11 +322,3 @@ class TestProvenance:
     def test_origin_without_trail_is_a_placeholder(self):
         constr = constraint([ops.le(x, y)], Unknown("P"))
         assert constr.origin() == "<unlabeled constraint>"
-
-    def test_label_property_is_a_deprecated_alias(self):
-        constr = constraint([ops.le(x, y)], Unknown("P"), "spec")
-        with pytest.warns(DeprecationWarning, match="origin"):
-            assert constr.label == "spec"
-        bare = constraint([ops.le(x, y)], Unknown("P"))
-        with pytest.warns(DeprecationWarning):
-            assert bare.label == ""

@@ -11,8 +11,6 @@ exercise pruning, budgets, and the portfolio lemma bus.
 
 from itertools import combinations
 
-import pytest
-
 from repro.horn import HornConstraint, constraint
 from repro.horn.musfix import MusFixSolver
 from repro.logic import ops
@@ -198,21 +196,6 @@ class TestVacuity:
         # the discovery was shrunk and recorded: it now prunes candidates
         doomed = {"C": (ops.ge(x, ZERO), ops.le(x, ZERO))}
         assert solver.prune_candidates([doomed], constr) == []
-
-
-class TestDeprecatedLocation:
-    def test_old_import_path_warns_and_aliases(self):
-        from repro.typecheck import musfix as old_location
-
-        with pytest.warns(DeprecationWarning, match="moved to repro.horn.musfix"):
-            aliased = old_location.MusFixSolver
-        assert aliased is MusFixSolver
-
-    def test_unknown_attribute_still_raises(self):
-        from repro.typecheck import musfix as old_location
-
-        with pytest.raises(AttributeError):
-            old_location.does_not_exist
 
 
 class TestInterfaceShape:

@@ -2,10 +2,13 @@
 
 import random
 
+import pytest
+
 from repro.logic import ops
 from repro.logic.sorts import BOOL, INT
 from repro.smt.sat import SatSolver, _luby, solve_clauses
 from repro.smt.theory import Literal, TheoryChecker
+from theory_oracle import FourierMotzkinChecker
 
 x = ops.var("x", INT)
 y = ops.var("y", INT)
@@ -247,8 +250,16 @@ class TestLearnedClauseGc:
 
 
 class TestTheoryChecker:
+    """Each case runs on the shrinker's checker and on the test oracle."""
+
+    @pytest.fixture(
+        autouse=True, params=[TheoryChecker, FourierMotzkinChecker], ids=["theory", "oracle"]
+    )
+    def _checker(self, request):
+        self.checker_class = request.param
+
     def check(self, *pairs):
-        return TheoryChecker().is_consistent(
+        return self.checker_class().is_consistent(
             [Literal(atom, polarity) for atom, polarity in pairs]
         )
 

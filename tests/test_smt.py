@@ -1,113 +1,62 @@
-"""Tests for the SMT pipeline: one-shot façade and incremental backend."""
+"""Tests for the SMT pipeline: one-shot queries and the incremental backend."""
 
 import pytest
 
 from repro.logic import ops
 from repro.logic.formulas import IntLit
 from repro.logic.sorts import BOOL, INT, set_of
-from repro.smt import (
-    IncrementalSolver,
-    SmtSolver,
-    SolverBackend,
-    default_solver,
-    reset_default_solver,
-)
+from repro.smt import IncrementalSolver, SolverBackend
 
 x = ops.var("x", INT)
 y = ops.var("y", INT)
 z = ops.var("z", INT)
 p = ops.var("p", BOOL)
+q = ops.var("q", BOOL)
+s = ops.var("s", set_of(INT))
+
+#: (question, formula, expected answer): "valid" asks
+#: ``is_valid_implication([], formula)``, "sat" asks
+#: ``check_assuming([formula])``.
+ONE_SHOT_QUERIES = [
+    pytest.param("valid", ops.implies(ops.lt(x, y), ops.le(x, y)), True, id="lia-valid"),
+    pytest.param("valid", ops.implies(ops.le(x, y), ops.lt(x, y)), False, id="lia-invalid"),
+    pytest.param("sat", ops.and_(ops.le(x, y), ops.neq(x, y)), True, id="lia-sat"),
+    pytest.param("sat", ops.and_(ops.le(x, y), ops.lt(y, x)), False, id="lia-unsat"),
+    pytest.param("valid", ops.or_(p, ops.not_(p)), True, id="excluded-middle"),
+    pytest.param("sat", ops.and_(p, ops.not_(p)), False, id="contradiction"),
+    pytest.param("valid", ops.iff(p, p), True, id="iff-reflexive"),
+    pytest.param(
+        "valid", ops.implies(ops.and_(ops.eq(p, q), p), q), True, id="boolean-equality-rewrite"
+    ),
+    pytest.param(
+        "valid", ops.ge(ops.ite(ops.ge(x, IntLit(0)), x, ops.neg(x)), IntLit(0)), True, id="ite-abs"
+    ),
+    pytest.param("valid", ops.ge(ops.ite(ops.ge(x, y), x, y), x), True, id="ite-max"),
+    pytest.param(
+        "valid",
+        ops.eq(ops.measure("len", x, INT), ops.measure("len", ops.var("x", INT), INT)),
+        True,
+        id="measure",
+    ),
+    pytest.param("valid", ops.member(x, ops.union(ops.singleton(x), s)), True, id="set-member"),
+    pytest.param(
+        "valid", ops.member(y, ops.union(ops.singleton(x), s)), False, id="set-non-member"
+    ),
+]
 
 
-class TestSmtSolver:
-    def test_valid_implication(self):
-        solver = SmtSolver()
-        assert solver.is_valid(ops.implies(ops.lt(x, y), ops.le(x, y)))
-        assert not solver.is_valid(ops.implies(ops.le(x, y), ops.lt(x, y)))
-
-    def test_satisfiability(self):
-        solver = SmtSolver()
-        assert solver.is_satisfiable(ops.and_(ops.le(x, y), ops.neq(x, y)))
-        assert not solver.is_satisfiable(ops.and_(ops.le(x, y), ops.lt(y, x)))
-
-    def test_boolean_structure(self):
-        solver = SmtSolver()
-        assert solver.is_valid(ops.or_(p, ops.not_(p)))
-        assert not solver.is_satisfiable(ops.and_(p, ops.not_(p)))
-        assert solver.is_valid(ops.iff(p, p))
-
-    def test_boolean_equality_rewrite(self):
-        solver = SmtSolver()
-        q = ops.var("q", BOOL)
-        assert solver.is_valid(ops.implies(ops.and_(ops.eq(p, q), p), q))
-
-    def test_ite_lifting(self):
-        solver = SmtSolver()
-        absval = ops.ite(ops.ge(x, IntLit(0)), x, ops.neg(x))
-        assert solver.is_valid(ops.ge(absval, IntLit(0)))
-
-    def test_uninterpreted_measures(self):
-        solver = SmtSolver()
-        length = ops.measure("len", x, INT)
-        same = ops.measure("len", ops.var("x", INT), INT)
-        assert solver.is_valid(ops.eq(length, same))
-
-    def test_sets(self):
-        solver = SmtSolver()
-        s = ops.var("s", set_of(INT))
-        singleton = ops.singleton(x)
-        assert solver.is_valid(ops.member(x, ops.union(singleton, s)))
-        assert not solver.is_valid(ops.member(y, ops.union(singleton, s)))
-
-    def test_cache_hits(self):
-        solver = SmtSolver()
-        formula = ops.le(x, y)
-        solver.is_satisfiable(formula)
-        hits_before = solver.statistics.cache_hits
-        solver.is_satisfiable(ops.le(ops.var("x", INT), y))
-        assert solver.statistics.cache_hits == hits_before + 1
-
-    def test_cache_eviction_is_bounded_and_counted(self):
-        solver = SmtSolver(cache_size=2)
-        for k in range(5):
-            solver.is_satisfiable(ops.le(x, IntLit(k)))
-        assert len(solver._cache) <= 2
-        assert solver.statistics.cache_evictions == 3
-
-    def test_cache_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SmtSolver(cache_size=0)
-
-    def test_clear_cache(self):
-        solver = SmtSolver()
-        formula = ops.le(x, y)
-        solver.is_satisfiable(formula)
-        solver.clear_cache()
-        hits = solver.statistics.cache_hits
-        solver.is_satisfiable(formula)
-        assert solver.statistics.cache_hits == hits
-
-    def test_solver_instances_are_independent(self):
-        # Fresh-name generation is per solver: the same ite-heavy query run
-        # on two fresh solvers yields identical results and statistics.
-        query = ops.ge(ops.ite(ops.ge(x, y), x, y), x)
-        first, second = SmtSolver(), SmtSolver()
-        assert first.is_valid(query) and second.is_valid(query)
-        assert first.statistics == second.statistics
-
-    def test_cache_bypassed_under_live_backend_assertions(self):
-        # Answers depend on base-scope assertions, so they must not be
-        # memoized as context-free (and stale entries must not be served).
-        solver = SmtSolver()
-        query = ops.lt(x, ops.int_lit(0))
-        assert solver.is_satisfiable(query)  # context-free: cached True
-        solver.backend.assert_(ops.gt(x, ops.int_lit(0)))
-        assert not solver.is_satisfiable(query)  # contextual: recomputed
-        assert solver.statistics.cache_hits == 0
-
-    def test_default_solver_shared(self):
-        reset_default_solver()
-        assert default_solver() is default_solver()
+@pytest.mark.parametrize("question, formula, expected", ONE_SHOT_QUERIES)
+def test_one_shot_query(question, formula, expected):
+    # Fresh-name generation is per solver: the same query on two fresh
+    # solvers gives the same answer and identical statistics.
+    solvers = [IncrementalSolver(), IncrementalSolver()]
+    for solver in solvers:
+        if question == "valid":
+            answer = solver.is_valid_implication([], formula)
+        else:
+            answer = solver.check_assuming([formula])
+        assert answer is expected
+    assert solvers[0].statistics == solvers[1].statistics
 
 
 class TestIncrementalSolver:
@@ -186,7 +135,6 @@ class TestIncrementalSolver:
 
     def test_is_a_solver_backend(self):
         assert isinstance(IncrementalSolver(), SolverBackend)
-        assert isinstance(SmtSolver().backend, SolverBackend)
 
     def test_check_assuming_conjoins_set_formulas(self):
         solver = IncrementalSolver()

@@ -4,8 +4,14 @@
 term bank, congruence closure, and simplex tableau across
 ``push``/``pop``-bracketed assertion scopes, un-merging and retracting
 via undo trails.  These tests pin its behaviour to the stateless
-:class:`repro.smt.theory.TheoryChecker` oracle: on every prefix of every
-random assert/push/pop sequence the two must agree on consistency.
+Fourier–Motzkin oracle of ``theory_oracle.py``: on every prefix of every
+random assert/push/pop sequence the two must agree on consistency, and so
+must :class:`repro.smt.theory.TheoryChecker`, which decides each prefix on
+a fresh incremental theory.
+
+The shrink tests pin the conflict minimizer that runs on that checker:
+the core it returns from a random inconsistent literal set is
+inconsistent and irreducible under the oracle.
 
 The lemma-generalization tests pin the cross-candidate replay path: a
 theory conflict refuted once must answer every alpha-renamed copy of
@@ -35,9 +41,10 @@ from repro.logic.transform import subterms
 from repro.service.api import compute_check
 from repro.service.worker import WarmStack
 from repro.smt.lia import LinearExpr, Simplex, le, lt
-from repro.smt.solver import IncrementalSolver
+from repro.smt.solver import _SHRINK_DELETION_LIMIT, IncrementalSolver, _shrink_conflict
 from repro.smt.theory import IncrementalTheory, Literal, TheoryChecker
 from repro.syntax import parse_program
+from theory_oracle import FourierMotzkinChecker
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 SEEDS = (7, 99, 2024, 31337)
@@ -106,19 +113,20 @@ def _scaled_atom_pool():
 
 
 class TestDifferential:
-    """IncrementalTheory vs fresh TheoryChecker on random sequences.
+    """IncrementalTheory and TheoryChecker vs the stateless oracle on
+    random sequences.
 
     Every step either asserts a literal inside a new scope, opens an
     empty scope, or pops the innermost scope; after every step the
-    incremental verdict for the live prefix must match what a stateless
-    check of that prefix says, and every explained conflict must be
-    inconsistent on its own.  Four seeds x 80 sequences x 25 steps run
-    once with a fresh theory per sequence and once with one long-lived
-    theory whose scopes are all popped between sequences, so the simplex
-    drops and rebuilds tableaus left by earlier sequences: 640 sequences
-    (16000 differential verdicts) per run.  The ``scaled`` runs draw from
-    the non-unit-coefficient pool with one long-lived theory, so inexact
-    divisions reach the warm tableau.
+    incremental verdict for the live prefix, and the checker's verdict on
+    it, must match what the oracle says of that prefix, and every
+    explained conflict must be inconsistent on its own.  Four seeds x 80
+    sequences x 25 steps run once with a fresh theory per sequence and
+    once with one long-lived theory whose scopes are all popped between
+    sequences, so the simplex drops and rebuilds tableaus left by earlier
+    sequences: 640 sequences (16000 differential verdicts) per run.  The
+    ``scaled`` runs draw from the non-unit-coefficient pool with one
+    long-lived theory, so inexact divisions reach the warm tableau.
     """
 
     @pytest.mark.parametrize(
@@ -130,7 +138,8 @@ class TestDifferential:
     def test_random_sequences_agree_with_stateless_oracle(self, seed, long_lived, atom_pool):
         rng = random.Random(seed)
         pool = atom_pool()
-        oracle = TheoryChecker()
+        oracle = FourierMotzkinChecker()
+        checker = TheoryChecker()
         theory = IncrementalTheory()
         for _ in range(80):
             if not long_lived:
@@ -159,6 +168,9 @@ class TestDifferential:
                 assert incremental_ok == oracle_ok, (
                     f"divergence (seed {seed}): incremental={incremental_ok} "
                     f"oracle={oracle_ok} on prefix {prefix}"
+                )
+                assert checker.is_consistent(list(prefix)) == oracle_ok, (
+                    f"checker diverges from the oracle (seed {seed}) on prefix {prefix}"
                 )
                 if conflict is not None and conflict[1] is True:
                     assert not oracle.is_consistent(conflict[0]), (
@@ -205,6 +217,38 @@ class TestDifferential:
         theory.pop()
         # Un-merging must restore consistency of the disequality alone.
         assert theory.check() is None
+
+
+class TestShrink:
+    """``_shrink_conflict`` over :class:`TheoryChecker` on random
+    inconsistent literal sets: the core is a subset of the set,
+    inconsistent under the oracle, and irreducible — dropping any one of
+    its literals leaves a set the oracle calls consistent.  Sets run up to
+    the whole pool, so those past ``_SHRINK_DELETION_LIMIT`` literals take
+    QuickXplain's split path."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("atom_pool", [_atom_pool, _scaled_atom_pool], ids=["unit", "scaled"])
+    def test_core_is_inconsistent_and_irreducible(self, seed, atom_pool):
+        rng = random.Random(seed)
+        pool = atom_pool()
+        oracle = FourierMotzkinChecker()
+        checker = TheoryChecker()
+        sizes = []
+        while len(sizes) < 30:
+            atoms = rng.sample(pool, rng.randint(2, len(pool)))
+            literals = [Literal(atom, rng.random() < 0.7) for atom in atoms]
+            if oracle.is_consistent(literals):
+                continue
+            core = _shrink_conflict(checker, literals)
+            assert set(core) <= set(literals)
+            assert not oracle.is_consistent(core), f"consistent core {core} of {literals}"
+            for index in range(len(core)):
+                assert oracle.is_consistent(core[:index] + core[index + 1 :]), (
+                    f"core {core} of {literals} is reducible at {core[index]}"
+                )
+            sizes.append(len(literals))
+        assert max(sizes) > _SHRINK_DELETION_LIMIT
 
 
 class TestLemmaGeneralization:

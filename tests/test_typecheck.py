@@ -7,10 +7,6 @@ infers the refinements (predicate unknowns), whose valuations the tests
 assert exactly.
 """
 
-import warnings
-
-import pytest
-
 from repro.horn import SolveOptions
 from repro.logic import ops
 from repro.logic.formulas import Unknown, Var, value_var
@@ -302,10 +298,8 @@ class TestSchemaInstantiation:
         assert inferred.refinement.name in session.spaces
 
 
-class TestSolveOptionsShim:
-    """``solve(minimize=True)`` still works for one release, but warns and
-    routes through :class:`SolveOptions`; the modern spelling is silent and
-    agrees with the legacy one."""
+class TestSolveOptions:
+    """A session solves under its default :class:`SolveOptions`."""
 
     def build_session(self):
         env = component_env(geq=GEQ)
@@ -317,18 +311,6 @@ class TestSolveOptionsShim:
         spec = parse_type("x:Int -> y:Int -> {Int | nu >= x && nu >= y}")
         session.subtype(env, sig, spec, where="max-spec")
         return session
-
-    def test_minimize_keyword_warns_and_still_minimizes(self):
-        with pytest.warns(DeprecationWarning, match="SolveOptions"):
-            legacy = self.build_session().solve(minimize=True)
-        assert legacy.solved and legacy.weakest is not None
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            modern = self.build_session().solve(SolveOptions(minimize=True))
-        assert modern.solved
-        assert modern.weakest == legacy.weakest
-        assert modern.assignment == legacy.assignment
 
     def test_classic_path_reports_its_single_candidate(self):
         outcome = self.build_session().solve()

@@ -287,9 +287,3 @@ class TestMusFixMoved:
         from repro.typecheck import MusFixSolver as reexported
 
         assert reexported is horn_musfix
-
-    def test_old_module_path_warns(self):
-        from repro.typecheck import musfix as old_location
-
-        with pytest.warns(DeprecationWarning, match="moved to repro.horn.musfix"):
-            old_location.MusFixSolver
