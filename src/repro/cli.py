@@ -12,6 +12,11 @@ each one through the ordinary checker before reporting success.
 ``serve`` boots the long-running HTTP service — both reuse the
 persistent result cache (:mod:`repro.service.cache`).
 
+A run loads only the code it runs: ``serve`` and ``batch`` import their
+fronts, ``--version`` the version, and a stateless ``check``/``synth``
+(neither ``--cache-dir`` nor ``REPRO_CACHE_DIR``) opens no cache, builds
+no warm stack and computes no digest.
+
 All verbs render from the payload structures of
 :mod:`repro.service.api`, so output is byte-identical whether an answer
 was computed fresh or served from the cache.  Exit codes follow the
@@ -24,17 +29,13 @@ not "answer: no".
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List, Optional, TextIO
 
-from .service import api
-from .service.batch import render_report, run_batch
-from .service.cache import default_cache_dir, open_cache
-from .service.server import serve
-from .service.worker import WarmStack
+from .service import api, default_cache_dir
 from .syntax.parser import ParseError, Program, parse_program
-from .version import package_version
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -69,19 +70,32 @@ def _open_query_cache(args):
 
     One-shot verbs only persist results when pointed at a cache —
     ``--cache-dir`` on the command line or ``REPRO_CACHE_DIR`` in the
-    environment — so a plain invocation stays stateless.  (``batch`` and
-    ``serve`` default the other way; see ``_open_service_cache``.)
+    environment.  A plain invocation is stateless: this returns ``None``
+    and loads neither the cache nor the warm stack.  (``batch`` and
+    ``serve`` cache by default.)
     """
-    enabled = not args.no_cache and (
-        args.cache_dir is not None or "REPRO_CACHE_DIR" in os.environ
-    )
-    cache, store = open_cache(args.cache_dir, enabled=enabled)
+    if args.no_cache or (args.cache_dir is None and "REPRO_CACHE_DIR" not in os.environ):
+        return None
+    from .service.cache import open_cache
+    from .service.worker import WarmStack
+
+    cache, store = open_cache(args.cache_dir)
     return cache, WarmStack(store)
 
 
-def _open_service_cache(args):
-    """The (cache, lemma store) pair for ``batch``: on unless opted out."""
-    return open_cache(args.cache_dir, enabled=not args.no_cache)
+def _answer(args, compute, query, program: Program, **options) -> dict:
+    """A ``check``/``synth`` payload: ``compute`` it when stateless, else
+    ``query`` the cache on a warm stack and flush the lemmas it learned.
+    Both verbs' ``--workers`` and ``--timeout-ms`` are added to ``options``."""
+    options.update(workers=args.workers, timeout_ms=args.timeout_ms)
+    opened = _open_query_cache(args)
+    if opened is None:
+        return compute(program, **options)
+    cache, stack = opened
+    with stack.query() as backend:
+        payload, _, _ = query(program, cache=cache, backend=backend, **options)
+    stack.flush_lemmas()
+    return payload
 
 
 # -- check -------------------------------------------------------------------
@@ -112,16 +126,7 @@ def _render_check(payload: dict, path: str, out: TextIO) -> int:
 
 
 def _run_check(program: Program, path: str, args, out: TextIO) -> int:
-    cache, stack = _open_query_cache(args)
-    with stack.query() as backend:
-        payload, _, _ = api.check_query(
-            program,
-            workers=args.workers,
-            cache=cache,
-            backend=backend,
-            timeout_ms=args.timeout_ms,
-        )
-    stack.flush_lemmas()
+    payload = _answer(args, api.compute_check, api.check_query, program)
     return _render_check(payload, path, out)
 
 
@@ -160,24 +165,19 @@ def _render_synth(payload: dict, path: str, quiet: bool, out: TextIO) -> int:
 
 
 def _run_synth(program: Program, path: str, args, out: TextIO) -> int:
-    cache, stack = _open_query_cache(args)
     try:
-        with stack.query() as backend:
-            payload, _, _ = api.synth_query(
-                program,
-                only=args.only,
-                depth=args.depth,
-                max_conditionals=args.max_conditionals,
-                max_matches=args.max_matches,
-                cache=cache,
-                backend=backend,
-                recheck=args.recheck,
-                workers=args.workers,
-                timeout_ms=args.timeout_ms,
-            )
+        payload = _answer(
+            args,
+            api.compute_synth,
+            functools.partial(api.synth_query, recheck=args.recheck),
+            program,
+            only=args.only,
+            depth=args.depth,
+            max_conditionals=args.max_conditionals,
+            max_matches=args.max_matches,
+        )
     except api.UnknownGoal:
         raise _CliError(f"{path}: no signature for goal `{args.only}`") from None
-    stack.flush_lemmas()
     return _render_synth(payload, path, args.quiet, out)
 
 
@@ -185,7 +185,10 @@ def _run_synth(program: Program, path: str, args, out: TextIO) -> int:
 
 
 def _run_batch(args, out: TextIO) -> int:
-    cache, store = _open_service_cache(args)
+    from .service.batch import render_report, run_batch
+    from .service.cache import open_cache
+
+    cache, store = open_cache(args.cache_dir, enabled=not args.no_cache)
     report = run_batch(
         args.dir,
         jobs=args.jobs,
@@ -252,13 +255,23 @@ def _add_synth_limits(command) -> None:
     )
 
 
+class _PrintVersion(argparse.Action):
+    """``--version``: like argparse's, but resolves the version only when given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from .version import package_version
+
+        print(f"{parser.prog} {package_version()}")
+        parser.exit()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Refinement-type checking and round-trip program synthesis.",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {package_version()}"
+        "--version", action=_PrintVersion, nargs=0, help="show program's version number and exit"
     )
     commands = parser.add_subparsers(dest="command", metavar="{check,synth,batch,serve}")
     check = commands.add_parser(
@@ -374,6 +387,8 @@ def main(argv: Optional[List[str]] = None, out: TextIO = sys.stdout) -> int:
         if args.command == "batch":
             return _run_batch(args, out)
         if args.command == "serve":
+            from .service.server import serve
+
             return serve(
                 host=args.host,
                 port=args.port,

@@ -15,35 +15,19 @@ provides the three pieces:
   queries, the layer the CLI, the HTTP server
   (:mod:`repro.service.server`) and the batch pipeline
   (:mod:`repro.service.batch`) all render from.
+
+Import the submodule you use: the package loads none of them.  The
+default cache location lives here so the CLI's help can name it without
+loading the cache.
 """
 
-from .api import check_query, compute_check, compute_synth, synth_query
-from .cache import (
-    CACHE_SCHEMA_VERSION,
-    DEFAULT_CACHE_DIR,
-    LemmaStore,
-    ResultCache,
-    canonical_program_text,
-    default_cache_dir,
-    open_cache,
-    program_digest,
-    query_digest,
-)
-from .worker import WarmStack
+import os
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "DEFAULT_CACHE_DIR",
-    "LemmaStore",
-    "ResultCache",
-    "WarmStack",
-    "canonical_program_text",
-    "check_query",
-    "compute_check",
-    "compute_synth",
-    "default_cache_dir",
-    "open_cache",
-    "program_digest",
-    "query_digest",
-    "synth_query",
-]
+#: Default location, overridable per invocation (``--cache-dir``) or via
+#: the ``REPRO_CACHE_DIR`` environment variable.
+DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+def default_cache_dir() -> str:
+    """The cache directory the CLI verbs use unless told otherwise."""
+    return os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)

@@ -32,16 +32,18 @@ complete results and the digest is independent of the budget.
 
 Caching is content-addressed (:func:`repro.service.cache.query_digest`);
 pass ``cache=None`` (the ``--no-cache`` path) to always compute.  A
-``backend`` (a :class:`~repro.service.worker.WarmStack`'s solver) makes
-repeated computation cheap; ``recheck=True`` re-verifies a cached synth
-program through a fresh checker before serving it — the paranoid mode
-for caches on shared disks — falling back to recomputation if the
-stored program no longer checks.
+stateless caller calls ``compute_*`` directly: no digest is computed and
+:mod:`repro.service.cache` is not even loaded.  A ``backend`` (a
+:class:`~repro.service.worker.WarmStack`'s solver) makes repeated
+computation cheap; ``recheck=True`` re-verifies a cached synth program
+through a fresh checker before serving it — the paranoid mode for caches
+on shared disks — falling back to recomputation if the stored program no
+longer checks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .. import limits
 from ..horn.solver import SolveOptions
@@ -51,7 +53,9 @@ from ..synth.synthesizer import SynthesisGoal, Synthesizer, describe_goal
 from ..typecheck.environment import EMPTY
 from ..typecheck.errors import TypecheckError
 from ..typecheck.session import TypecheckSession
-from .cache import ResultCache, query_digest
+
+if TYPE_CHECKING:
+    from .cache import ResultCache
 
 
 class UnknownGoal(Exception):
@@ -166,6 +170,8 @@ def check_query(
     answer is valid for any budget — and a payload flagged ``timeout``
     is never stored: partial progress is machine- and load-dependent.
     """
+    from .cache import query_digest
+
     digest = query_digest("check", program, {"workers": workers})
     if cache is not None:
         payload = cache.get(digest)
@@ -195,10 +201,13 @@ def compute_synth(
     Under a ``timeout_ms`` budget each goal that runs out reports a
     ``timeout`` item: unsolved, with the tripped limit and the partial
     statistics (including ``depth_reached``) the synthesizer gathered
-    before the budget fired.
+    before the budget fired.  Raises :class:`UnknownGoal` when ``only``
+    names no signature.
     """
     goals = list(program.goals)
     if only is not None:
+        if only not in program.signatures:
+            raise UnknownGoal(only)
         goals = [only]
     if not goals:
         return {"items": [], "failures": 1, "note": "no-goals"}
@@ -277,8 +286,8 @@ def synth_query(
     As with :func:`check_query`, ``timeout_ms`` is not part of the
     digest and timed-out payloads are never persisted.
     """
-    if only is not None and only not in program.signatures:
-        raise UnknownGoal(only)
+    from .cache import query_digest
+
     options: Dict[str, object] = {
         "only": only,
         "depth": depth,

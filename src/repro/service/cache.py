@@ -52,19 +52,11 @@ from ..syntax.terms import pretty_term
 from ..syntax.types import pretty_type
 from ..testing import faults
 from ..version import package_version
+from . import default_cache_dir
 
 #: Bump to invalidate every persisted cache entry (schema salt).
 #: v2: synth payload statistics gained ``depth_reached``.
 CACHE_SCHEMA_VERSION = 2
-
-#: Default location, overridable per invocation (``--cache-dir``) or via
-#: the ``REPRO_CACHE_DIR`` environment variable.
-DEFAULT_CACHE_DIR = ".repro-cache"
-
-
-def default_cache_dir() -> str:
-    """The cache directory the CLI verbs use unless told otherwise."""
-    return os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
 
 
 def canonical_program_text(program: Program) -> str:

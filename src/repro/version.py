@@ -1,44 +1,41 @@
-"""The package version, resolved once.
+"""The package version, resolved once per process.
 
-The single source of truth is ``pyproject.toml``.  When the package is
-installed, its metadata carries that value and :mod:`importlib.metadata`
-answers; when running from a source checkout (``PYTHONPATH=src``), the
-``pyproject.toml`` two directories up is read directly, so ``python -m
-repro --version`` and the service's ``/healthz`` endpoint report the same
-string either way.  The version also salts the service cache keys (see
+The single source of truth is ``pyproject.toml``.  From a source checkout
+(``PYTHONPATH=src``) the ``pyproject.toml`` two directories up is read
+with plain ``os``/``open``, loading neither :mod:`importlib.metadata`
+(whose distribution scan costs far more) nor :mod:`pathlib`; an installed
+package has none there, and its metadata answers.  ``python -m repro
+--version`` and the service's ``/healthz`` endpoint report the same
+string.  The version also salts every cache key (see
 :mod:`repro.service.cache`), so bumping it invalidates every persisted
 result.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import re
-from pathlib import Path
 
 PACKAGE_NAME = "repro-synquid"
 
 _VERSION_RE = re.compile(r'^version\s*=\s*"(?P<version>[^"]+)"\s*$', re.M)
 
 
-def _version_from_pyproject() -> str:
-    pyproject = Path(__file__).resolve().parent.parent.parent / "pyproject.toml"
-    try:
-        match = _VERSION_RE.search(pyproject.read_text())
-    except OSError:
-        return "0+unknown"
-    return match.group("version") if match else "0+unknown"
-
-
+@functools.lru_cache(maxsize=None)
 def package_version() -> str:
-    """The version string, from installed metadata or ``pyproject.toml``."""
+    """The version string, from ``pyproject.toml`` or installed metadata."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.realpath(__file__))))
     try:
-        from importlib.metadata import PackageNotFoundError, version
-    except ImportError:  # pragma: no cover - Python < 3.8 has no importlib.metadata
-        return _version_from_pyproject()
+        with open(os.path.join(root, "pyproject.toml")) as handle:
+            match = _VERSION_RE.search(handle.read())
+    except OSError:
+        match = None
+    if match:
+        return match.group("version")
+    from importlib.metadata import PackageNotFoundError, version
+
     try:
         return version(PACKAGE_NAME)
     except PackageNotFoundError:
-        return _version_from_pyproject()
-
-
-__version__ = package_version()
+        return "0+unknown"

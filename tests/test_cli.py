@@ -6,6 +6,9 @@ must all exit non-zero with a message a user can act on.
 """
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,7 +78,7 @@ class TestUsageErrors:
 
         code, _ = run(["--version"])
         assert code == EXIT_OK
-        assert package_version() in capsys.readouterr().out
+        assert capsys.readouterr().out == f"python -m repro {package_version()}\n"
 
 
 class TestCheck:
@@ -260,3 +263,58 @@ class TestCacheFlags:
         code, _ = run(["check", str(source)])
         assert code == EXIT_OK
         assert list((tmp_path / "envcache").glob("objects/*/*.json"))
+
+
+#: Run in a fresh interpreter: ``check`` then ``synth`` on one file through
+#: ``main``, then print every module the two runs loaded, except those
+#: already present before ``import repro.cli`` (a site hook may load some).
+IMPORT_PROBE = """\
+import io
+import sys
+
+before = set(sys.modules)
+from repro.cli import main
+
+path, extra = sys.argv[1], sys.argv[2:]
+codes = [main([verb, path, *extra], out=io.StringIO()) for verb in ("check", "synth")]
+print(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(max(codes))
+"""
+
+#: Modules only ``serve``, ``batch``, a cache or ``--version`` need.
+NOT_ONE_SHOT = (
+    "repro.service.server",
+    "repro.service.batch",
+    "repro.service.cache",
+    "repro.service.worker",
+    "repro.version",
+    "http.server",
+    "concurrent.futures",
+    "importlib.metadata",
+)
+
+
+class TestOneShotImports:
+    """A stateless ``check``/``synth`` loads only the query path."""
+
+    def loaded(self, *extra):
+        env = {k: v for k, v in os.environ.items() if k not in ("REPRO_CACHE_DIR", "REPRO_FAULTS")}
+        env["PYTHONPATH"] = str(EXAMPLES.parent / "src")
+        probe = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(EXAMPLES / "list.sq"), *extra],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert probe.returncode == EXIT_OK, probe.stderr
+        return set(probe.stdout.split())
+
+    def test_stateless_run_loads_no_service_front_cache_or_metadata(self):
+        loaded = self.loaded()
+        assert "repro.service.api" in loaded
+        assert loaded.isdisjoint(NOT_ONE_SHOT), sorted(loaded.intersection(NOT_ONE_SHOT))
+
+    def test_cached_run_loads_the_cache_and_warm_stack_only(self, tmp_path):
+        loaded = self.loaded("--cache-dir", str(tmp_path / "cache"))
+        assert {"repro.service.cache", "repro.service.worker"} <= loaded
+        assert loaded.isdisjoint({"repro.service.server", "repro.service.batch", "http.server"})

@@ -9,9 +9,15 @@ cached run prints.
 import io
 from pathlib import Path
 
-from repro.cli import EXIT_FAILURE, EXIT_OK, main
+import pytest
+
+from repro.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from repro.service import api
 from repro.service.batch import discover_files, run_batch
 from repro.service.cache import open_cache
+from repro.syntax import parse_program
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 MAX_SQ = """\
 leq :: a:Int -> b:Int -> {Bool | nu <==> a <= b}
@@ -146,3 +152,40 @@ class TestNoCacheDifferential:
             assert main(argv, out=out) == EXIT_OK
             outputs.append(out.getvalue())
         assert len(set(outputs)) == 1
+
+    @pytest.mark.parametrize("verb", ["check", "synth"])
+    @pytest.mark.parametrize(
+        "name", sorted(path.name for path in EXAMPLES.glob("*.sq")) + ["rejected"]
+    )
+    def test_stateless_cold_and_warm_runs_agree(self, tmp_path, monkeypatch, verb, name):
+        """A stateless run (no cache, no warm stack), a cold cached run on
+        a warm stack and a cache hit print the same bytes, statistics
+        included, and exit alike.  ``rejected`` is ``list.sq`` with one
+        ``Cons`` dropped from ``stutter``."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        source = EXAMPLES / name
+        if name == "rejected":
+            source = tmp_path / "rejected.sq"
+            text = (EXAMPLES / "list.sq").read_text()
+            source.write_text(text.replace("Cons y (Cons y (stutter ys))", "Cons y (stutter ys)"))
+        cache_dir = str(tmp_path / "cache")
+        results = []
+        for extra in ([], ["--cache-dir", cache_dir], ["--cache-dir", cache_dir]):
+            out = io.StringIO()
+            results.append((main([verb, str(source), *extra], out=out), out.getvalue()))
+        assert results[0] == results[1] == results[2]
+        assert list(Path(cache_dir).glob("objects/*/*.json")), "the cold run stored its answer"
+        if name == "rejected" and verb == "check":
+            assert results[0][0] == EXIT_FAILURE
+
+    def test_unknown_only_goal_is_a_usage_error_on_both_paths(self, tmp_path, capsys):
+        source = EXAMPLES / "max.sq"
+        for extra in ([], ["--cache-dir", str(tmp_path / "cache")]):
+            code = main(["synth", str(source), "--only", "NOSUCH", *extra], out=io.StringIO())
+            assert code == EXIT_USAGE
+            assert "no signature for goal `NOSUCH`" in capsys.readouterr().err
+        program = parse_program(source.read_text())
+        with pytest.raises(api.UnknownGoal):
+            api.compute_synth(program, only="NOSUCH")
+        with pytest.raises(api.UnknownGoal):
+            api.synth_query(program, only="NOSUCH")

@@ -27,8 +27,10 @@ from repro.service.cache import (
 from repro.service.worker import WarmStack
 from repro.smt.solver import IncrementalSolver
 from repro.syntax import parse_program
+from repro.version import package_version
 
-LIST_SQ = (Path(__file__).resolve().parent.parent / "examples" / "list.sq").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+LIST_SQ = (ROOT / "examples" / "list.sq").read_text()
 
 MAX_SQ = """\
 leq :: a:Int -> b:Int -> {Bool | nu <==> a <= b}
@@ -101,6 +103,17 @@ class TestDigests:
         before = query_digest("check", program, {})
         monkeypatch.setattr(cache_mod, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1)
         assert query_digest("check", program, {}) != before
+
+    def test_digests_resolve_the_version_once(self):
+        """Every key is salted with the package version, which is resolved
+        once per process — from a checkout, as ``pyproject.toml`` says."""
+        package_version.cache_clear()
+        program = parse_program(MAX_SQ)
+        keys = {query_digest("check", program, {"workers": n}) for n in (1, 2, 3)}
+        assert len(keys) == 3
+        assert package_version.cache_info().misses == 1
+        pyproject = (ROOT / "pyproject.toml").read_text().splitlines()
+        assert f'version = "{package_version()}"' in pyproject
 
     def test_canonical_text_covers_every_declaration(self):
         text = canonical_program_text(parse_program(LIST_SQ))
