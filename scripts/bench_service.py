@@ -81,11 +81,10 @@ def run_batch_cold():
         # Populate the shared warm dir on the side (first cold run only);
         # the *timed* sweep always writes a fresh directory.
         if not any(Path(_warm_dir).iterdir()):
-            warm_cache, warm_store = open_cache(_warm_dir)
-            run_batch(EXAMPLES, cache=warm_cache, lemma_store=warm_store)
-        cache, store = open_cache(scratch)
+            run_batch(EXAMPLES, cache=open_cache(_warm_dir))
+        cache = open_cache(scratch)
         start = time.perf_counter()
-        report = run_batch(EXAMPLES, cache=cache, lemma_store=store)
+        report = run_batch(EXAMPLES, cache=cache)
         elapsed = time.perf_counter() - start
         assert report["failures"] == 0, "examples corpus changed verdict"
         assert report["cache"]["hits"] == 0, "cold sweep hit a fresh cache?"
@@ -97,9 +96,9 @@ def run_batch_cold():
 
 def run_batch_warm():
     assert _warm_dir is not None and _cold_timings, "cold runs first"
-    cache, store = open_cache(_warm_dir)
+    cache = open_cache(_warm_dir)
     start = time.perf_counter()
-    report = run_batch(EXAMPLES, cache=cache, lemma_store=store)
+    report = run_batch(EXAMPLES, cache=cache)
     elapsed = time.perf_counter() - start
     assert report["failures"] == 0, "examples corpus changed verdict"
     assert report["cached"] == report["queries"] > 0, "warm sweep missed the cache"
@@ -116,8 +115,7 @@ def run_server_check():
     source = (ROOT / "examples" / "list.sq").read_text()
     body = json.dumps({"program": source}).encode()
     scratch = tempfile.mkdtemp(prefix="bench-service-http-")
-    cache, store = open_cache(scratch)
-    server = ReproServer("127.0.0.1", 0, cache, store)
+    server = ReproServer("127.0.0.1", 0, open_cache(scratch))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     conn = HTTPConnection("127.0.0.1", server.server_port, timeout=60)

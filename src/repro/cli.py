@@ -14,8 +14,8 @@ persistent result cache (:mod:`repro.service.cache`).
 
 A run loads only the code it runs: ``serve`` and ``batch`` import their
 fronts, ``--version`` the version, and a stateless ``check``/``synth``
-(neither ``--cache-dir`` nor ``REPRO_CACHE_DIR``) opens no cache, builds
-no warm stack and computes no digest.
+(neither ``--cache-dir`` nor ``REPRO_CACHE_DIR``) opens no cache and
+computes no digest.
 
 All verbs render from the payload structures of
 :mod:`repro.service.api`, so output is byte-identical whether an answer
@@ -65,37 +65,23 @@ def _load_program(path: str) -> Program:
         raise _CliError(f"{path}: parse error: {error}") from error
 
 
-def _open_query_cache(args):
-    """The (cache, warm stack) pair for a one-shot ``check``/``synth``.
+def _answer(args, compute, query, program: Program, **options) -> dict:
+    """A ``check``/``synth`` payload, with both verbs' ``--workers`` and
+    ``--timeout-ms`` added to ``options``.
 
     One-shot verbs only persist results when pointed at a cache —
     ``--cache-dir`` on the command line or ``REPRO_CACHE_DIR`` in the
-    environment.  A plain invocation is stateless: this returns ``None``
-    and loads neither the cache nor the warm stack.  (``batch`` and
+    environment.  A plain invocation is stateless: it calls ``compute``
+    without loading the cache.  Otherwise ``query`` answers through the
+    cache, which computes the same way on a miss.  (``batch`` and
     ``serve`` cache by default.)
     """
-    if args.no_cache or (args.cache_dir is None and "REPRO_CACHE_DIR" not in os.environ):
-        return None
-    from .service.cache import open_cache
-    from .service.worker import WarmStack
-
-    cache, store = open_cache(args.cache_dir)
-    return cache, WarmStack(store)
-
-
-def _answer(args, compute, query, program: Program, **options) -> dict:
-    """A ``check``/``synth`` payload: ``compute`` it when stateless, else
-    ``query`` the cache on a warm stack and flush the lemmas it learned.
-    Both verbs' ``--workers`` and ``--timeout-ms`` are added to ``options``."""
     options.update(workers=args.workers, timeout_ms=args.timeout_ms)
-    opened = _open_query_cache(args)
-    if opened is None:
+    if args.no_cache or (args.cache_dir is None and "REPRO_CACHE_DIR" not in os.environ):
         return compute(program, **options)
-    cache, stack = opened
-    with stack.query() as backend:
-        payload, _, _ = query(program, cache=cache, backend=backend, **options)
-    stack.flush_lemmas()
-    return payload
+    from .service.cache import open_cache
+
+    return query(program, cache=open_cache(args.cache_dir), **options)[0]
 
 
 # -- check -------------------------------------------------------------------
@@ -188,12 +174,10 @@ def _run_batch(args, out: TextIO) -> int:
     from .service.batch import render_report, run_batch
     from .service.cache import open_cache
 
-    cache, store = open_cache(args.cache_dir, enabled=not args.no_cache)
     report = run_batch(
         args.dir,
         jobs=args.jobs,
-        cache=cache,
-        lemma_store=store,
+        cache=open_cache(args.cache_dir, enabled=not args.no_cache),
         depth=args.depth,
         max_conditionals=args.max_conditionals,
         max_matches=args.max_matches,
@@ -320,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker threads, each with its own warm solver stack (default 1)",
+        help="worker threads; every query builds its own solvers (default 1)",
     )
     _add_synth_limits(batch)
     batch.add_argument(

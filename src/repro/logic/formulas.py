@@ -335,8 +335,3 @@ def intern_formula(formula: Formula) -> Formula:
         canonical = formula
     _INTERN_TABLE[canonical] = canonical
     return canonical
-
-
-def intern_table_size() -> int:
-    """Number of canonical formulas currently interned (for diagnostics)."""
-    return len(_INTERN_TABLE)

@@ -27,7 +27,7 @@ from .formulas import (
     is_false,
     is_true,
 )
-from .sorts import SetSort, Sort
+from .sorts import Sort
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +290,6 @@ def member(element: Formula, the_set: Formula) -> Formula:
 def subset(lhs: Formula, rhs: Formula) -> Formula:
     """Subset-or-equal predicate."""
     return Binary(BinaryOp.SUBSET, lhs, rhs)
-
-
-def set_sort_of(formula: Formula) -> SetSort:
-    """The set sort of a set-sorted formula (raises if not a set)."""
-    sort = formula.sort
-    if not isinstance(sort, SetSort):
-        raise TypeError(f"expected a set-sorted formula, got {sort}")
-    return sort
 
 
 # Integer zero/one, used all over the component library.

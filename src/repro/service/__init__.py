@@ -7,10 +7,10 @@ content-addressed and computed behind a long-running front.  This package
 provides the three pieces:
 
 - :mod:`repro.service.cache` — the persistent content-addressed store
-  (query results keyed by program digest; a cross-run pool of
-  alpha-canonical theory lemmas).
-- :mod:`repro.service.worker` — :class:`WarmStack`, one persistent
-  incremental solver reused across queries.
+  of query results, keyed by program digest.
+- :mod:`repro.service.worker` — :class:`WarmStack`, the lock that runs
+  queries one at a time and counts the ones that raised; every query
+  builds and frees its own solvers.
 - :mod:`repro.service.api` — ``check``/``synth`` as payload-returning
   queries, the layer the CLI, the HTTP server
   (:mod:`repro.service.server`) and the batch pipeline

@@ -30,15 +30,19 @@ are **never cached** — they record how far *this* machine got under
 *this* load, not an answer — so the cache continues to hold only
 complete results and the digest is independent of the budget.
 
+Every computation builds its own solvers: each definition's or goal's
+:class:`~repro.typecheck.session.TypecheckSession` owns one incremental
+backend, shared by all of that item's checks and freed with it.  The
+CLI, the server and the batch sweep therefore compute an answer exactly
+alike, and no answer depends on what was asked before it.
+
 Caching is content-addressed (:func:`repro.service.cache.query_digest`);
 pass ``cache=None`` (the ``--no-cache`` path) to always compute.  A
 stateless caller calls ``compute_*`` directly: no digest is computed and
-:mod:`repro.service.cache` is not even loaded.  A ``backend`` (a
-:class:`~repro.service.worker.WarmStack`'s solver) makes repeated
-computation cheap; ``recheck=True`` re-verifies a cached synth program
-through a fresh checker before serving it — the paranoid mode for caches
-on shared disks — falling back to recomputation if the stored program no
-longer checks.
+:mod:`repro.service.cache` is not even loaded.  ``recheck=True``
+re-verifies a cached synth program through a fresh checker before
+serving it — the paranoid mode for caches on shared disks — falling back
+to recomputation if the stored program no longer checks.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ class UnknownGoal(Exception):
     """``only=`` names a goal with no signature in the program."""
 
 
-def _component_environment(program: Program, upto: str, backend=None):
+def _component_environment(program: Program, upto: str):
     """A fresh session and environment for checking the item named
     ``upto``: constructors plus every signature declared *before* it in
     the file (so later components cannot be assumed — recursion goes
@@ -70,7 +74,6 @@ def _component_environment(program: Program, upto: str, backend=None):
     session = TypecheckSession(
         datatypes=program.datatypes.values(),
         measure_defs=program.measures.values(),
-        backend=backend,
     )
     env = session.bind_constructors(EMPTY)
     for name, rtype in program.signatures.items():
@@ -86,7 +89,6 @@ def _component_environment(program: Program, upto: str, backend=None):
 def compute_check(
     program: Program,
     workers: int = 1,
-    backend=None,
     timeout_ms: Optional[float] = None,
 ) -> dict:
     """Type-check every definition; the payload the ``check`` verb renders.
@@ -106,7 +108,7 @@ def compute_check(
     with limits.budget_scope(budget):
         for name, term in program.definitions.items():
             try:
-                session, env = _component_environment(program, name, backend)
+                session, env = _component_environment(program, name)
                 goal = program.signatures[name]
                 session.check_program(term, goal, env, where=name)
                 outcome = session.solve(options)
@@ -161,7 +163,6 @@ def check_query(
     program: Program,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
-    backend=None,
     timeout_ms: Optional[float] = None,
 ) -> Tuple[dict, bool, str]:
     """``check`` through the cache: ``(payload, was_cached, digest)``.
@@ -177,7 +178,7 @@ def check_query(
         payload = cache.get(digest)
         if payload is not None:
             return payload, True, digest
-    payload = compute_check(program, workers, backend, timeout_ms)
+    payload = compute_check(program, workers, timeout_ms)
     if cache is not None and not payload.get("timeout"):
         cache.put(digest, payload)
     return payload, False, digest
@@ -192,7 +193,6 @@ def compute_synth(
     depth: int = 4,
     max_conditionals: int = 2,
     max_matches: int = 1,
-    backend=None,
     workers: int = 1,
     timeout_ms: Optional[float] = None,
 ) -> dict:
@@ -224,7 +224,6 @@ def compute_synth(
                     max_depth=depth,
                     max_conditionals=max_conditionals,
                     max_matches=max_matches,
-                    backend=backend,
                     workers=workers,
                 )
                 result = synthesizer.synthesize()
@@ -276,7 +275,6 @@ def synth_query(
     max_conditionals: int = 2,
     max_matches: int = 1,
     cache: Optional[ResultCache] = None,
-    backend=None,
     recheck: bool = False,
     workers: int = 1,
     timeout_ms: Optional[float] = None,
@@ -302,7 +300,7 @@ def synth_query(
             if not recheck or recheck_synth_payload(program, payload):
                 return payload, True, digest
     payload = compute_synth(
-        program, only, depth, max_conditionals, max_matches, backend, workers, timeout_ms
+        program, only, depth, max_conditionals, max_matches, workers, timeout_ms
     )
     if cache is not None and not payload.get("timeout"):
         cache.put(digest, payload)

@@ -10,10 +10,10 @@ the :class:`~repro.service.cache.ResultCache` without touching a solver.
 
 Files are processed by a bounded worker pool.  Workers are threads (the
 solver stack is pure Python, but the cache is I/O and corpora are many
-small independent jobs), and each worker thread owns its own
-:class:`~repro.service.worker.WarmStack` so solver state is never shared
-across threads; learned lemmas from every stack are merged into the
-store at the end of the sweep.
+small independent jobs).  Every query builds its own solvers, so no
+solver state is shared across threads or carried from file to file;
+each worker thread owns a :class:`~repro.service.worker.WarmStack` only
+to count the queries that raised.
 
 Because it reports wall-clock time and cache counters, the sweep doubles
 as the service throughput benchmark (``scripts/bench_service.py`` runs
@@ -25,8 +25,8 @@ continues.  Three failure classes are distinguished — a *timeout*
 (``--file-timeout-ms`` budget exhausted; the file reports partial
 progress), a *transient worker death* (:class:`BrokenProcessPool` and
 friends, retried with exponential backoff up to ``retries`` times before
-being recorded), and everything else (recorded once, no retry).  Warm
-stacks that had to be reset mid-sweep surface in the summary.
+being recorded), and everything else (recorded once, no retry).  Queries
+that raised mid-sweep surface in the summary as worker resets.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .. import limits
 from ..syntax.parser import ParseError, parse_program
 from ..testing import faults
 from . import api
-from .cache import LemmaStore, ResultCache
+from .cache import ResultCache
 from .worker import WarmStack
 
 #: Worker-death shapes worth one more try: the pool process vanished or
@@ -64,7 +64,6 @@ def discover_files(root: str) -> List[Path]:
 def screen_file(
     path: Path,
     cache: Optional[ResultCache] = None,
-    backend=None,
     depth: int = 4,
     max_conditionals: int = 2,
     max_matches: int = 1,
@@ -75,8 +74,8 @@ def screen_file(
     "error"?, "timeout"?}`` — ``check``/``synth`` hold the ordinary
     query payloads, ``error`` a parse failure (one failure, sweep goes
     on).  Solver exceptions deliberately propagate: :func:`run_batch`
-    catches them *outside* the warm stack's query guard, so a crashed
-    query resets the stack before the failure is recorded.
+    catches them *outside* the stack's query guard, so a crashed query
+    is counted before the failure is recorded.
     """
     record: dict = {"file": str(path), "failures": 0, "cached": 0, "fresh": 0}
     try:
@@ -88,7 +87,7 @@ def screen_file(
     if faults.maybe_fire("batch.worker-death"):
         raise BrokenProcessPool("injected: batch worker process died")
     if program.definitions:
-        payload, was_cached, _ = api.check_query(program, cache=cache, backend=backend)
+        payload, was_cached, _ = api.check_query(program, cache=cache)
         record["check"] = payload
         record["failures"] += payload["failures"]
         record["cached" if was_cached else "fresh"] += 1
@@ -101,7 +100,6 @@ def screen_file(
             max_conditionals=max_conditionals,
             max_matches=max_matches,
             cache=cache,
-            backend=backend,
         )
         record["synth"] = payload
         record["failures"] += payload["failures"]
@@ -115,7 +113,6 @@ def run_batch(
     root: str,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    lemma_store: Optional[LemmaStore] = None,
     depth: int = 4,
     max_conditionals: int = 2,
     max_matches: int = 1,
@@ -144,25 +141,24 @@ def run_batch(
 
     def stack() -> WarmStack:
         if getattr(local, "stack", None) is None:
-            local.stack = WarmStack(lemma_store)
+            local.stack = WarmStack()
             with stacks_lock:
                 stacks.append(local.stack)
         return local.stack
 
     def attempt(path: Path) -> dict:
         # Exceptions are caught *outside* the stack's query guard, so a
-        # crashed or cancelled query resets the warm stack (and is
-        # counted) before the per-file record is written.
+        # crashed or cancelled query is counted before the per-file
+        # record is written.
         worker = stack()
         budget = (
             limits.Budget.from_timeout_ms(file_timeout_ms) if file_timeout_ms else None
         )
         with limits.budget_scope(budget):
-            with worker.query() as backend:
+            with worker.query():
                 return screen_file(
                     path,
                     cache=cache,
-                    backend=backend,
                     depth=depth,
                     max_conditionals=max_conditionals,
                     max_matches=max_matches,
@@ -177,7 +173,7 @@ def run_batch(
                 return attempt(path)
             except limits.BudgetExhausted as exhausted:
                 # Tripped outside the query layer's own degradation (the
-                # warm stack has already been timeout-reset).
+                # stack has already counted a timeout reset).
                 return failed(
                     path, error=str(exhausted), timeout=True, limit=exhausted.limit
                 )
@@ -198,8 +194,6 @@ def run_batch(
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(job, paths))
-    for worker in stacks:
-        worker.flush_lemmas()
     return {
         "files": records,
         "failures": sum(record["failures"] for record in records),

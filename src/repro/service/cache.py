@@ -23,16 +23,6 @@ The cache counts its entries once when it opens and keeps the count as it
 writes, evicts and drops entries, so a write lists the directory only
 when the count passes the limit; a directory shared by several processes
 is trimmed when this process's count passes the limit.
-
-Next to the result objects lives the :class:`LemmaStore`: the pool of
-alpha-canonical theory lemmas exported from
-:meth:`repro.smt.solver.IncrementalSolver.export_theory_lemmas`.  Lemmas
-are valid sentences of the pure theory, independent of any query, so the
-pool is shared across all keys — a warm worker imports it at startup and
-merges what it learned back after serving.  (The pool is pickled —
-formulas already define cross-process ``__reduce__`` for the portfolio —
-so treat the cache directory with the trust you would give any local
-build cache.)
 """
 
 from __future__ import annotations
@@ -40,11 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from ..syntax.datatypes import pretty_datatype, pretty_measure
 from ..syntax.parser import Program
@@ -82,7 +71,7 @@ def canonical_program_text(program: Program) -> str:
 
 
 def program_digest(program: Program) -> str:
-    """The content address of a program alone (lemma-pool grouping key)."""
+    """The content address of a program alone, without verb or options."""
     return hashlib.sha256(canonical_program_text(program).encode()).hexdigest()
 
 
@@ -209,55 +198,6 @@ class ResultCache:
             }
 
 
-#: One exported lemma: ``(atom, polarity)`` pairs in alpha-canonical form.
-LemmaLike = Tuple[Tuple[object, bool], ...]
-
-
-class LemmaStore:
-    """The cross-run pool of alpha-canonical theory lemmas.
-
-    Unlike result objects the pool is not keyed per query — canonical
-    lemmas are valid for *every* query — so one bounded pickle file serves
-    the whole cache directory.  A pool that fails to unpickle is dropped
-    (warm-start is an optimization, never a correctness dependency).
-    """
-
-    def __init__(self, root: os.PathLike, max_lemmas: int = 1024) -> None:
-        self.path = Path(root) / f"lemmas.v{CACHE_SCHEMA_VERSION}.pickle"
-        self.max_lemmas = max_lemmas
-        self.corrupt = 0
-
-    def load(self) -> List[LemmaLike]:
-        try:
-            pool = pickle.loads(self.path.read_bytes())
-            if not isinstance(pool, list):
-                raise ValueError("lemma pool is not a list")
-            return pool
-        except FileNotFoundError:
-            return []
-        except Exception:
-            self.corrupt += 1
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-            return []
-
-    def merge(self, lemmas: Sequence[LemmaLike]) -> int:
-        """Union ``lemmas`` into the pool on disk; returns the new total."""
-        pool = self.load()
-        seen = {repr(lemma) for lemma in pool}
-        for lemma in lemmas:
-            key = repr(lemma)
-            if key not in seen:
-                seen.add(key)
-                pool.append(lemma)
-        pool = pool[-self.max_lemmas :]
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.path, pickle.dumps(pool))
-        return len(pool)
-
-
 def _atomic_write(path: Path, data: bytes) -> None:
     handle, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
     try:
@@ -272,17 +212,14 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def open_cache(
-    cache_dir: Optional[str], enabled: bool = True
-) -> Tuple[Optional[ResultCache], Optional[LemmaStore]]:
-    """The (cache, lemma store) pair a CLI verb or server should use.
+def open_cache(cache_dir: Optional[str], enabled: bool = True) -> Optional[ResultCache]:
+    """The result cache a CLI verb or server should use.
 
-    ``enabled=False`` (``--no-cache``) yields ``(None, None)``: callers
-    treat a ``None`` cache as compute-always, which is exactly the fresh
-    path — the differential guarantee that cached and uncached runs agree
-    falls out of rendering both from the same payload structures.
+    ``enabled=False`` (``--no-cache``) yields ``None``: callers treat a
+    ``None`` cache as compute-always, which is exactly the fresh path —
+    the differential guarantee that cached and uncached runs agree falls
+    out of rendering both from the same payload structures.
     """
     if not enabled:
-        return None, None
-    root = Path(cache_dir if cache_dir is not None else default_cache_dir())
-    return ResultCache(root), LemmaStore(root)
+        return None
+    return ResultCache(Path(cache_dir if cache_dir is not None else default_cache_dir()))

@@ -1,9 +1,7 @@
 """The synthesis service: a long-running stdlib HTTP/JSON server.
 
 ``python -m repro serve`` boots a :class:`ThreadingHTTPServer` (no
-dependencies beyond the standard library) that keeps one warm
-:class:`~repro.service.worker.WarmStack` alive across requests and
-answers four routes:
+dependencies beyond the standard library) that answers four routes:
 
 ===========  ======  ====================================================
 ``/healthz``  GET    liveness: ``{"status": "ok", "version": ...}``
@@ -18,10 +16,10 @@ POST responses wrap the ordinary query payloads (see
 same structures the CLI renders, so a client can diff server answers
 against local runs byte for byte.  Errors are JSON too: ``400`` for a
 malformed body, a parse error, or an unknown goal; ``404`` for any other
-path; ``500`` for an unexpected solver crash (the warm stack has already
-been reset by then).  Connections are kept alive, so every reply first
-consumes the request body; a body the handler will not read (malformed,
-oversized or chunked) is a ``400`` that closes the connection.
+path; ``500`` for an unexpected solver crash (counted in ``resets``).
+Connections are kept alive, so every reply first consumes the request
+body; a body the handler will not read (malformed, oversized or
+chunked) is a ``400`` that closes the connection.
 
 **Deadlines.** ``--request-timeout`` arms every POST with a wall-clock
 budget (a per-request ``"timeout_ms"`` body field tightens it further);
@@ -31,11 +29,14 @@ the budget propagates through every solver layer via
 ``{"error", "timeout": true, ...}`` plus whatever partial results and
 stats were gathered — the same degradation contract the CLI renders.
 On ``SIGTERM`` the server stops accepting connections, drains in-flight
-requests (bounded), flushes lemmas, and exits 0.
+requests (bounded), and exits 0.
 
-Solver work is serialized through the stack's lock (the SAT core is
-single-threaded state); the threaded server still overlaps request I/O,
-and cached answers never touch the solver at all.
+Each request computes on solvers of its own, built for it and freed when
+it ends (see :mod:`repro.service.worker`), so a request costs the same
+however many programs the server has answered before it.  Queries run
+one at a time through the :class:`~repro.service.worker.WarmStack` lock;
+the threaded server still overlaps request I/O, and a cached answer
+builds no solver at all.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .. import limits
 from ..syntax.parser import ParseError, parse_program
 from ..version import package_version
 from . import api
-from .cache import LemmaStore, ResultCache, open_cache
+from .cache import ResultCache, open_cache
 from .worker import WarmStack
 
 #: Request bodies beyond this are rejected outright (64 MiB of ``.sq``
@@ -211,11 +212,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
         workers = self._int(body, "workers", 1)
         server: ReproServer = self.server
         with limits.budget_scope(self._budget(body)):
-            with server.stack.query() as backend:
+            with server.stack.query():
                 payload, cached, digest = api.check_query(
-                    program, workers=workers, cache=server.cache, backend=backend
+                    program, workers=workers, cache=server.cache
                 )
-        server.stack.flush_lemmas()
         return self._finish(payload, cached, digest)
 
     def _handle_synth(self, body: dict) -> Tuple[int, dict]:
@@ -226,7 +226,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         server: ReproServer = self.server
         try:
             with limits.budget_scope(self._budget(body)):
-                with server.stack.query() as backend:
+                with server.stack.query():
                     payload, cached, digest = api.synth_query(
                         program,
                         only=only,
@@ -234,17 +234,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
                         max_conditionals=self._int(body, "max_conditionals", 2),
                         max_matches=self._int(body, "max_matches", 1),
                         cache=server.cache,
-                        backend=backend,
                         recheck=bool(body.get("recheck", False)),
                     )
         except api.UnknownGoal as error:
             raise _BadRequest(f"no signature for goal `{error}`") from error
-        server.stack.flush_lemmas()
         return self._finish(payload, cached, digest)
 
 
 class ReproServer(ThreadingHTTPServer):
-    """The service process: HTTP front, one warm stack, one cache."""
+    """The service process: HTTP front, one query lock, one cache."""
 
     daemon_threads = True
 
@@ -253,7 +251,6 @@ class ReproServer(ThreadingHTTPServer):
         host: str = "127.0.0.1",
         port: int = 8729,
         cache: Optional[ResultCache] = None,
-        lemma_store: Optional[LemmaStore] = None,
         verbose: bool = False,
         request_timeout_ms: Optional[float] = None,
     ) -> None:
@@ -261,7 +258,7 @@ class ReproServer(ThreadingHTTPServer):
         self.cache = cache
         self.verbose = verbose
         self.request_timeout_ms = request_timeout_ms
-        self.stack = WarmStack(lemma_store)
+        self.stack = WarmStack()
         self._inflight = 0
         self._inflight_lock = threading.Lock()
 
@@ -309,13 +306,11 @@ def serve(
 
     ``SIGTERM`` (when running on the main thread — tests boot the server
     from a worker thread, where installing handlers is illegal) triggers
-    a graceful stop: no new connections, a bounded drain of in-flight
-    requests, one final lemma flush.
+    a graceful stop: no new connections and a bounded drain of in-flight
+    requests.
     """
-    cache, lemma_store = open_cache(cache_dir, enabled=not no_cache)
-    server = ReproServer(
-        host, port, cache, lemma_store, verbose, request_timeout_ms=request_timeout_ms
-    )
+    cache = open_cache(cache_dir, enabled=not no_cache)
+    server = ReproServer(host, port, cache, verbose, request_timeout_ms=request_timeout_ms)
     if out is not None:
         where = cache.root if cache is not None else "disabled"
         print(f"repro service on http://{host}:{server.server_port} (cache: {where})", file=out)
@@ -338,6 +333,5 @@ def serve(
         if previous_handler is not None:
             signal.signal(signal.SIGTERM, previous_handler)
         server.drain()
-        server.stack.flush_lemmas()
         server.server_close()
     return 0

@@ -240,29 +240,6 @@ class TseitinEncoder:
         # A theory atom.
         return self.atom_variable(formula)
 
-    def theory_literals(
-        self, model: Dict[int, bool], restrict: Optional[frozenset] = None
-    ) -> List[Literal]:
-        """The theory literals implied by a propositional model.
-
-        When ``restrict`` is given, only atoms whose variable belongs to it
-        are reported — the incremental backend passes the variables of the
-        *active* assertions, keeping don't-care atoms out of the theory
-        checker.  The restricted path walks ``restrict``, not the
-        solver-lifetime atom table, so its cost tracks the live scope.
-        """
-        literals: List[Literal] = []
-        if restrict is not None:
-            for variable in sorted(restrict):
-                atom = self._var_atoms.get(variable)
-                if atom is not None and variable in model:
-                    literals.append(Literal(atom, model[variable]))
-            return literals
-        for atom, variable in self._atom_vars.items():
-            if variable in model:
-                literals.append(Literal(atom, model[variable]))
-        return literals
-
 
 # ---------------------------------------------------------------------------
 # the incremental backend
@@ -712,61 +689,6 @@ class IncrementalSolver(SolverBackend):
         self._emitted_instances.add(dedup)
         self._sat.add_lemma(clause)
         self.statistics.lemmas_generalized += 1
-
-    # -- lemma export/import (the service's cross-run cache) -----------------
-
-    def export_theory_lemmas(self) -> List[Tuple[Tuple[Formula, bool], ...]]:
-        """The learned theory lemmas in alpha-canonical form.
-
-        Each lemma is the canonical key of one generalized conflict: a
-        tuple of ``(atom, polarity)`` pairs over ``?gN``-renamed variables
-        whose conjunction is theory-unsatisfiable.  Canonical lemmas are
-        valid sentences of the pure theory (EUF + LIA) — independent of
-        any particular query — so they can be persisted across runs and
-        replayed into a fresh solver (:meth:`import_theory_lemmas`); the
-        service cache uses exactly this as its warm-start payload.
-        """
-        return sorted(self._lemma_keys, key=repr)
-
-    @property
-    def lemma_count(self) -> int:
-        """How many canonical lemmas :meth:`export_theory_lemmas` would
-        return; the set only grows, so an unchanged count means nothing
-        new was learned or imported."""
-        return len(self._lemma_keys)
-
-    def import_theory_lemmas(
-        self, lemmas: Sequence[Tuple[Tuple[Formula, bool], ...]]
-    ) -> int:
-        """Adopt previously exported alpha-canonical lemmas.
-
-        Each lemma joins the generalization index exactly as if its
-        conflict had been learned here: future atoms interned with a
-        matching canonical shape trigger propositional replay
-        (:meth:`_instantiate_entry`), so a warm-started solver refutes the
-        recurring conflicts of earlier runs by unit propagation.  Returns
-        how many lemmas were new to this solver.
-        """
-        imported = 0
-        for lemma in lemmas:
-            key = tuple(
-                (intern_formula(atom), bool(polarity)) for atom, polarity in lemma
-            )
-            if not key or len(key) > _GENERALIZE_LIMIT or key in self._lemma_keys:
-                continue
-            self._lemma_keys.add(key)
-            anchored: Set[Formula] = set()
-            for atom, _ in key:
-                if atom in anchored:
-                    continue
-                anchored.add(atom)
-                canon, order = self._canonical_atom(atom)
-                entry = (order, key)
-                self._lemma_index.setdefault(canon, []).append(entry)
-                for existing in self._atoms_by_canon.get(canon, ()):
-                    self._instantiate_entry(entry, self._canonical_atom(existing)[1])
-            imported += 1
-        return imported
 
     def _make_selector(self, formula: Formula) -> Optional[int]:
         self.statistics.encoded_assertions += 1

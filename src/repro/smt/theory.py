@@ -17,8 +17,7 @@ pragmatic one-directional Nelson–Oppen EUF -> LIA equality propagation.
   by the asserted bounds or the congruence closure.
 
 * :class:`TheoryChecker` — consistency of one literal *set*, decided on a
-  fresh :class:`IncrementalTheory` and memoized per set in a bounded LRU
-  (consistency is order-insensitive).  It answers the probes that shrink
+  fresh :class:`IncrementalTheory`.  It answers the probes that shrink
   unexplained conflicts, so a shrunk core is inconsistent for the very
   solver whose conflict it came from.
 
@@ -34,7 +33,6 @@ on random assert/push/pop sequences.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -647,33 +645,14 @@ class TheoryChecker:
     Each set is decided on a fresh :class:`IncrementalTheory`: every
     literal is asserted, the set is inconsistent at the first assert-time
     conflict, and otherwise consistent when :meth:`IncrementalTheory.check`
-    finds none.  Answers are memoized per literal *set* in a bounded LRU
-    (hits move the entry to the young end, the oldest entry is evicted
-    past :attr:`MAX_CACHE`): consistency is order-insensitive and each
-    call is independent, so the conflict minimization probes — which test
-    many overlapping subsets of the same assignment, often across queries
-    sharing their atoms — pay for each distinct subset once.
+    finds none.  Nothing is memoized: within one solver's life so few
+    probes repeat a set that a memo saves no time.
     """
-
-    #: Bound on the memo; the oldest (least recently used) entry is evicted.
-    MAX_CACHE = 65536
-
-    def __init__(self) -> None:
-        self._cache: "OrderedDict[frozenset, bool]" = OrderedDict()
 
     def is_consistent(self, literals: Sequence[Literal]) -> bool:
         """Is the conjunction of the given literals satisfiable?"""
-        key = frozenset(literals)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            return cached
         theory = IncrementalTheory()
-        result = (
+        return (
             all(theory.assert_literal(literal) is None for literal in literals)
             and theory.check() is None
         )
-        self._cache[key] = result
-        if len(self._cache) > self.MAX_CACHE:
-            self._cache.popitem(last=False)
-        return result

@@ -109,21 +109,17 @@ class SynthesisGoal:
         )
 
     def session_environment(
-        self, literals: Optional[Sequence[object]] = None, backend: Optional[object] = None
+        self, literals: Optional[Sequence[object]] = None
     ) -> Tuple[TypecheckSession, Environment]:
         """A fresh session and the component environment, constructors
         included.  ``literals`` are the formulas joining every qualifier
         space (default: the literal ``0``); the synthesizer passes the
         logical form of its own term-literal pool so that abduced
-        conditions can mention exactly the constants enumeration can.
-        ``backend`` substitutes a shared incremental SMT backend for the
-        session's own — the service's warm workers pass one so repeated
-        queries reuse encodings and theory lemmas across requests."""
+        conditions can mention exactly the constants enumeration can."""
         session = TypecheckSession(
             literals=[ops.int_lit(0)] if literals is None else literals,
             datatypes=self.datatypes,
             measure_defs=self.measures,
-            backend=backend,
         )
         env = session.bind_constructors(EMPTY)
         for name, rtype in self.components:
@@ -168,7 +164,6 @@ class Synthesizer:
         max_conditionals: int = 2,
         max_matches: int = 1,
         literals: Sequence[Term] = (IntConst(0),),
-        backend: Optional[object] = None,
         workers: int = 1,
     ) -> None:
         self.goal = goal
@@ -186,10 +181,9 @@ class Synthesizer:
             for term in self.literals
             if isinstance(term, (IntConst, BoolConst))
         )
-        # The search runs on `backend` when given (a warm worker's shared
-        # solver); verification below always builds a fresh session, so a
-        # warm backend can never vouch for its own search's result.
-        self.session, self.base_env = goal.session_environment(self._formula_literals, backend)
+        # Verification below builds a fresh session, so the search's own
+        # solver never vouches for the search's result.
+        self.session, self.base_env = goal.session_environment(self._formula_literals)
         # `synth --workers N` reaches abduction through the session's
         # default solve options: every condition search fans its candidate
         # branches across the portfolio.

@@ -6,6 +6,7 @@ computed — and a ``--no-cache`` CLI run must print byte-for-byte what a
 cached run prints.
 """
 
+import gc
 import io
 from pathlib import Path
 
@@ -60,12 +61,10 @@ class TestRunBatch:
 
     def test_cold_then_warm_is_deterministic(self, tmp_path):
         root = corpus(tmp_path)
-        cache, store = open_cache(str(tmp_path / "cache"))
-        cold = run_batch(str(root), cache=cache, lemma_store=store)
+        cold = run_batch(str(root), cache=open_cache(str(tmp_path / "cache")))
         assert cold["failures"] == 0
         assert cold["cached"] == 0 and cold["queries"] == 2
-        warm_cache, warm_store = open_cache(str(tmp_path / "cache"))
-        warm = run_batch(str(root), jobs=2, cache=warm_cache, lemma_store=warm_store)
+        warm = run_batch(str(root), jobs=2, cache=open_cache(str(tmp_path / "cache")))
         assert warm["cached"] == warm["queries"] == 2, "warm sweep must hit on every file"
         assert warm["cache"]["hits"] == 2
         assert payloads(warm) == payloads(cold)
@@ -87,6 +86,35 @@ class TestRunBatch:
         report = run_batch(str(corpus(tmp_path)))
         assert report["cache"] is None
         assert report["cached"] == 0
+
+
+class TestOneSolverPerQuery:
+    """The sweep and the cached CLI compute the way a stateless run does."""
+
+    def test_sweep_answers_like_stateless_runs_and_frees_every_solver(
+        self, tmp_path, solvers_made
+    ):
+        report = run_batch(str(corpus(tmp_path)), jobs=2, cache=open_cache(str(tmp_path / "c")))
+        assert report["failures"] == report["resets"] == 0
+        gc.collect()
+        assert solvers_made and not any(ref() for ref in solvers_made)
+        assert not list((tmp_path / "c").rglob("*.pickle")), "no lemma pool is written"
+        for record in report["files"]:
+            program = parse_program(Path(record["file"]).read_text())
+            if "check" in record:
+                assert record["check"] == api.compute_check(program)
+            if "synth" in record:
+                assert record["synth"] == api.compute_synth(program)
+
+    def test_cached_cli_hit_builds_no_solver(self, tmp_path, solvers_made):
+        source = tmp_path / "max.sq"
+        source.write_text(MAX_SQ)
+        argv = ["synth", str(source), "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv, out=io.StringIO()) == EXIT_OK
+        built = len(solvers_made)
+        assert built > 0
+        assert main(argv, out=io.StringIO()) == EXIT_OK
+        assert len(solvers_made) == built
 
 
 class TestBatchCli:
@@ -158,10 +186,10 @@ class TestNoCacheDifferential:
         "name", sorted(path.name for path in EXAMPLES.glob("*.sq")) + ["rejected"]
     )
     def test_stateless_cold_and_warm_runs_agree(self, tmp_path, monkeypatch, verb, name):
-        """A stateless run (no cache, no warm stack), a cold cached run on
-        a warm stack and a cache hit print the same bytes, statistics
-        included, and exit alike.  ``rejected`` is ``list.sq`` with one
-        ``Cons`` dropped from ``stutter``."""
+        """A stateless run (no cache), a cold cached run and a cache hit
+        print the same bytes, statistics included, and exit alike.
+        ``rejected`` is ``list.sq`` with one ``Cons`` dropped from
+        ``stutter``."""
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         source = EXAMPLES / name
         if name == "rejected":

@@ -1,9 +1,8 @@
-"""The content-addressed result cache and the cross-run lemma pool.
+"""The content-addressed result cache.
 
 The properties that make the cache safe to trust: keys are stable across
-processes and interning order, stale schemas stop being addressed, disk
-corruption degrades to recomputation, and the lemma pool round-trips
-through a fresh solver.
+processes and interning order, stale schemas stop being addressed, and
+disk corruption degrades to recomputation.
 """
 
 import json
@@ -14,18 +13,14 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.service import cache as cache_mod
-from repro.service.api import compute_check
 from repro.service.cache import (
     CACHE_SCHEMA_VERSION,
-    LemmaStore,
     ResultCache,
     canonical_program_text,
     open_cache,
     program_digest,
     query_digest,
 )
-from repro.service.worker import WarmStack
-from repro.smt.solver import IncrementalSolver
 from repro.syntax import parse_program
 from repro.version import package_version
 
@@ -37,14 +32,6 @@ leq :: a:Int -> b:Int -> {Bool | nu <==> a <= b}
 
 max :: x:Int -> y:Int -> {Int | nu >= x && nu >= y && (nu == x || nu == y)}
 max = ??
-"""
-
-#: Checking this teaches a fresh solver one lemma; list.sq teaches more.
-PLUS2_SQ = """\
-inc :: a:Int -> {Int | nu == a + 1}
-
-plus2 :: a:Int -> {Int | nu == a + 2}
-plus2 = \\a . inc (inc a)
 """
 
 
@@ -213,104 +200,6 @@ class TestResultCache:
         assert cache.stats()["corrupt"] == 1
 
     def test_open_cache_disabled_returns_nothing(self, tmp_path):
-        assert open_cache(str(tmp_path), enabled=False) == (None, None)
-        cache, store = open_cache(str(tmp_path))
-        assert cache is not None and store is not None
-
-
-class TestLemmaStore:
-    def _learned_lemmas(self):
-        """Real lemmas: checking list.sq's `stutter` teaches the solver."""
-        backend = IncrementalSolver()
-        compute_check(parse_program(LIST_SQ), backend=backend)
-        lemmas = backend.export_theory_lemmas()
-        assert lemmas, "expected the check to learn theory lemmas"
-        return lemmas
-
-    def test_roundtrip_through_fresh_solver(self, tmp_path):
-        lemmas = self._learned_lemmas()
-        store = LemmaStore(tmp_path)
-        store.merge(lemmas)
-        fresh = IncrementalSolver()
-        assert fresh.import_theory_lemmas(store.load()) == len(lemmas)
-        assert fresh.export_theory_lemmas() == lemmas
-
-    def test_import_is_idempotent(self, tmp_path):
-        lemmas = self._learned_lemmas()
-        fresh = IncrementalSolver()
-        assert fresh.import_theory_lemmas(lemmas) == len(lemmas)
-        assert fresh.import_theory_lemmas(lemmas) == 0
-
-    def test_corrupt_pool_is_dropped(self, tmp_path):
-        store = LemmaStore(tmp_path)
-        store.path.write_bytes(b"\x80not a pickle")
-        assert store.load() == []
-        assert store.corrupt == 1
-        assert not store.path.exists()
-
-    def test_merge_dedups_and_bounds(self, tmp_path):
-        store = LemmaStore(tmp_path, max_lemmas=3)
-        lemmas = self._learned_lemmas()
-        total = store.merge(lemmas)
-        assert total == min(3, len(lemmas))
-        assert store.merge(lemmas) == total, "re-merging must not grow the pool"
-
-
-class TestWarmStackFlush:
-    """A flush rewrites the pool file only after something new was learned."""
-
-    @staticmethod
-    def _check(stack, source):
-        with stack.query() as backend:
-            assert compute_check(parse_program(source), backend=backend)["failures"] == 0
-
-    @staticmethod
-    def _identity(store):
-        stat = store.path.stat()
-        return stat.st_ino, stat.st_mtime_ns
-
-    def test_flush_without_new_lemmas_leaves_the_pool_alone(self, tmp_path):
-        store = LemmaStore(tmp_path)
-        stack = WarmStack(store)
-        self._check(stack, PLUS2_SQ)
-        pool = stack.flush_lemmas()
-        assert pool == len(stack.backend.export_theory_lemmas()) > 0
-        written = self._identity(store)
-        assert stack.flush_lemmas() == pool
-        self._check(stack, PLUS2_SQ)  # the same program learns nothing new
-        assert stack.flush_lemmas() == pool
-        assert self._identity(store) == written
-        assert len(store.load()) == pool
-
-    def test_new_lemma_or_reset_forces_a_rewrite(self, tmp_path):
-        store = LemmaStore(tmp_path)
-        stack = WarmStack(store)
-        self._check(stack, PLUS2_SQ)
-        first = stack.flush_lemmas()
-        written = self._identity(store)
-        self._check(stack, LIST_SQ)
-        grown = stack.flush_lemmas()
-        assert grown > first
-        assert self._identity(store) != written
-        written = self._identity(store)
-        stack.reset()
-        assert stack.flush_lemmas() == grown
-        assert self._identity(store) != written
-
-    def test_concurrent_flushes_lose_no_lemma(self, tmp_path):
-        store = LemmaStore(tmp_path)
-        stack = WarmStack(store)
-
-        def serve(source):
-            self._check(stack, source)
-            return stack.flush_lemmas()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(serve, s) for s in [PLUS2_SQ, LIST_SQ] * 4]
-                sizes = [future.result(timeout=120) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert max(sizes) == len(store.load()) == stack.backend.lemma_count
+        assert open_cache(str(tmp_path), enabled=False) is None
+        cache = open_cache(str(tmp_path))
+        assert isinstance(cache, ResultCache) and cache.root == tmp_path

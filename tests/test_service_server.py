@@ -1,4 +1,5 @@
-"""The HTTP service: routes, cache behaviour, and error shapes.
+"""The HTTP service: routes, cache behaviour, error shapes, and solver
+lifetime.
 
 One threaded :class:`ReproServer` per test (port 0 — the OS picks), a
 plain ``http.client`` as the client, so what is exercised is exactly
@@ -6,17 +7,26 @@ what ``curl`` sees: status codes, JSON bodies, and the warm-cache
 ``cached`` flag flipping on the second identical request.
 """
 
+import gc
 import json
+import re
 import socket
 import threading
 from contextlib import contextmanager
 from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
+from repro import limits
 from repro.service import server as server_mod
+from repro.service.api import compute_check, compute_synth
 from repro.service.cache import open_cache
 from repro.service.server import ReproServer
+from repro.service.worker import WarmStack
+from repro.syntax import parse_program
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 MAX_SQ = """\
 leq :: a:Int -> b:Int -> {Bool | nu <==> a <= b}
@@ -35,8 +45,7 @@ plus2 = \\a . inc (inc a)
 
 @contextmanager
 def running(server_class, tmp_path):
-    cache, store = open_cache(str(tmp_path / "cache"))
-    srv = server_class("127.0.0.1", 0, cache, store)
+    srv = server_class("127.0.0.1", 0, open_cache(str(tmp_path / "cache")))
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:
@@ -72,12 +81,6 @@ def call(server, method, path, body=None, raw=None):
     return status, answer
 
 
-def file_identity(path):
-    """Changes whenever the file is replaced or rewritten."""
-    stat = path.stat()
-    return stat.st_ino, stat.st_mtime_ns
-
-
 class TestRoutes:
     def test_healthz(self, server):
         status, body = call(server, "GET", "/healthz")
@@ -111,15 +114,6 @@ class TestCheckRoute:
         _, stats = call(server, "GET", "/stats")
         assert stats["cache"]["hits"] == 1
         assert stats["worker"]["queries"] == 2
-
-    def test_cached_check_leaves_the_lemma_pool_alone(self, server):
-        pool = server.stack.lemma_store.path
-        status, first = call(server, "POST", "/check", {"program": CHECK_SQ})
-        assert status == 200 and not first["cached"]
-        written = file_identity(pool)
-        status, again = call(server, "POST", "/check", {"program": CHECK_SQ})
-        assert status == 200 and again["cached"]
-        assert file_identity(pool) == written
 
     def test_rejection_is_a_200_with_failures(self, server):
         bad = CHECK_SQ.replace("inc (inc a)", "inc a")
@@ -238,3 +232,95 @@ class TestConnections:
             assert call(probe, "GET", "/healthz")[0] == 200
             assert Probe.recorded.wait(timeout=10)
         assert Probe.nodelay and all(Probe.nodelay)
+
+
+#: User identifiers of ``list.sq`` and ``max.sq``; a suffix on each makes
+#: a program the server has not seen that asks the solver the same thing.
+USER_NAMES = re.compile(r"\b(?:inc|stutter|length|append|leq|max|xs|ys|x|y)\b")
+
+#: (route, example, the stateless computation the route must match)
+UNSEEN = [
+    ("/check", "list.sq", compute_check),
+    ("/synth", "max.sq", compute_synth),
+]
+
+
+def renamed(example, index):
+    source = (EXAMPLES / example).read_text()
+    return USER_NAMES.sub(lambda match: f"{match.group()}_r{index}", source)
+
+
+def alive(solvers_made):
+    """How many of the tracked solvers are still reachable."""
+    gc.collect()
+    return sum(1 for ref in solvers_made if ref() is not None)
+
+
+class TestOneSolverPerRequest:
+    """Each request computes on solvers of its own, exactly as the
+    stateless CLI does, and frees them when it ends."""
+
+    @pytest.mark.parametrize("route, example, compute", UNSEEN, ids=["check-list", "synth-max"])
+    def test_unseen_programs_answer_like_stateless_runs_and_free_their_solvers(
+        self, server, solvers_made, route, example, compute
+    ):
+        conn = HTTPConnection("127.0.0.1", server.server_port, timeout=60)
+        try:
+            for index in range(10):
+                source = renamed(example, index)
+                before = len(solvers_made)
+                status, _, answer = exchange(conn, "POST", route, {"program": source})
+                assert status == 200 and not answer["cached"]
+                assert len(solvers_made) > before, "a miss computes on new solvers"
+                assert alive(solvers_made) == 0, f"solvers outlived {route} #{index}"
+                expected = compute(parse_program(source))
+                assert json.dumps(answer["result"], sort_keys=True) == json.dumps(
+                    expected, sort_keys=True
+                )
+        finally:
+            conn.close()
+        _, stats = call(server, "GET", "/stats")
+        assert stats["worker"] == {"queries": 10, "resets": 0, "timeout_resets": 0}
+        assert stats["cache"]["entries"] == 10
+        assert not list(server.cache.root.rglob("*.pickle")), "no lemma pool is written"
+
+    @pytest.mark.parametrize("route, example, compute", UNSEEN, ids=["check-list", "synth-max"])
+    def test_cache_hit_builds_no_solver(self, server, solvers_made, route, example, compute):
+        body = {"program": renamed(example, 0)}
+        status, first = call(server, "POST", route, body)
+        assert status == 200 and not first["cached"]
+        before = len(solvers_made)
+        status, again = call(server, "POST", route, body)
+        assert status == 200 and again["cached"]
+        assert again["result"] == first["result"]
+        assert len(solvers_made) == before
+
+    def test_each_definition_checks_on_one_solver_of_its_own(self, solvers_made):
+        """Within a query the reuse stays: every subtyping and Horn check
+        of one definition runs on that definition's one solver."""
+        two = CHECK_SQ + "\nplus3 :: a:Int -> {Int | nu == a + 3}\nplus3 = \\a . inc (plus2 a)\n"
+        payload = compute_check(parse_program(two))
+        assert [item["status"] for item in payload["items"]] == ["ok", "ok"]
+        assert len(solvers_made) == 2
+
+
+class TestQueryGuard:
+    """:class:`WarmStack` runs queries one at a time and counts failures."""
+
+    def test_counts_queries_and_the_ones_that_raised(self):
+        stack = WarmStack()
+        with stack.query():
+            pass
+        with pytest.raises(ValueError), stack.query():
+            raise ValueError("a crashed query")
+        with pytest.raises(limits.BudgetExhausted), stack.query():
+            raise limits.BudgetExhausted("wall_clock")
+        assert stack.stats() == {"queries": 3, "resets": 2, "timeout_resets": 1}
+
+    def test_keeps_the_names_the_traced_benchmark_patches(self):
+        """``perfbench/launcher.py`` wraps ``reset(self, timeout)`` and
+        ``flush_lemmas``; with no lemma pool the flush reports 0."""
+        stack = WarmStack()
+        stack.reset(True)
+        assert stack.stats() == {"queries": 0, "resets": 1, "timeout_resets": 1}
+        assert stack.flush_lemmas() == 0

@@ -28,9 +28,7 @@ exact ``Fraction`` only where a division is inexact.
 """
 
 import random
-import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -38,15 +36,11 @@ from repro.logic import ops
 from repro.logic.formulas import Binary, BinaryOp, IntLit
 from repro.logic.sorts import BOOL, INT
 from repro.logic.transform import subterms
-from repro.service.api import compute_check
-from repro.service.worker import WarmStack
 from repro.smt.lia import LinearExpr, Simplex, le, lt
 from repro.smt.solver import _SHRINK_DELETION_LIMIT, IncrementalSolver, _shrink_conflict
 from repro.smt.theory import IncrementalTheory, Literal, TheoryChecker
-from repro.syntax import parse_program
 from theory_oracle import FourierMotzkinChecker
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 SEEDS = (7, 99, 2024, 31337)
 
 
@@ -357,26 +351,6 @@ class TestTableauBound:
         # the kept basis finds it where the first cycle left off.
         assert pivots[0] > 0
         assert pivots == [pivots[0]] * len(pivots)
-
-    def test_warm_stack_rows_stay_bounded_across_programs(self):
-        source = (EXAMPLES / "list.sq").read_text()
-        names = re.compile(r"\b(?:inc|stutter|length|append|xs|ys|x|y)\b")
-        stack = WarmStack()
-        rows = []
-        for index in range(10):
-            tag = f"_c{index}"
-            program = parse_program(names.sub(lambda match: match.group() + tag, source))
-            with stack.query() as backend:
-                payload = compute_check(program, backend=backend)
-            statuses = [(item["name"], item["status"]) for item in payload["items"]]
-            assert statuses == [
-                ("stutter" + tag, "ok"),
-                ("length" + tag, "goal"),
-                ("append" + tag, "goal"),
-            ]
-            assert payload["failures"] == 0
-            rows.append(len(stack.backend._bridge.theory.simplex._rows))
-        assert rows[-1] <= max(rows[:2]), rows
 
 
 def _tableau_numbers(simplex):
