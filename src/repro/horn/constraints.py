@@ -31,13 +31,15 @@ class HornConstraint:
     ``provenance`` is the structured diagnostics trail the type checker
     emits: the judgments (program location, branch, subtyping obligation)
     that produced the constraint, outermost first, so an unsolvable system
-    can name the failing obligation precisely.  :meth:`origin` is the
-    single diagnostics entry point.
+    can name the failing obligation precisely.  An entry is a string or a
+    label whose ``str()`` renders it on demand (the type checker's
+    subtyping obligations).  :meth:`origin` is the single diagnostics
+    entry point.
     """
 
     premises: Tuple[Formula, ...]
     conclusion: Formula
-    provenance: Tuple[str, ...] = ()
+    provenance: Tuple[object, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.conclusion, Unknown) and formula_unknowns(self.conclusion):
@@ -61,8 +63,8 @@ class HornConstraint:
         """Names of unknowns occurring in the premises.
 
         Memoized: the candidate search's pruning sweep calls this once per
-        (queued candidate, known MUS) pair, and the premise walk over big
-        environment embeddings would dominate the whole search otherwise.
+        (queued candidate, known MUS) pair, and re-joining the premises'
+        cached unknowns over big environment embeddings each time adds up.
         """
         cached = self.__dict__.get("_premise_unknowns")
         if cached is None:
@@ -96,7 +98,7 @@ class HornConstraint:
         """Where this constraint came from, for error messages: the joined
         provenance trail, or a placeholder when there is none."""
         if self.provenance:
-            return " / ".join(self.provenance)
+            return " / ".join(map(str, self.provenance))
         return "<unlabeled constraint>"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -109,7 +111,7 @@ def constraint(
     premises: Iterable[Formula],
     conclusion: Formula,
     label: str = "",
-    provenance: Tuple[str, ...] = (),
+    provenance: Tuple[object, ...] = (),
 ) -> HornConstraint:
     """Convenience constructor accepting any iterable of premises.
 
@@ -134,16 +136,19 @@ def substitute_unknowns(
     a tentative guard.
     """
 
-    def ground(formula: Formula) -> Formula:
-        def replace(node: Formula) -> Formula:
-            if isinstance(node, Unknown) and node.name in valuations:
-                body = valuations[node.name]
-                if node.substitution:
-                    body = substitute(body, dict(node.substitution))
-                return body
-            return node
+    def replace(node: Formula) -> Formula:
+        if isinstance(node, Unknown) and node.name in valuations:
+            body = valuations[node.name]
+            if node.substitution:
+                body = substitute(body, dict(node.substitution))
+            return body
+        return node
 
-        return transform(formula, replace)
+    def changes(node: Formula) -> bool:
+        return not formula_unknowns(node).isdisjoint(valuations)
+
+    def ground(formula: Formula) -> Formula:
+        return transform(formula, replace, changes)
 
     conclusion = constr.conclusion
     if isinstance(conclusion, Unknown) and conclusion.name in valuations:

@@ -5,24 +5,32 @@ paper: boolean connectives, linear integer arithmetic, finite sets, and
 uninterpreted (measure) applications.  The distinguished *value variable*
 ``nu`` is an ordinary :class:`Var` named ``_v``.
 
-Formulas are immutable; structural equality and hashing are used pervasively
-(assignments, caches, qualifier sets), so ``==`` is structural — use
-:func:`repro.logic.ops.eq` to build an equality *formula*.
+Formulas are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): every constructor returns the one canonical node for
+its structure, so structurally equal formulas are the same object and
+``==`` is identity — use :func:`repro.logic.ops.eq` to build an equality
+*formula*.  The canonical table holds its nodes weakly: an entry leaves it
+with the last reference to its node, so a long-running process keeps only
+the formulas something still uses.  Nodes are shared by everything that
+built the same structure, so they are immutable by contract: never assign
+to their fields.
 
-Every node precomputes its structural hash at construction time
-(:meth:`Formula._seal`), so hashing is O(1) and formulas can serve directly
-as dictionary keys in the hot caches of the SMT substrate and the Horn
-solver.  :func:`intern_formula` additionally canonicalizes structurally
-equal formulas to a single shared instance, which makes the identity fast
-path of ``==`` fire on cache hits.
+Each node is built with its structural hash (the hash of its constructor
+tag and fields, so the iteration order of formula-keyed sets and dicts
+never depends on addresses) and its *facts*, computed once from its
+children: the names of its free variables and predicate unknowns, the
+uninterpreted applications below it, and whether it mentions sets.
+:mod:`repro.logic.transform` answers those questions from the facts
+instead of walking the formula, and rewrites skip every subtree whose
+facts show they cannot change it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from dataclasses import dataclass
-from typing import Dict, Tuple
+import weakref
+from _weakref import _remove_dead_weakref
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .sorts import BOOL, INT, SetSort, Sort
 
@@ -74,48 +82,144 @@ SET_OPS = {BinaryOp.UNION, BinaryOp.INTERSECT, BinaryOp.DIFF}
 SET_PREDICATES = {BinaryOp.MEMBER, BinaryOp.SUBSET}
 
 
-class Formula:
-    """Base class of refinement terms.
+# ---------------------------------------------------------------------------
+# the canonical table
+# ---------------------------------------------------------------------------
 
-    Subclasses are frozen dataclasses with ``eq=False``: equality and
-    hashing are provided here, backed by a structural key precomputed once
-    in ``__post_init__`` (child hashes are already cached, so sealing a node
-    is O(arity), and ``hash`` is O(1) afterwards).
+
+class _Entry(weakref.ref):
+    """A weak reference to a canonical node that remembers its table key."""
+
+    __slots__ = ("key",)
+
+
+#: Key -> entry of the one live node with that structure.  A node's key is
+#: its kind and its fields, the tuple its structural hash is the hash of.
+#: Children in a key compare by identity, which is structural equality for
+#: canonical nodes.  An entry leaves the table when its node dies, so its
+#: key never keeps the node's children alive; an entry found dead is a
+#: structure no live node has.
+#:
+#: Insertion is ``dict.setdefault`` and removal ``_remove_dead_weakref``
+#: (the primitive behind ``weakref.WeakValueDictionary``): each is one dict
+#: operation that runs atomically under the interpreter lock, so threads
+#: need no lock of their own, and a late removal never takes out a newer
+#: live entry under the same key.
+_TABLE: Dict[Tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry, table=_TABLE, remove=_remove_dead_weakref) -> None:
+    """Drop a dead node's entry (the weak reference's callback).
+
+    The defaults keep the table in reach while the interpreter shuts down.
+    """
+    remove(table, entry.key)
+
+
+def _live(key: Tuple) -> Optional["Formula"]:
+    """The live node entered under ``key``, if any."""
+    entry = _TABLE.get(key)
+    return None if entry is None else entry()
+
+
+def _publish(key: Tuple, node: "Formula") -> "Formula":
+    """Enter a freshly built ``node`` under ``key`` and return it — or, when
+    another thread entered the same structure first, return that node."""
+    entry = _Entry(node, _forget)
+    entry.key = key
+    while True:
+        current = _TABLE.setdefault(key, entry)
+        if current is entry:
+            return node
+        winner = current()
+        if winner is not None:
+            return winner
+        _remove_dead_weakref(_TABLE, key)
+
+
+_EMPTY: FrozenSet = frozenset()
+
+
+def _union(a: FrozenSet, b: FrozenSet) -> FrozenSet:
+    """``a | b``, reusing an operand that already is the union."""
+    if b is a or not b:
+        return a
+    if not a:
+        return b
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _leaf(
+    node: "Formula", key: Tuple, free: FrozenSet, unknowns: FrozenSet, sets: bool
+) -> "Formula":
+    """Give a new node without formula children its hash and facts, and
+    publish it."""
+    node._hash = hash(key)
+    node._vars = free
+    node._unknowns = unknowns
+    node._apps = _EMPTY
+    node._sets = sets
+    return _publish(key, node)
+
+
+def _join(node: "Formula", key: Tuple, children: Tuple["Formula", ...], sets: bool) -> "Formula":
+    """Give a new compound node its hash and the facts of its
+    ``children``, and publish it."""
+    node._hash = hash(key)
+    free = unknowns = apps = _EMPTY
+    for child in children:
+        if child._vars is not free:
+            free = _union(free, child._vars)
+        if child._unknowns:
+            unknowns = _union(unknowns, child._unknowns)
+        if child._apps:
+            apps = _union(apps, child._apps)
+        if child.__class__ is App:
+            apps = _union(apps, frozenset((child,)))
+        if child._sets:
+            sets = True
+    node._vars = free
+    node._unknowns = unknowns
+    node._apps = apps
+    node._sets = sets
+    return _publish(key, node)
+
+
+# ---------------------------------------------------------------------------
+# node classes
+# ---------------------------------------------------------------------------
+
+
+class Formula:
+    """Base class of refinement terms: a canonical, immutable node.
+
+    Besides its fields, every node holds ``_hash`` and its facts:
+    ``_vars`` and ``_unknowns`` (names of the free variables and predicate
+    unknowns in its subterms), ``_apps`` (the uninterpreted applications
+    strictly below it; an :class:`App` is not in its own set, which would
+    make the node a reference cycle) and ``_sets`` (does it mention a
+    set?).  The pending substitution of an :class:`Unknown` is not a
+    subterm.
     """
 
-    _key: Tuple
-    _hash: int
+    __slots__ = ("_hash", "_vars", "_unknowns", "_apps", "_sets", "__weakref__")
 
     @property
     def sort(self) -> Sort:
         raise NotImplementedError
 
-    def _seal(self, *key) -> None:
-        """Record the structural key and its hash (called from __post_init__)."""
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if self.__class__ is not other.__class__:
-            return False
-        if self._hash != other._hash:
-            return False
-        return self._key == other._key  # type: ignore[attr-defined]
-
     def __reduce__(self) -> Tuple:
-        # Rebuild through the constructor rather than copying __dict__: the
-        # precomputed _key/_hash embed enum identities and child hashes that
-        # are only valid within one process, and the portfolio ships
-        # formulas to worker processes.  __post_init__ reseals on arrival.
-        return (
-            self.__class__,
-            tuple(getattr(self, f.name) for f in dataclasses.fields(self)),
-        )
+        # Rebuild through the constructor, so an unpickled formula is the
+        # receiving process's canonical node (the portfolio ships formulas
+        # to worker processes).
+        return (self.__class__, tuple(getattr(self, name) for name in self.__slots__))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from .pretty import pretty_formula
@@ -123,92 +227,133 @@ class Formula:
         return pretty_formula(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BoolLit(Formula):
     """``True`` or ``False``."""
 
+    __slots__ = ("value",)
     value: bool
 
-    def __post_init__(self) -> None:
-        self._seal("bool", self.value)
+    def __new__(cls, value: bool) -> "BoolLit":
+        key = ("bool", value)
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.value = value
+            node = _leaf(node, key, _EMPTY, _EMPTY, False)
+        return node
 
     @property
     def sort(self) -> Sort:
         return BOOL
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class IntLit(Formula):
     """An integer constant."""
 
+    __slots__ = ("value",)
     value: int
 
-    def __post_init__(self) -> None:
-        self._seal("int", self.value)
+    def __new__(cls, value: int) -> "IntLit":
+        key = ("int", value)
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.value = value
+            node = _leaf(node, key, _EMPTY, _EMPTY, False)
+        return node
 
     @property
     def sort(self) -> Sort:
         return INT
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Formula):
     """A logical variable (a program variable or the value variable)."""
 
+    __slots__ = ("name", "var_sort")
     name: str
     var_sort: Sort
 
-    def __post_init__(self) -> None:
-        self._seal("var", self.name, self.var_sort)
+    def __new__(cls, name: str, var_sort: Sort) -> "Var":
+        key = ("var", name, var_sort)
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.name = name
+            node.var_sort = var_sort
+            node = _leaf(node, key, frozenset((name,)), _EMPTY, isinstance(var_sort, SetSort))
+        return node
 
     @property
     def sort(self) -> Sort:
         return self.var_sort
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Unknown(Formula):
     """A predicate unknown ``P_i`` whose valuation is a liquid formula,
     discovered by the Horn solver.  ``substitution`` is a pending renaming
     applied when the unknown is instantiated (kept as a tuple of pairs so the
     node stays hashable)."""
 
+    __slots__ = ("name", "substitution")
     name: str
-    substitution: Tuple[Tuple[str, "Formula"], ...] = ()
+    substitution: Tuple[Tuple[str, "Formula"], ...]
 
-    def __post_init__(self) -> None:
-        self._seal("unknown", self.name, self.substitution)
+    def __new__(cls, name: str, substitution: Tuple[Tuple[str, "Formula"], ...] = ()) -> "Unknown":
+        key = ("unknown", name, substitution)
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.name = name
+            node.substitution = substitution
+            node = _leaf(node, key, _EMPTY, frozenset((name,)), False)
+        return node
 
     @property
     def sort(self) -> Sort:
         return BOOL
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Unary(Formula):
     """Application of a unary interpreted symbol."""
 
+    __slots__ = ("op", "arg")
     op: UnaryOp
     arg: Formula
 
-    def __post_init__(self) -> None:
-        self._seal("unary", self.op, self.arg)
+    def __new__(cls, op: UnaryOp, arg: Formula) -> "Unary":
+        key = ("unary", op, arg)
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.op = op
+            node.arg = arg
+            node = _join(node, key, (arg,), False)
+        return node
 
     @property
     def sort(self) -> Sort:
         return BOOL if self.op is UnaryOp.NOT else INT
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Binary(Formula):
     """Application of a binary interpreted symbol."""
 
+    __slots__ = ("op", "lhs", "rhs")
     op: BinaryOp
     lhs: Formula
     rhs: Formula
 
-    def __post_init__(self) -> None:
-        self._seal("binary", self.op, self.lhs, self.rhs)
+    def __new__(cls, op: BinaryOp, lhs: Formula, rhs: Formula) -> "Binary":
+        key = ("binary", op, lhs, rhs)
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.op = op
+            node.lhs = lhs
+            node.rhs = rhs
+            node = _join(node, key, (lhs, rhs), op is BinaryOp.MEMBER or op is BinaryOp.SUBSET)
+        return node
 
     @property
     def sort(self) -> Sort:
@@ -219,48 +364,71 @@ class Binary(Formula):
         return BOOL
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Ite(Formula):
     """``if cond then then_ else else_`` at the level of refinement terms."""
 
+    __slots__ = ("cond", "then_", "else_")
     cond: Formula
     then_: Formula
     else_: Formula
 
-    def __post_init__(self) -> None:
-        self._seal("ite", self.cond, self.then_, self.else_)
+    def __new__(cls, cond: Formula, then_: Formula, else_: Formula) -> "Ite":
+        key = ("ite", cond, then_, else_)
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.cond = cond
+            node.then_ = then_
+            node.else_ = else_
+            node = _join(node, key, (cond, then_, else_), False)
+        return node
 
     @property
     def sort(self) -> Sort:
         return self.then_.sort
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class App(Formula):
     """Application of an uninterpreted function (a *measure* such as ``len``
     or ``elems``) to argument terms."""
 
+    __slots__ = ("func", "args", "result_sort")
     func: str
     args: Tuple[Formula, ...]
     result_sort: Sort
 
-    def __post_init__(self) -> None:
-        self._seal("app", self.func, self.args, self.result_sort)
+    def __new__(cls, func: str, args: Tuple[Formula, ...], result_sort: Sort) -> "App":
+        key = ("app", func, args, result_sort)
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.func = func
+            node.args = args
+            node.result_sort = result_sort
+            node = _join(node, key, args, isinstance(result_sort, SetSort))
+        return node
 
     @property
     def sort(self) -> Sort:
         return self.result_sort
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SetLit(Formula):
     """A finite set literal ``[e1, ..., ek]``; the empty set is ``SetLit(s, ())``."""
 
+    __slots__ = ("element_sort", "elements")
     element_sort: Sort
-    elements: Tuple[Formula, ...] = ()
+    elements: Tuple[Formula, ...]
 
-    def __post_init__(self) -> None:
-        self._seal("setlit", self.element_sort, self.elements)
+    def __new__(cls, element_sort: Sort, elements: Tuple[Formula, ...] = ()) -> "SetLit":
+        key = ("setlit", element_sort, elements)
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.element_sort = element_sort
+            node.elements = elements
+            node = _join(node, key, elements, True)
+        return node
 
     @property
     def sort(self) -> Sort:
@@ -273,65 +441,14 @@ FALSE = BoolLit(False)
 
 def is_true(formula: Formula) -> bool:
     """Is ``formula`` the literal ``True``?"""
-    return isinstance(formula, BoolLit) and formula.value
+    return formula is TRUE
 
 
 def is_false(formula: Formula) -> bool:
     """Is ``formula`` the literal ``False``?"""
-    return isinstance(formula, BoolLit) and not formula.value
+    return formula is FALSE
 
 
 def value_var(sort: Sort) -> Var:
     """The value variable ``nu`` at the given sort."""
     return Var(VALUE_VAR, sort)
-
-
-# ---------------------------------------------------------------------------
-# interning
-# ---------------------------------------------------------------------------
-
-_INTERN_TABLE: Dict[Formula, Formula] = {TRUE: TRUE, FALSE: FALSE}
-
-
-def intern_formula(formula: Formula) -> Formula:
-    """The canonical shared instance of a formula.
-
-    Structurally equal formulas intern to the same object, so the identity
-    fast path of ``==`` fires on repeated cache lookups and dictionaries
-    keyed by formulas behave like pointer maps.  Children are interned
-    recursively; the table lives for the process (formulas are tiny and the
-    synthesis workload revisits the same predicates constantly).
-    """
-    cached = _INTERN_TABLE.get(formula)
-    if cached is not None:
-        return cached
-    if isinstance(formula, Unary):
-        canonical: Formula = Unary(formula.op, intern_formula(formula.arg))
-    elif isinstance(formula, Binary):
-        canonical = Binary(formula.op, intern_formula(formula.lhs), intern_formula(formula.rhs))
-    elif isinstance(formula, Ite):
-        canonical = Ite(
-            intern_formula(formula.cond),
-            intern_formula(formula.then_),
-            intern_formula(formula.else_),
-        )
-    elif isinstance(formula, App):
-        canonical = App(
-            formula.func,
-            tuple(intern_formula(arg) for arg in formula.args),
-            formula.result_sort,
-        )
-    elif isinstance(formula, SetLit):
-        canonical = SetLit(
-            formula.element_sort,
-            tuple(intern_formula(el) for el in formula.elements),
-        )
-    elif isinstance(formula, Unknown) and formula.substitution:
-        canonical = Unknown(
-            formula.name,
-            tuple((name, intern_formula(value)) for name, value in formula.substitution),
-        )
-    else:
-        canonical = formula
-    _INTERN_TABLE[canonical] = canonical
-    return canonical

@@ -3,7 +3,8 @@
 These perform light constant folding (so that, e.g., conjunction with
 ``True`` disappears) which keeps generated verification conditions small.
 All code in the repository builds formulas through this module rather than
-instantiating the dataclasses in :mod:`repro.logic.formulas` directly.
+calling the node classes of :mod:`repro.logic.formulas` directly, which
+fold nothing.
 """
 
 from __future__ import annotations

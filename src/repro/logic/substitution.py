@@ -8,6 +8,10 @@ Two flavours are needed by the type checker:
 * :func:`apply_assignment` replaces *predicate unknowns* ``P_i`` by the
   conjunction of their current liquid valuation, written ``[[psi]]_L`` in the
   paper (Sec. 3.5).
+
+Each rewrite returns a subtree untouched, without visiting it, when its
+cached facts show the rewrite cannot change it: no mapped variable and no
+unknown below it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,10 @@ def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:
             return Unknown(node.name, tuple(sorted(composed.items(), key=lambda kv: kv[0])))
         return node
 
-    return transform(formula, replace)
+    def changes(node: Formula) -> bool:
+        return bool(node._unknowns) or not node._vars.isdisjoint(mapping)
+
+    return transform(formula, replace, changes)
 
 
 def rename(formula: Formula, mapping: Mapping[str, str]) -> Formula:
@@ -54,7 +61,10 @@ def rename(formula: Formula, mapping: Mapping[str, str]) -> Formula:
             return Var(mapping[node.name], node.var_sort)
         return node
 
-    return transform(formula, replace)
+    def changes(node: Formula) -> bool:
+        return not node._vars.isdisjoint(mapping)
+
+    return transform(formula, replace, changes)
 
 
 def apply_assignment(formula: Formula, assignment: Mapping[str, Iterable[Formula]]) -> Formula:
@@ -75,7 +85,10 @@ def apply_assignment(formula: Formula, assignment: Mapping[str, Iterable[Formula
             return body
         return node
 
-    return transform(formula, replace)
+    def changes(node: Formula) -> bool:
+        return bool(node._unknowns)
+
+    return transform(formula, replace, changes)
 
 
 def instantiate_value_var(formula: Formula, value: Formula) -> Formula:

@@ -1,14 +1,16 @@
 """Generic traversals over refinement formulas.
 
 Provides a bottom-up map (:func:`transform`), subterm iteration
-(:func:`subterms`), and collection helpers used by substitution, the
-qualifier extractor, and the SMT front end.
+(:func:`subterms`), and the readers of the facts every formula node caches
+(free variables, unknowns, measure applications, set mentions; see
+:mod:`repro.logic.formulas`), used by substitution, the qualifier
+extractor, the Horn solver and the SMT front end.
 """
 
 from __future__ import annotations
 
 from operator import is_
-from typing import Callable, Iterator, Set, Tuple
+from typing import AbstractSet, Callable, Iterator, Optional, Tuple
 
 from .formulas import (
     App,
@@ -28,7 +30,11 @@ from .formulas import (
 _LEAVES = frozenset((BoolLit, IntLit, Var, Unknown))
 
 
-def transform(formula: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+def transform(
+    formula: Formula,
+    fn: Callable[[Formula], Formula],
+    changes: Optional[Callable[[Formula], object]] = None,
+) -> Formula:
     """Rebuild ``formula`` bottom-up, applying ``fn`` to every node after its
     children have been transformed.
 
@@ -37,35 +43,43 @@ def transform(formula: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     numbering follow it).  Unchanged subtrees are shared: a node is rebuilt
     only when some child came back as a different object, otherwise ``fn``
     receives the original node, so ``transform(f, lambda n: n) is f``.
+
+    With ``changes``, a subtree for which ``changes(root)`` is false is
+    returned as it is, and ``fn`` never sees its nodes.  That gives the
+    same result only when ``fn`` is pure and would return each of those
+    nodes unchanged; the rewrites of :mod:`repro.logic.substitution`
+    decide it from the node's cached facts.
     """
+    if changes is not None and not changes(formula):
+        return formula
     kind = formula.__class__
     if kind is Binary:
-        lhs = transform(formula.lhs, fn)
-        rhs = transform(formula.rhs, fn)
+        lhs = transform(formula.lhs, fn, changes)
+        rhs = transform(formula.rhs, fn, changes)
         if lhs is not formula.lhs or rhs is not formula.rhs:
             formula = Binary(formula.op, lhs, rhs)
         return fn(formula)
     if kind in _LEAVES:
         return fn(formula)
     if kind is Unary:
-        arg = transform(formula.arg, fn)
+        arg = transform(formula.arg, fn, changes)
         if arg is not formula.arg:
             formula = Unary(formula.op, arg)
         return fn(formula)
     if kind is App:
-        args = _transform_all(formula.args, fn)
+        args = _transform_all(formula.args, fn, changes)
         if args is not formula.args:
             formula = App(formula.func, args, formula.result_sort)
         return fn(formula)
     if kind is Ite:
-        cond = transform(formula.cond, fn)
-        then_ = transform(formula.then_, fn)
-        else_ = transform(formula.else_, fn)
+        cond = transform(formula.cond, fn, changes)
+        then_ = transform(formula.then_, fn, changes)
+        else_ = transform(formula.else_, fn, changes)
         if cond is not formula.cond or then_ is not formula.then_ or else_ is not formula.else_:
             formula = Ite(cond, then_, else_)
         return fn(formula)
     if kind is SetLit:
-        elements = _transform_all(formula.elements, fn)
+        elements = _transform_all(formula.elements, fn, changes)
         if elements is not formula.elements:
             formula = SetLit(formula.element_sort, elements)
         return fn(formula)
@@ -73,10 +87,12 @@ def transform(formula: Formula, fn: Callable[[Formula], Formula]) -> Formula:
 
 
 def _transform_all(
-    children: Tuple[Formula, ...], fn: Callable[[Formula], Formula]
+    children: Tuple[Formula, ...],
+    fn: Callable[[Formula], Formula],
+    changes: Optional[Callable[[Formula], object]],
 ) -> Tuple[Formula, ...]:
     """Transform each child in order; ``children`` itself when none changed."""
-    results = tuple([transform(child, fn) for child in children])
+    results = tuple([transform(child, fn, changes) for child in children])
     return children if all(map(is_, results, children)) else results
 
 
@@ -100,21 +116,31 @@ def subterms(formula: Formula) -> Iterator[Formula]:
             yield from subterms(el)
 
 
-def free_vars(formula: Formula) -> Set[str]:
+# -- cached facts ---------------------------------------------------------
+
+
+def free_vars(formula: Formula) -> AbstractSet[str]:
     """Names of all variables occurring in ``formula``."""
-    return {node.name for node in subterms(formula) if isinstance(node, Var)}
+    return formula._vars
 
 
-def unknowns(formula: Formula) -> Set[str]:
+def unknowns(formula: Formula) -> AbstractSet[str]:
     """Names of all predicate unknowns occurring in ``formula``."""
-    return {node.name for node in subterms(formula) if isinstance(node, Unknown)}
+    return formula._unknowns
 
 
 def has_unknowns(formula: Formula) -> bool:
     """Does ``formula`` contain any predicate unknown?"""
-    return any(isinstance(node, Unknown) for node in subterms(formula))
+    return bool(formula._unknowns)
 
 
-def measure_apps(formula: Formula) -> Set[App]:
+def measure_apps(formula: Formula) -> AbstractSet[App]:
     """All uninterpreted-function applications occurring in ``formula``."""
-    return {node for node in subterms(formula) if isinstance(node, App)}
+    if formula.__class__ is App:
+        return formula._apps | {formula}
+    return formula._apps
+
+
+def mentions_sets(formula: Formula) -> bool:
+    """Does the formula contain any set-sorted subterm or set predicate?"""
+    return formula._sets

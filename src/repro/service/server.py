@@ -171,23 +171,33 @@ class ServiceHandler(BaseHTTPRequestHandler):
         server: ReproServer = self.server
         server.request_started()
         try:
+            try:
+                status, body = self._answer()
+            finally:
+                # Before the reply goes out: a client holding its answer
+                # must not find itself counted by ``/stats``.
+                server.request_answered()
+            self._reply(status, body)
+        finally:
+            server.request_finished()
+
+    def _answer(self) -> Tuple[int, dict]:
+        """The status and JSON body answering this POST."""
+        try:
             data = self._read_body()
             if self.path == "/check":
-                self._reply(*self._handle_check(self._json_body(data)))
-            elif self.path == "/synth":
-                self._reply(*self._handle_synth(self._json_body(data)))
-            else:
-                self._reply(404, {"error": f"no such route: {self.path}"})
+                return self._handle_check(self._json_body(data))
+            if self.path == "/synth":
+                return self._handle_synth(self._json_body(data))
+            return 404, {"error": f"no such route: {self.path}"}
         except _BadRequest as error:
-            self._reply(400, {"error": str(error)})
+            return 400, {"error": str(error)}
         except limits.BudgetExhausted as exhausted:
             # The budget tripped outside the degradation paths the query
             # layer absorbs (e.g. mid-setup): still a structured answer.
-            self._reply(503, self._timeout_body(exhausted))
+            return 503, self._timeout_body(exhausted)
         except Exception as error:  # noqa: BLE001 - the server must survive
-            self._reply(500, {"error": f"internal error: {error}"})
-        finally:
-            server.request_finished()
+            return 500, {"error": f"internal error: {error}"}
 
     def _timeout_body(self, exhausted: limits.BudgetExhausted) -> dict:
         return {
@@ -259,7 +269,10 @@ class ReproServer(ThreadingHTTPServer):
         self.verbose = verbose
         self.request_timeout_ms = request_timeout_ms
         self.stack = WarmStack()
+        #: POSTs not yet answered (what ``/stats`` reports as in flight).
         self._inflight = 0
+        #: POSTs whose reply is not yet fully written (what a drain awaits).
+        self._open = 0
         self._inflight_lock = threading.Lock()
 
     # Handler threads are daemons (a wedged request must not block
@@ -268,21 +281,32 @@ class ReproServer(ThreadingHTTPServer):
     def request_started(self) -> None:
         with self._inflight_lock:
             self._inflight += 1
+            self._open += 1
+
+    def request_answered(self) -> None:
+        """The answer is computed; only its reply is left to write."""
+        with self._inflight_lock:
+            self._inflight -= 1
 
     def request_finished(self) -> None:
         with self._inflight_lock:
-            self._inflight -= 1
+            self._open -= 1
 
     def inflight(self) -> int:
         with self._inflight_lock:
             return self._inflight
 
+    def _unfinished(self) -> int:
+        with self._inflight_lock:
+            return self._open
+
     def drain(self, grace_s: float = 5.0) -> bool:
-        """Wait (bounded) for in-flight requests; True if all finished."""
+        """Wait (bounded) for in-flight requests and the replies still
+        being written; True if all finished."""
         deadline = time.monotonic() + grace_s
-        while self.inflight() > 0 and time.monotonic() < deadline:
+        while self._unfinished() > 0 and time.monotonic() < deadline:
             time.sleep(0.02)
-        return self.inflight() == 0
+        return self._unfinished() == 0
 
     def service_stats(self) -> dict:
         return {

@@ -38,8 +38,12 @@ from ..logic.formulas import (
     Var,
 )
 from ..logic.sorts import SetSort, Sort
-from ..logic.transform import subterms
+from ..logic.transform import mentions_sets, subterms
 from .names import FreshNames
+
+# ``mentions_sets`` reads the fact every formula caches; it is re-exported
+# here next to the encoder it gates.
+__all__ = ["SetEncoder", "eliminate_sets", "mentions_sets"]
 
 #: Name of the uninterpreted membership predicate introduced by the encoding.
 MEMBERSHIP_FUNC = "__mem"
@@ -189,13 +193,3 @@ class SetEncoder:
 def eliminate_sets(formula: Formula, fresh_names: Optional[FreshNames] = None) -> Formula:
     """Eliminate set atoms from a formula in negation normal form."""
     return SetEncoder(fresh_names).encode(formula)
-
-
-def mentions_sets(formula: Formula) -> bool:
-    """Does the formula contain any set-sorted subterm or set predicate?"""
-    for node in subterms(formula):
-        if isinstance(node, SetLit) or isinstance(node.sort, SetSort):
-            return True
-        if isinstance(node, Binary) and node.op in (BinaryOp.MEMBER, BinaryOp.SUBSET):
-            return True
-    return False

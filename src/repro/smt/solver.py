@@ -58,7 +58,6 @@ from ..logic.formulas import (
     Unary,
     UnaryOp,
     Var,
-    intern_formula,
     is_false,
     is_true,
 )
@@ -455,7 +454,6 @@ class IncrementalSolver(SolverBackend):
                     del counts[variable]
 
     def assert_(self, formula: Formula) -> None:
-        formula = intern_formula(formula)
         if formula in self._selectors:
             self.statistics.reused_assertions += 1
             selector = self._selectors[formula]
@@ -490,10 +488,7 @@ class IncrementalSolver(SolverBackend):
             return None
         model, checked = outcome
         atom_vars = self._encoder._atom_vars
-        return [
-            _evaluate_partial(intern_formula(probe), atom_vars, model, checked)
-            for probe in probes
-        ]
+        return [_evaluate_partial(probe, atom_vars, model, checked) for probe in probes]
 
     def check_assuming(self, formulas) -> bool:
         formulas = list(formulas)
@@ -595,7 +590,7 @@ class IncrementalSolver(SolverBackend):
             _ordered_free_vars(atom, names, set())
             if names:
                 mapping = {name: f"?c{i}" for i, name in enumerate(names)}
-                canon = intern_formula(rename(atom, mapping))
+                canon = rename(atom, mapping)
             else:
                 canon = atom
             cached = (canon, tuple(names))
@@ -626,9 +621,7 @@ class IncrementalSolver(SolverBackend):
         if not names:
             return
         mapping = {name: f"?g{i}" for i, name in enumerate(names)}
-        key = tuple(
-            (intern_formula(rename(lit.atom, mapping)), lit.polarity) for lit in ordered
-        )
+        key = tuple((rename(lit.atom, mapping), lit.polarity) for lit in ordered)
         if key in self._lemma_keys:
             return
         self._lemma_keys.add(key)

@@ -111,6 +111,38 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 Provenance = Tuple[str, ...]
 
 
+class _SubtypeLabel:
+    """The provenance entry ``sub <: sup`` of a scalar subtyping obligation.
+
+    Every obligation carries one, but only a rejection ever reads it, so
+    the two types are rendered when the label is first read as text and
+    not before.  It compares, hashes and answers ``in`` as that text.
+    """
+
+    __slots__ = ("sub", "sup", "_text")
+
+    def __init__(self, sub: ScalarType, sup: ScalarType) -> None:
+        self.sub = sub
+        self.sup = sup
+        self._text: Optional[str] = None
+
+    def __str__(self) -> str:
+        if self._text is None:
+            self._text = f"{self.sub!r} <: {self.sup!r}"
+        return self._text
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (str, _SubtypeLabel)):
+            return str(self) == str(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(str(self))
+
+    def __contains__(self, text: str) -> bool:
+        return text in str(self)
+
+
 # ---------------------------------------------------------------------------
 # well-formedness
 # ---------------------------------------------------------------------------
@@ -876,7 +908,7 @@ def _scalar_subtype(
     rhs = substitute(sup.refinement, {nu.name: nu})
     premises = env.embedding()
     premises.append(lhs)
-    session.emit(premises, rhs, where + (f"{sub!r} <: {sup!r}",))
+    session.emit(premises, rhs, where + (_SubtypeLabel(sub, sup),))
     # Datatype type arguments are covariant (as in Synquid): their
     # element-level obligations must be emitted too, or `List Int <:
     # List {Int | nu > 0}` would be silently accepted.

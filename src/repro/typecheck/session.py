@@ -230,7 +230,7 @@ class TypecheckSession:
         self,
         premises: Sequence[Formula],
         conclusion: Formula,
-        provenance: Tuple[str, ...] = (),
+        provenance: Tuple[object, ...] = (),
     ) -> None:
         """Record ``premises ==> conclusion``, splitting the conclusion into
         conjuncts so each constraint is Horn-shaped (a lone unknown or an
@@ -252,7 +252,7 @@ class TypecheckSession:
                 )
             except ValueError as error:
                 raise WellFormednessError(
-                    f"refinement at {' / '.join(provenance) or '<top level>'} mixes "
+                    f"refinement at {' / '.join(map(str, provenance)) or '<top level>'} mixes "
                     f"a predicate unknown into a compound conclusion: {error}"
                 ) from error
 

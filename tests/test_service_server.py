@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro import limits
+from repro.logic import formulas
 from repro.service import server as server_mod
 from repro.service.api import compute_check, compute_synth
 from repro.service.cache import open_cache
@@ -98,6 +99,27 @@ class TestRoutes:
         assert status == 200
         assert body["cache"]["hits"] == 0
         assert body["worker"]["queries"] == 0
+
+
+class TestInflight:
+    """``/stats`` counts a POST as in flight until its answer is computed;
+    a drain also waits for the replies still being written."""
+
+    def test_an_answered_request_is_never_counted(self, server):
+        call(server, "POST", "/check", {"program": CHECK_SQ})
+        for index in range(40):
+            status, answer = call(server, "POST", "/check", {"program": CHECK_SQ})
+            assert status == 200 and answer["cached"]
+            _, stats = call(server, "GET", "/stats")
+            assert stats["inflight"] == 0, f"answered request counted after POST #{index}"
+
+    def test_drain_waits_for_a_reply_being_written(self, server):
+        server.request_started()
+        server.request_answered()
+        assert server.inflight() == 0
+        assert not server.drain(grace_s=0.05)
+        server.request_finished()
+        assert server.drain(grace_s=0.05)
 
 
 class TestCheckRoute:
@@ -302,6 +324,26 @@ class TestOneSolverPerRequest:
         payload = compute_check(parse_program(two))
         assert [item["status"] for item in payload["items"]] == ["ok", "ok"]
         assert len(solvers_made) == 2
+
+
+class TestFormulaLifetime:
+    """The canonical formula table holds its nodes weakly, so a served
+    request leaves none of the formulas it built behind."""
+
+    def test_a_served_request_leaves_no_formula_behind(self, server):
+        conn = HTTPConnection("127.0.0.1", server.server_port, timeout=60)
+        try:
+            for index, (route, example, _) in enumerate(UNSEEN):
+                gc.collect()
+                before = {entry() for entry in formulas._TABLE.values()}
+                body = {"program": renamed(example, 50 + index)}
+                status, _, answer = exchange(conn, "POST", route, body)
+                assert status == 200 and not answer["cached"]
+                gc.collect()
+                after = {entry() for entry in formulas._TABLE.values()}
+                assert after == before, f"{route} left {len(after - before)} formulas behind"
+        finally:
+            conn.close()
 
 
 class TestQueryGuard:
