@@ -28,10 +28,16 @@ operator applications).  Measures (``len(xs)``) resolve through a
 
 Declarations are mutually referential — constructor refinements mention
 measures, measure cases mention constructor binders — so
-:func:`parse_declarations` resolves a block in three passes: measure
-*headers* first (their signatures), then datatypes (with every measure
-signature in scope), then measure *cases* (with constructor shapes giving
-the binder sorts).
+:func:`parse_declarations` and :func:`parse_program` resolve a block in
+three passes: measure *headers* first (their signatures), then datatypes
+(with every measure signature in scope), then measure *cases* (with
+constructor shapes giving the binder sorts).
+
+A block or program is tokenized once.  It is split into declarations on
+that token list, and each declaration is parsed from its slice of the
+list, so no text is tokenized twice; a measure's header, parsed in the
+first pass, is not parsed again in the third.  Parse errors inside a
+declaration give positions relative to the declaration's own text.
 
 Only monotypes are parsed; schemas (type/predicate quantifiers) are built
 through :mod:`repro.syntax.types` directly, except for constructor
@@ -42,10 +48,10 @@ parameters.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, TypeVar
 
 from ..logic import ops
-from ..logic.formulas import Formula, Var, value_var
+from ..logic.formulas import VALUE_VAR, Formula, Var, value_var
 from ..logic.measures import MeasureCase, MeasureDef
 from ..logic.qualifiers import sorts_compatible
 from ..logic.sortcheck import MeasureSignatures, check_sort
@@ -90,16 +96,28 @@ class ParseError(ValueError):
 class _Token(NamedTuple):
     kind: str
     value: str
+    #: Offset of the token in the tokenized text.
     position: int
 
 
+#: Builds a token from a ``(kind, value, position)`` tuple without the
+#: Python-level ``NamedTuple.__new__``.
+_new_token = tuple.__new__
+
+#: One match per token: the whitespace and ``--`` comments before a token
+#: belong to its match.  Every position matches — ``eof`` at the end of the
+#: text, ``error`` on a character that starts no token — so the skip is
+#: never backtracked into and the scan stays linear.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<space>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<symbol><==>|==>|->|&&|\|\||==|!=|<=|>=|::|\?\?|<|>|[{}()\[\]|:,.+\-*!\\=])
+    (?:\s+|--[^\n]*)*
+    (?:
+        (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<symbol><==>|==>|->|&&|\|\||==|!=|<=|>=|::|\?\?|<|>|[{}()\[\]|:,.+\-*!\\=])
+      | (?P<int>\d+)
+      | (?P<eof>\Z)
+      | (?P<error>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -121,37 +139,66 @@ _COMPARISONS = {
 
 
 def _tokenize(text: str) -> List[_Token]:
+    """The tokens of ``text``, ending with an ``eof`` token at its end."""
     tokens: List[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
+    append = tokens.append
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "eof":
+            break
+        if kind == "error":
+            position = match.start(kind)
             raise ParseError(f"unexpected character {text[position]!r}", text, position)
-        position = match.end()
-        kind = match.lastgroup or ""
-        if kind in ("space", "comment"):
-            continue
-        tokens.append(_Token(kind, match.group(), match.start()))
-    tokens.append(_Token("eof", "", len(text)))
+        append(_new_token(_Token, (kind, match[kind], match.start(kind))))
+    append(_new_token(_Token, ("eof", "", len(text))))
     return tokens
 
 
+_Result = TypeVar("_Result")
+
+
 class _Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over a token stream.
+
+    ``tokens`` ends with an ``eof`` token.  It may be a declaration's slice
+    of a longer text's tokens: ``text`` is then the declaration's own text,
+    starting at ``offset`` in the longer one, and errors report positions
+    in ``text``.
+    """
 
     def __init__(
         self,
         text: str,
+        tokens: List[_Token],
+        offset: int,
         scope: Mapping[str, Sort],
         measures: Optional[MeasureSignatures],
     ) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens
+        self.offset = offset
         self.index = 0
         self.scope: Dict[str, Sort] = dict(scope)
         self.measures = measures or {}
         self.value_sort: Optional[Sort] = None
         self._anonymous = 0
+
+    def run(self, rule: Callable[..., _Result], *args) -> _Result:
+        """Apply the grammar rule ``rule(self, *args)`` from the current
+        token.  Nesting deeper than the interpreter's recursion limit is a
+        parse error at the token where the parser gave out."""
+        try:
+            return rule(self, *args)
+        except RecursionError:
+            raise self.fail("nesting too deep") from None
+
+    def parse(self, rule: Callable[..., _Result], *args) -> _Result:
+        """:meth:`run` ``rule``, which must consume every token."""
+        result = self.run(rule, *args)
+        token = self.tokens[self.index]
+        if token.kind != "eof":
+            raise self.error(f"trailing input {token.value!r}", token)
+        return result
 
     # -- token plumbing ------------------------------------------------------
 
@@ -164,23 +211,25 @@ class _Parser:
         return token
 
     def accept(self, value: str) -> bool:
-        if self.peek().value == value and self.peek().kind != "eof":
-            self.advance()
+        """Consume the next token if it is ``value`` (never empty, so never
+        the ``eof`` token)."""
+        if self.tokens[self.index].value == value:
+            self.index += 1
             return True
         return False
 
     def expect(self, value: str) -> _Token:
-        token = self.peek()
-        if token.value != value or token.kind == "eof":
-            raise ParseError(
-                f"expected {value!r}, found {token.value or 'end of input'!r}",
-                self.text,
-                token.position,
-            )
-        return self.advance()
+        token = self.tokens[self.index]
+        if token.value != value:
+            raise self.error(f"expected {value!r}, found {token.value or 'end of input'!r}", token)
+        self.index += 1
+        return token
+
+    def error(self, message: str, token: _Token) -> ParseError:
+        return ParseError(message, self.text, token.position - self.offset)
 
     def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.peek().position)
+        return self.error(message, self.tokens[self.index])
 
     def accept_keyword(self, word: str) -> bool:
         token = self.peek()
@@ -202,10 +251,8 @@ class _Parser:
     def upper_ident(self, what: str) -> str:
         name = self.ident(what)
         if not name[0].isupper():
-            raise ParseError(
-                f"{what} must be capitalized, got `{name}`",
-                self.text,
-                self.tokens[self.index - 1].position,
+            raise self.error(
+                f"{what} must be capitalized, got `{name}`", self.tokens[self.index - 1]
             )
         return name
 
@@ -247,13 +294,12 @@ class _Parser:
             base = self.base_type()
             self.expect("|")
             saved = self.value_sort
-            self.value_sort = base_sort(base)
+            self.value_sort = sort = base_sort(base)
             refinement = self.formula()
             self.value_sort = saved
             self.expect("}")
-            scalar = ScalarType(base, refinement)
-            self._check_refinement(scalar)
-            return scalar
+            self._check_refinement(refinement, sort)
+            return ScalarType(base, refinement)
         return ScalarType(self.base_type())
 
     def base_type(self) -> BaseType:
@@ -291,10 +337,10 @@ class _Parser:
             return DataBase(name, tuple(args))
         return TypeVarBase(name)
 
-    def _check_refinement(self, scalar: ScalarType) -> None:
+    def _check_refinement(self, refinement: Formula, value_sort: Sort) -> None:
         scope = dict(self.scope)
-        scope[value_var(scalar.sort).name] = scalar.sort
-        sort = check_sort(scalar.refinement, scope, self.measures)
+        scope[VALUE_VAR] = value_sort
+        sort = check_sort(refinement, scope, self.measures)
         if sort != BOOL:
             raise self.fail(f"refinement must have sort Bool, got {sort}")
 
@@ -447,9 +493,15 @@ class _Parser:
         )
 
     def measure_decl(self, datatypes: Mapping[str, Datatype]) -> MeasureDef:
-        """A full measure declaration, cases included.  The measure's own
-        signature joins ``self.measures`` so case bodies may recurse."""
-        name, header = self.measure_header()
+        """A full measure declaration, cases included."""
+        _, header = self.measure_header()
+        return self.measure_cases(header, datatypes)
+
+    def measure_cases(self, header: MeasureDef, datatypes: Mapping[str, Datatype]) -> MeasureDef:
+        """The rest of a measure declaration after its ``header``, from
+        ``where`` on.  The measure's own signature joins ``self.measures``
+        so case bodies may recurse."""
+        name = header.name
         self.measures = dict(self.measures)
         self.measures[name] = header.signature()
         datatype = datatypes.get(header.datatype)
@@ -619,23 +671,19 @@ class _Parser:
             return ops.bool_lit(False)
         if name in ("nu", "_v"):
             if self.value_sort is None:
-                raise ParseError(
-                    "the value variable is only available inside a refinement",
-                    self.text,
-                    token.position,
-                )
+                raise self.error("the value variable is only available inside a refinement", token)
             return value_var(self.value_sort)
         if self.peek().value == "(" and self.peek().kind == "symbol":
             return self.measure_app(name, token)
         sort = self.scope.get(name)
         if sort is None:
-            raise ParseError(f"unbound variable `{name}`", self.text, token.position)
+            raise self.error(f"unbound variable `{name}`", token)
         return ops.var(name, sort)
 
     def measure_app(self, name: str, token: _Token) -> Formula:
         signature = self.measures.get(name)
         if signature is None:
-            raise ParseError(f"unknown measure `{name}`", self.text, token.position)
+            raise self.error(f"unknown measure `{name}`", token)
         arg_sorts, result_sort = signature
         self.expect("(")
         args = [self.formula()]
@@ -643,17 +691,37 @@ class _Parser:
             args.append(self.formula())
         self.expect(")")
         if len(args) != len(arg_sorts):
-            raise ParseError(
-                f"measure `{name}` expects {len(arg_sorts)} arguments, got {len(args)}",
-                self.text,
-                token.position,
+            raise self.error(
+                f"measure `{name}` expects {len(arg_sorts)} arguments, got {len(args)}", token
             )
         return ops.app(name, args, result_sort)
+
+    # -- program declarations ------------------------------------------------
+
+    def signature_decl(self) -> Tuple[str, RType]:
+        """``name :: type``"""
+        name = self.ident("a component name")
+        self.expect("::")
+        return name, self.type_()
+
+    def definition_decl(self) -> Tuple[str, Optional[Term]]:
+        """``name = term``, or ``name = ??`` (a goal: no term)."""
+        name = self.ident("a definition name")
+        self.expect("=")
+        if self.accept("??"):
+            return name, None
+        return name, self.term()
 
 
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
+
+
+def _text_parser(
+    text: str, scope: Optional[Mapping[str, Sort]], measures: Optional[MeasureSignatures]
+) -> _Parser:
+    return _Parser(text, _tokenize(text), 0, scope or {}, measures)
 
 
 def parse_type(
@@ -663,10 +731,7 @@ def parse_type(
 ) -> RType:
     """Parse a refinement type; arrow binders scope over refinements to
     their right, ``scope`` supplies any other free variables."""
-    parser = _Parser(text, scope or {}, measures)
-    result = parser.type_()
-    _expect_eof(parser)
-    return result
+    return _text_parser(text, scope, measures).parse(_Parser.type_)
 
 
 def parse_formula(
@@ -677,13 +742,12 @@ def parse_formula(
 ) -> Formula:
     """Parse a refinement formula; pass ``value_sort`` to make ``nu``
     available.  The result is sort-checked before it is returned."""
-    parser = _Parser(text, scope or {}, measures)
+    parser = _text_parser(text, scope, measures)
     parser.value_sort = value_sort
-    result = parser.formula()
-    _expect_eof(parser)
+    result = parser.parse(_Parser.formula)
     check_scope: Dict[str, Sort] = dict(scope or {})
     if value_sort is not None:
-        check_scope[value_var(value_sort).name] = value_sort
+        check_scope[VALUE_VAR] = value_sort
     check_sort(result, check_scope, measures)
     return result
 
@@ -696,10 +760,7 @@ def parse_term(
     """Parse a program term.  ``scope`` and ``measures`` are only consulted
     for the types of ``(term :: type)`` ascriptions; the term language
     itself is untyped at parse time."""
-    parser = _Parser(text, scope or {}, measures)
-    result = parser.term()
-    _expect_eof(parser)
-    return result
+    return _text_parser(text, scope, measures).parse(_Parser.term)
 
 
 def parse_datatype(
@@ -708,10 +769,7 @@ def parse_datatype(
 ) -> Datatype:
     """Parse one ``data D ... where ...`` declaration.  ``measures`` supplies
     the signatures the constructor refinements may apply."""
-    parser = _Parser(text, {}, measures)
-    result = parser.datatype_decl()
-    _expect_eof(parser)
-    return result
+    return _text_parser(text, None, measures).parse(_Parser.datatype_decl)
 
 
 def parse_measure(
@@ -722,10 +780,7 @@ def parse_measure(
     """Parse one ``measure m :: ... where ...`` declaration.  ``datatypes``
     provides the constructor shapes that give case binders their sorts; the
     measure's own signature is available to its cases (recursion)."""
-    parser = _Parser(text, {}, measures)
-    result = parser.measure_decl(datatypes)
-    _expect_eof(parser)
-    return result
+    return _text_parser(text, None, measures).parse(_Parser.measure_decl, datatypes)
 
 
 class Declarations(NamedTuple):
@@ -733,6 +788,61 @@ class Declarations(NamedTuple):
 
     datatypes: Dict[str, Datatype]
     measures: Dict[str, MeasureDef]
+
+
+def _chunks(text: str, tokens: List[_Token], starts: List[int]) -> List[Tuple[str, _Parser]]:
+    """One ``(kind, parser)`` per declaration of ``text``, whose tokens are
+    ``tokens`` and whose declarations start at the token indices
+    ``starts``.  The kind is ``data``, ``measure``, ``sig`` (``name ::
+    type``) or ``def`` (``name = term``); each parser reads its
+    declaration's slice of ``tokens``, up to the next declaration."""
+    chunks: List[Tuple[str, _Parser]] = []
+    for which, index in enumerate(starts):
+        # The next declaration's first token, or the eof token.
+        stop = starts[which + 1] if which + 1 < len(starts) else len(tokens) - 1
+        start, end = tokens[index].position, tokens[stop].position
+        sliced = tokens[index:stop]
+        sliced.append(_new_token(_Token, ("eof", "", end)))
+        keyword = tokens[index].value
+        if keyword in ("data", "measure"):
+            kind = keyword
+        elif tokens[index + 1].value == "::":
+            kind = "sig"
+        else:
+            kind = "def"
+        chunks.append((kind, _Parser(text[start:end], sliced, start, {}, None)))
+    return chunks
+
+
+def _resolve_declarations(text: str, chunks: List[Tuple[str, _Parser]]) -> Declarations:
+    """Parse the ``data`` and ``measure`` chunks of ``text`` in three passes
+    (see the module docstring).  Every chunk's parser is left with the
+    measure signatures in scope."""
+    signatures: Dict[str, Tuple[Tuple[Sort, ...], Sort]] = {}
+    headers: List[Tuple[_Parser, MeasureDef]] = []
+    for kind, parser in chunks:
+        if kind == "measure":
+            name, header = parser.run(_Parser.measure_header)
+            if name in signatures:
+                raise ParseError(f"duplicate measure `{name}`", text, parser.offset)
+            signatures[name] = header.signature()
+            headers.append((parser, header))
+    for _, parser in chunks:
+        parser.measures = signatures
+
+    datatypes: Dict[str, Datatype] = {}
+    for kind, parser in chunks:
+        if kind == "data":
+            datatype = parser.parse(_Parser.datatype_decl)
+            if datatype.name in datatypes:
+                raise ParseError(f"duplicate datatype `{datatype.name}`", text, parser.offset)
+            datatypes[datatype.name] = datatype
+
+    measures: Dict[str, MeasureDef] = {}
+    for parser, header in headers:
+        measure = parser.parse(_Parser.measure_cases, header, datatypes)
+        measures[measure.name] = measure
+    return Declarations(datatypes, measures)
 
 
 def parse_declarations(text: str) -> Declarations:
@@ -751,37 +861,7 @@ def parse_declarations(text: str) -> Declarations:
     if not starts or starts[0] != 0:
         position = tokens[0].position if tokens[0].kind != "eof" else 0
         raise ParseError("expected a `data` or `measure` declaration", text, position)
-    chunks: List[Tuple[str, str]] = []
-    for which, index in enumerate(starts):
-        end = tokens[starts[which + 1]].position if which + 1 < len(starts) else len(text)
-        chunks.append((tokens[index].value, text[tokens[index].position : end]))
-
-    signatures: Dict[str, Tuple[Tuple[Sort, ...], Sort]] = {}
-    for kind, chunk in chunks:
-        if kind == "measure":
-            name, header = _Parser(chunk, {}, None).measure_header()
-            if name in signatures:
-                raise ParseError(f"duplicate measure `{name}`", text, 0)
-            signatures[name] = header.signature()
-
-    datatypes: Dict[str, Datatype] = {}
-    for kind, chunk in chunks:
-        if kind == "data":
-            parser = _Parser(chunk, {}, signatures)
-            datatype = parser.datatype_decl()
-            _expect_eof(parser)
-            if datatype.name in datatypes:
-                raise ParseError(f"duplicate datatype `{datatype.name}`", text, 0)
-            datatypes[datatype.name] = datatype
-
-    measures: Dict[str, MeasureDef] = {}
-    for kind, chunk in chunks:
-        if kind == "measure":
-            parser = _Parser(chunk, {}, signatures)
-            measure = parser.measure_decl(datatypes)
-            _expect_eof(parser)
-            measures[measure.name] = measure
-    return Declarations(datatypes, measures)
+    return _resolve_declarations(text, _chunks(text, tokens, starts))
 
 
 class Program(NamedTuple):
@@ -798,8 +878,8 @@ class Program(NamedTuple):
     goals: Tuple[str, ...]
 
 
-def _split_program(text: str) -> List[Tuple[str, str, int]]:
-    """Split a program into declaration chunks ``(kind, chunk, position)``.
+def _split_program(text: str) -> List[Tuple[str, _Parser]]:
+    """Split a program into declaration chunks (see :func:`_chunks`).
 
     A declaration starts at a top-level identifier in column 0 (bracket
     depth zero, not indented) that is either the keyword ``data`` /
@@ -810,25 +890,21 @@ def _split_program(text: str) -> List[Tuple[str, str, int]]:
     constructor lines, without closing the chunk early.
     """
     tokens = _tokenize(text)
-    line_starts = {0}
-    for index, char in enumerate(text):
-        if char == "\n":
-            line_starts.add(index + 1)
-
     starts: List[int] = []
     depth = 0
-    for index, token in enumerate(tokens):
-        if token.kind == "eof":
-            break
-        if depth == 0 and token.kind == "ident" and token.position in line_starts:
-            follower = tokens[index + 1].value
-            if token.value in ("data", "measure") or follower in ("::", "="):
-                starts.append(index)
-        if token.kind == "symbol":
-            if token.value in "([{":
+    for index, (kind, value, position) in enumerate(tokens):
+        if kind == "symbol":
+            if value in "([{":
                 depth += 1
-            elif token.value in ")]}":
+            elif value in ")]}":
                 depth = max(0, depth - 1)
+        elif (
+            kind == "ident"
+            and depth == 0
+            and (position == 0 or text[position - 1] == "\n")
+            and (value in ("data", "measure") or tokens[index + 1].value in ("::", "="))
+        ):
+            starts.append(index)
     if tokens[0].kind == "eof":
         raise ParseError("empty program", text, 0)
     if not starts or starts[0] != 0:
@@ -837,18 +913,7 @@ def _split_program(text: str) -> List[Tuple[str, str, int]]:
             text,
             tokens[0].position,
         )
-    chunks: List[Tuple[str, str, int]] = []
-    for which, index in enumerate(starts):
-        end = tokens[starts[which + 1]].position if which + 1 < len(starts) else len(text)
-        token = tokens[index]
-        if token.value in ("data", "measure"):
-            kind = token.value
-        elif tokens[index + 1].value == "::":
-            kind = "sig"
-        else:
-            kind = "def"
-        chunks.append((kind, text[token.position : end], token.position))
-    return chunks
+    return _chunks(text, tokens, starts)
 
 
 def parse_program(text: str) -> Program:
@@ -861,63 +926,27 @@ def parse_program(text: str) -> Program:
     signature; ``--`` starts a line comment.
     """
     chunks = _split_program(text)
-
-    signatures: Dict[str, Tuple[Tuple[Sort, ...], Sort]] = {}
-    for kind, chunk, position in chunks:
-        if kind == "measure":
-            name, header = _Parser(chunk, {}, None).measure_header()
-            if name in signatures:
-                raise ParseError(f"duplicate measure `{name}`", text, position)
-            signatures[name] = header.signature()
-
-    datatypes: Dict[str, Datatype] = {}
-    for kind, chunk, position in chunks:
-        if kind == "data":
-            parser = _Parser(chunk, {}, signatures)
-            datatype = parser.datatype_decl()
-            _expect_eof(parser)
-            if datatype.name in datatypes:
-                raise ParseError(f"duplicate datatype `{datatype.name}`", text, position)
-            datatypes[datatype.name] = datatype
-
-    measures: Dict[str, MeasureDef] = {}
-    for kind, chunk, position in chunks:
-        if kind == "measure":
-            parser = _Parser(chunk, {}, signatures)
-            measure = parser.measure_decl(datatypes)
-            _expect_eof(parser)
-            measures[measure.name] = measure
+    datatypes, measures = _resolve_declarations(text, chunks)
 
     component_types: Dict[str, RType] = {}
     definitions: Dict[str, Term] = {}
     goals: List[str] = []
     defined_at: Dict[str, int] = {}
-    for kind, chunk, position in chunks:
+    for kind, parser in chunks:
         if kind == "sig":
-            parser = _Parser(chunk, {}, signatures)
-            name = parser.ident("a component name")
-            parser.expect("::")
-            rtype = parser.type_()
-            _expect_eof(parser)
+            name, rtype = parser.parse(_Parser.signature_decl)
             if name in component_types:
-                raise ParseError(f"duplicate signature for `{name}`", text, position)
+                raise ParseError(f"duplicate signature for `{name}`", text, parser.offset)
             component_types[name] = rtype
         elif kind == "def":
-            parser = _Parser(chunk, {}, signatures)
-            name = parser.ident("a definition name")
-            parser.expect("=")
-            if parser.accept("??"):
-                _expect_eof(parser)
-                if name in definitions or name in goals:
-                    raise ParseError(f"duplicate definition of `{name}`", text, position)
+            name, term = parser.parse(_Parser.definition_decl)
+            if name in definitions or name in goals:
+                raise ParseError(f"duplicate definition of `{name}`", text, parser.offset)
+            if term is None:
                 goals.append(name)
             else:
-                term = parser.term()
-                _expect_eof(parser)
-                if name in definitions or name in goals:
-                    raise ParseError(f"duplicate definition of `{name}`", text, position)
                 definitions[name] = term
-            defined_at[name] = position
+            defined_at[name] = parser.offset
     for name in list(definitions) + goals:
         if name not in component_types:
             raise ParseError(
@@ -926,9 +955,3 @@ def parse_program(text: str) -> Program:
                 defined_at[name],
             )
     return Program(datatypes, measures, component_types, definitions, tuple(goals))
-
-
-def _expect_eof(parser: _Parser) -> None:
-    token = parser.peek()
-    if token.kind != "eof":
-        raise ParseError(f"trailing input {token.value!r}", parser.text, token.position)

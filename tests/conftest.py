@@ -1,4 +1,4 @@
-"""Fixtures shared by the service tests."""
+"""Fixtures shared by the test modules."""
 
 import weakref
 
@@ -19,3 +19,17 @@ def solvers_made(monkeypatch):
 
     monkeypatch.setattr(IncrementalSolver, "__init__", tracking)
     return made
+
+
+@pytest.fixture(params=["refinement", "type", "term"])
+def deeply_nested(request):
+    """A program nesting 2000 parentheses — past the interpreter's recursion
+    limit — in a refinement, a type or a term, and the offset at which the
+    declaration that nests starts."""
+    opened, closed = "(" * 2000, ")" * 2000
+    if request.param == "refinement":
+        return f"f :: {{Int | {opened}nu{closed} > 0}}\n", 0
+    if request.param == "type":
+        return f"f :: {opened}Int{closed}\n", 0
+    signature = "f :: Int\n"
+    return f"{signature}f = {opened}0{closed}\n", len(signature)

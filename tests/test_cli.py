@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from repro.syntax import ParseError, parse_program
+from repro.syntax.parser import _tokenize
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -213,6 +214,97 @@ class TestProgramFormat:
         assert set(program.datatypes) == {"List"}
         assert set(program.measures) == {"len"}
         assert program.goals == ("replicate",)
+
+
+class TestParseErrors:
+    """Each declaration parses from its slice of the program's one token
+    list, yet reports positions in its own text, as when it was tokenized
+    on its own."""
+
+    def test_error_in_a_later_declaration_is_relative_to_it(self):
+        source = (
+            "inc :: a:Int -> {Int | nu == a + 1}\n"
+            "-- a comment\n"
+            "dec :: a:Int -> {Int | nu == a - 1}\n"
+            "bad :: x:Int -> {Int | nu >= }\n"
+        )
+        with pytest.raises(ParseError) as caught:
+            parse_program(source)
+        assert str(caught.value) == (
+            "expected a formula atom, found '}' at position 29 "
+            "in 'bad :: x:Int -> {Int | nu >= }\\n'"
+        )
+        assert caught.value.position == 29
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                "f :: Int -- a comment may hold anything: $ %\n  -> Int ~\n",
+                "unexpected character '~' at position 54 in "
+                "'f :: Int -- a comment may hold anything: $ %\\n  -> Int ~\\n'",
+            ),
+            (
+                "f :: Int -> Int\n\ng :: Int -> {Int | nu ^ 1}\n",
+                "unexpected character '^' at position 39 in "
+                "'f :: Int -> Int\\n\\ng :: Int -> {Int | nu ^ 1}\\n'",
+            ),
+            (
+                "f :: Int -> Int\n`",
+                "unexpected character '`' at position 16 in 'f :: Int -> Int\\n`'",
+            ),
+        ],
+        ids=["after-a-comment", "in-a-later-declaration", "at-end-of-input"],
+    )
+    def test_unexpected_character_is_placed_in_the_whole_program(self, source, message):
+        with pytest.raises(ParseError) as caught:
+            parse_program(source)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                "f :: Int -> Int\ng :: Int Int\n",
+                "trailing input 'Int' at position 9 in 'g :: Int Int\\n'",
+            ),
+            (
+                "f :: a:Int -> Int\nf = \\a . a a)\n",
+                "trailing input ')' at position 12 in 'f = \\\\a . a a)\\n'",
+            ),
+        ],
+        ids=["signature", "definition"],
+    )
+    def test_trailing_input(self, source, message):
+        with pytest.raises(ParseError) as caught:
+            parse_program(source)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("example", sorted(EXAMPLES.glob("*.sq")), ids=lambda p: p.name)
+    def test_a_program_is_tokenized_once(self, example, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return _tokenize(text)
+
+        monkeypatch.setattr("repro.syntax.parser._tokenize", counting)
+        source = example.read_text()
+        parse_program(source)
+        assert calls == [source]
+
+    def test_nesting_too_deep_is_a_parse_error(self, deeply_nested):
+        source, start = deeply_nested
+        with pytest.raises(ParseError, match="^nesting too deep at position") as caught:
+            parse_program(source)
+        assert source[start + caught.value.position] == "("
+
+    def test_nesting_too_deep_exits_2(self, deeply_nested, tmp_path, capsys):
+        path = tmp_path / "deep.sq"
+        path.write_text(deeply_nested[0])
+        code, _ = run(["check", str(path)])
+        assert code == EXIT_USAGE
+        assert "parse error: nesting too deep" in capsys.readouterr().err
 
 
 class TestWorkersFlag:

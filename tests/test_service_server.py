@@ -184,6 +184,11 @@ class TestBadRequests:
         assert status == 400
         assert "parse error" in body["error"]
 
+    def test_nesting_too_deep_is_400(self, server, deeply_nested):
+        status, body = call(server, "POST", "/check", {"program": deeply_nested[0]})
+        assert status == 400
+        assert body["error"].startswith("parse error: nesting too deep")
+
     def test_non_integer_option_is_400(self, server):
         status, body = call(server, "POST", "/synth", {"program": MAX_SQ, "depth": "four"})
         assert status == 400
