@@ -98,18 +98,17 @@ def run_horn(system_builder):
     }
 
 
-def run_candidate_search(workers):
+def run_candidate_search():
     constraints, spaces = disjunctive_horn_system()
     solver = HornSolver()
     start = time.perf_counter()
-    solution = solver.solve(constraints, spaces, SolveOptions(max_workers=workers))
+    solution = solver.solve(constraints, spaces)
     elapsed = time.perf_counter() - start
     assert solution.solved, "disjunctive benchmark system must be solvable"
     return elapsed, {
         "candidates_explored": solver.statistics.candidates_explored,
         "candidates_pruned": solver.statistics.candidates_pruned,
         "muses_enumerated": solver.statistics.muses_enumerated,
-        "lemmas_shared": solver.statistics.lemmas_shared,
         "survivors": len(solution.candidates),
     }
 
@@ -161,8 +160,7 @@ def run_typecheck_abs():
 BENCHMARKS = {
     "horn.max": lambda: run_horn(max_horn_system),
     "horn.abs": lambda: run_horn(abs_horn_system),
-    "horn.disjunctive": lambda: run_candidate_search(workers=1),
-    "horn.disjunctive.workers2": lambda: run_candidate_search(workers=2),
+    "horn.disjunctive": run_candidate_search,
     "typecheck.max": run_typecheck_max,
     "typecheck.abs": run_typecheck_abs,
 }

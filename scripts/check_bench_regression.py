@@ -44,7 +44,6 @@ TRACKED_COUNTERS = (
     "minimized_literals",
     "muses_enumerated",
     "candidates_pruned",
-    "lemmas_shared",
     "cache_hits",
     "cache_misses",
 )

@@ -66,8 +66,8 @@ def _load_program(path: str) -> Program:
 
 
 def _answer(args, compute, query, program: Program, **options) -> dict:
-    """A ``check``/``synth`` payload, with both verbs' ``--workers`` and
-    ``--timeout-ms`` added to ``options``.
+    """A ``check``/``synth`` payload, with both verbs' ``--timeout-ms``
+    added to ``options``.
 
     One-shot verbs only persist results when pointed at a cache —
     ``--cache-dir`` on the command line or ``REPRO_CACHE_DIR`` in the
@@ -76,7 +76,7 @@ def _answer(args, compute, query, program: Program, **options) -> dict:
     cache, which computes the same way on a miss.  (``batch`` and
     ``serve`` cache by default.)
     """
-    options.update(workers=args.workers, timeout_ms=args.timeout_ms)
+    options.update(timeout_ms=args.timeout_ms)
     if args.no_cache or (args.cache_dir is None and "REPRO_CACHE_DIR" not in os.environ):
         return compute(program, **options)
     from .service.cache import open_cache
@@ -182,7 +182,6 @@ def _run_batch(args, out: TextIO) -> int:
         max_conditionals=args.max_conditionals,
         max_matches=args.max_matches,
         file_timeout_ms=args.file_timeout_ms,
-        retries=args.retries,
     )
     render_report(report, out)
     return EXIT_FAILURE if report["failures"] else EXIT_OK
@@ -262,28 +261,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "check", help="type-check every definition in a .sq file against its signature"
     )
     check.add_argument("file", help="the .sq source file")
-    check.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the candidate-set Horn portfolio (default 1 = serial)",
-    )
     _add_timeout_flag(check)
     _add_cache_flags(check, default_dir=False)
     synth = commands.add_parser("synth", help="synthesize every `name = ??` goal in a .sq file")
     synth.add_argument("file", help="the .sq source file")
     _add_synth_limits(synth)
-    synth.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for each condition abduction's candidate-set "
-            "portfolio (default 1 = serial; results are identical either way)"
-        ),
-    )
     synth.add_argument("--only", metavar="NAME", help="synthesize just this goal")
     synth.add_argument(
         "--quiet", action="store_true", help="suppress the enumeration statistics line"
@@ -315,16 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "wall-clock budget per file; a file that exhausts it is "
             "recorded as a timeout and the sweep continues"
-        ),
-    )
-    batch.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "how many times to retry a file whose worker died a "
-            "transient death (default 1; backoff doubles per retry)"
         ),
     )
     _add_cache_flags(batch, default_dir=True)

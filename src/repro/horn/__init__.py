@@ -2,16 +2,14 @@
 
 The third layer of the reproduction: constraints (``premises ==>
 conclusion`` with :class:`~repro.logic.formulas.Unknown` nodes on either
-side), qualifier spaces per unknown, the :class:`HornSolver` — greatest
-fixpoint for ordinary unknowns, candidate-set search with MUSFix pruning
-for abducible ones — and the process portfolio that fans candidate
-branches across workers.  All validity queries go through the incremental
-SMT backend.
+side), qualifier spaces per unknown, and the :class:`HornSolver` —
+greatest fixpoint for ordinary unknowns, candidate-set search with MUSFix
+pruning for abducible ones.  All validity queries go through the
+incremental SMT backend.
 """
 
 from .constraints import HornConstraint, constraint, substitute_unknowns
 from .musfix import MusFixSolver
-from .portfolio import solve_portfolio
 from .solver import (
     Assignment,
     CandidateSearchResult,
@@ -36,6 +34,5 @@ __all__ = [
     "build_space",
     "build_spaces",
     "constraint",
-    "solve_portfolio",
     "substitute_unknowns",
 ]

@@ -27,12 +27,6 @@ repeat and the map going unsatisfiable means the lattice is exhausted.
 Enumeration is budgeted (``mus_budget`` theory checks per pool) and
 resumable: the map solver keeps its blocking clauses, so a later failure
 of the same constraint continues where the last call stopped.
-
-MUSes double as the portfolio's shared lemmas: they mention only the
-constraint and qualifier formulas (no solver state), so a MUS learned on
-one candidate branch prunes every other branch's frontier —
-:meth:`MusFixSolver.export_muses` / :meth:`MusFixSolver.import_muses` are
-the two ends of that bus.
 """
 
 from __future__ import annotations
@@ -52,9 +46,6 @@ from .spaces import QualifierSpace
 #: the qualifiers currently in its valuation.
 CandidateLike = Mapping[str, Sequence[Formula]]
 
-#: A portfolio lemma: the constraint a MUS refutes, plus its members.
-MusLemma = Tuple[HornConstraint, Tuple[Formula, ...]]
-
 
 @dataclass
 class MusFixStatistics:
@@ -63,7 +54,6 @@ class MusFixStatistics:
     muses_enumerated: int = 0
     theory_checks: int = 0
     map_seeds: int = 0
-    lemmas_imported: int = 0
     candidates_pruned: int = 0
 
 
@@ -98,8 +88,8 @@ class MusFixSolver:
         self._backend = backend
         self._budget = budget
         self._states: Dict[Tuple[HornConstraint, Tuple[Formula, ...]], _MarcoState] = {}
-        #: Known MUSes per constraint (enumerated here or imported from the
-        #: portfolio lemma bus), as frozensets plus the ordered originals.
+        #: Known MUSes per constraint, as frozensets plus the ordered
+        #: originals.
         self._mus_sets: Dict[HornConstraint, List[FrozenSet[Formula]]] = {}
         self._mus_order: Dict[HornConstraint, List[Tuple[Formula, ...]]] = {}
         #: Vacuity memo keyed by (concrete premises, valuation): many
@@ -125,7 +115,8 @@ class MusFixSolver:
 
         Runs the MARCO loop until the power set is exhausted or the theory
         budget is spent; every known MUS inside ``valuation`` is returned,
-        including imported ones.  Calling again resumes enumeration.
+        including those vacuity checks recorded.  Calling again resumes
+        enumeration.
         """
         state = self._state(constraint, tuple(valuation))
         self._run_marco(constraint, state)
@@ -225,18 +216,14 @@ class MusFixSolver:
         limits.checkpoint("mus_theory_checks")
         return self._backend.check_assuming(state.pool[i - 1] for i in indices)
 
-    def _record_mus(
-        self, constraint: HornConstraint, mus: Tuple[Formula, ...], enumerated: bool = True
-    ) -> bool:
+    def _record_mus(self, constraint: HornConstraint, mus: Tuple[Formula, ...]) -> None:
         known = self._mus_sets.setdefault(constraint, [])
         mus_set = frozenset(mus)
         if any(mus_set == existing for existing in known):
-            return False
+            return
         known.append(mus_set)
         self._mus_order.setdefault(constraint, []).append(mus)
-        if enumerated:
-            self.statistics.muses_enumerated += 1
-        return True
+        self.statistics.muses_enumerated += 1
 
     # -- candidate pruning ---------------------------------------------------
 
@@ -442,25 +429,6 @@ class MusFixSolver:
         self._vacuity[memo_key] = tuple(core)
         self._record_mus(constraint, tuple(core))
         return True
-
-    # -- the portfolio lemma bus ---------------------------------------------
-
-    def export_muses(self) -> List[MusLemma]:
-        """Every known MUS as a (constraint, members) lemma pair."""
-        return [
-            (constraint, mus)
-            for constraint, muses in self._mus_order.items()
-            for mus in muses
-        ]
-
-    def import_muses(self, lemmas: Sequence[MusLemma]) -> int:
-        """Adopt lemmas learned elsewhere; returns how many were new."""
-        added = 0
-        for constraint, mus in lemmas:
-            if self._record_mus(constraint, tuple(mus), enumerated=False):
-                added += 1
-        self.statistics.lemmas_imported += added
-        return added
 
     def seeds_for(
         self, constraint: HornConstraint, valuation: Sequence[Formula]

@@ -28,9 +28,7 @@ strengthenings — disjunctive inference.  For those the solver keeps a
 the classic fixpoint core runs on the grounded system, and a failure
 branches the candidate into its single-qualifier strengthenings while
 :class:`~repro.horn.musfix.MusFixSolver` enumerates MUSes of the failing
-constraint and prunes every frontier member containing one.  With
-``max_workers > 1`` the branches fan out across worker processes (see
-:mod:`repro.horn.portfolio`), MUS lemmas flowing between them.
+constraint and prunes every frontier member containing one.
 
 Pruning on the classic path is unsat-core style: a constraint's full
 valuation is first checked in one validity query; only when that fails
@@ -61,7 +59,7 @@ from ..smt.interface import SolverBackend
 from ..smt.sets import mentions_sets
 from ..smt.solver import IncrementalSolver
 from .constraints import HornConstraint, substitute_unknowns
-from .musfix import MusFixSolver, MusLemma
+from .musfix import MusFixSolver
 from .spaces import QualifierSpace, SpacesLike, as_space_map
 
 #: A candidate valuation: unknown name -> conjunction of qualifiers.
@@ -73,16 +71,14 @@ class SolveOptions:
     """How :meth:`HornSolver.solve` should search.
 
     ``minimize`` greedily weakens the chosen solution into a locally
-    minimal one.  ``max_workers`` fans candidate branches out across that
-    many worker processes (1 = serial).  ``max_candidates`` bounds the
-    candidate frontier *and* the number of surviving solutions reported —
-    1 degenerates to a greedy single path that can dead-end on disjunctive
-    goals.  ``mus_budget`` caps MARCO theory checks per failing
-    constraint's qualifier pool.
+    minimal one.  ``max_candidates`` bounds the candidate frontier *and*
+    the number of surviving solutions reported — 1 degenerates to a
+    greedy single path that can dead-end on disjunctive goals.
+    ``mus_budget`` caps MARCO theory checks per failing constraint's
+    qualifier pool.
     """
 
     minimize: bool = False
-    max_workers: int = 1
     max_candidates: int = 16
     mus_budget: int = 64
 
@@ -105,14 +101,9 @@ class HornStatistics:
     candidates_pruned: int = 0
     #: Minimal unsatisfiable subsets enumerated by the MARCO loop.
     muses_enumerated: int = 0
-    #: MUS lemmas adopted from other portfolio branches.
-    lemmas_shared: int = 0
-    #: Portfolio worker processes that died mid-branch; their groups were
-    #: re-searched inline (visible degradation, never a lost result).
-    worker_deaths: int = 0
 
     def merge(self, other: "HornStatistics") -> None:
-        """Fold another solver's counters into this one (portfolio)."""
+        """Fold another solver's counters into this one."""
         self.validity_checks += other.validity_checks
         self.fixpoint_rounds += other.fixpoint_rounds
         self.weakenings += other.weakenings
@@ -121,8 +112,6 @@ class HornStatistics:
         self.candidates_explored += other.candidates_explored
         self.candidates_pruned += other.candidates_pruned
         self.muses_enumerated += other.muses_enumerated
-        self.lemmas_shared += other.lemmas_shared
-        self.worker_deaths += other.worker_deaths
 
 
 @dataclass
@@ -153,17 +142,13 @@ class HornSolution:
 class CandidateSearchResult:
     """Raw outcome of one :meth:`HornSolver.search_candidates` run.
 
-    The portfolio merges several of these: ``solutions`` are full
-    assignments (abducible guards plus fixpoint valuations), ``frontier``
-    is the unexplored remainder of the queue (branch seeds), ``lemmas``
-    are the MUSes learned, and ``failed`` is the last constraint a
-    candidate died on (diagnostics when nothing solves).
+    ``solutions`` are full assignments (abducible guards plus fixpoint
+    valuations), and ``failed`` is the last constraint a candidate died
+    on (diagnostics when nothing solves).
     """
 
     solutions: Tuple[Assignment, ...]
-    frontier: Tuple[Assignment, ...]
     failed: Optional[HornConstraint]
-    lemmas: Tuple[MusLemma, ...]
 
 
 def _candidate_key(candidate: Assignment) -> Tuple:
@@ -360,8 +345,7 @@ class HornSolver:
         Unknowns that appear in constraints but have no qualifier space get
         the empty valuation ``True`` (they cannot constrain anything).
         Systems without abducible spaces take the classic greatest-fixpoint
-        path; abducible spaces trigger the candidate-set search (and, for
-        ``max_workers > 1``, the process portfolio).
+        path; abducible spaces trigger the candidate-set search.
         """
         opts = options if options is not None else SolveOptions()
         space_map = as_space_map(spaces)
@@ -374,10 +358,6 @@ class HornSolver:
                         f"abducible unknown {target.name!r} cannot appear as a "
                         f"conclusion (it is solved bottom-up): {constr!r}"
                     )
-            if opts.max_workers > 1:
-                from .portfolio import solve_portfolio
-
-                return solve_portfolio(constraints, space_map, opts, solver=self)
             return self._solve_candidates(constraints, space_map, opts)
 
         solution = self._solve_fixpoint(constraints, space_map)
@@ -394,9 +374,6 @@ class HornSolver:
         constraints: Sequence[HornConstraint],
         spaces: SpacesLike,
         options: Optional[SolveOptions] = None,
-        roots: Optional[Sequence[Assignment]] = None,
-        lemmas: Sequence[MusLemma] = (),
-        explore_limit: Optional[int] = None,
     ) -> CandidateSearchResult:
         """Breadth-first search over candidate abducible valuations.
 
@@ -410,12 +387,9 @@ class HornSolver:
         makes those program points unreachable, which is exactly what a
         branch condition is for.  A failed candidate feeds the failing
         constraint to the MUS enumerator, prunes the frontier, and
-        branches into its single-qualifier strengthenings.
-
-        ``roots`` seeds the frontier (default: the all-``True`` candidate);
-        ``lemmas`` pre-loads MUSes learned elsewhere (the portfolio bus);
-        ``explore_limit`` caps candidates evaluated this call, leaving the
-        rest in ``frontier``.
+        branches into its single-qualifier strengthenings.  The frontier
+        starts at the all-``True`` candidate, and at most ``64 *
+        max_candidates`` candidates are evaluated.
 
         The search is *level-stopped*: the queue is size-ordered, so once
         a solution of total guard size ``k`` exists, the first pop of a
@@ -431,12 +405,9 @@ class HornSolver:
         abducibles = {n: sp for n, sp in space_map.items() if sp.abducible}
         positives = {n: sp for n, sp in space_map.items() if not sp.abducible}
         capacity = max(1, opts.max_candidates)
-        if explore_limit is None:
-            explore_limit = 64 * capacity
+        explore_limit = 64 * capacity
 
         musfix = MusFixSolver(space_map, backend=self._backend, budget=opts.mus_budget)
-        if lemmas:
-            self.statistics.lemmas_shared += musfix.import_muses(lemmas)
 
         # The demanding contexts of each abducible: one representative
         # constraint per distinct concrete-premise tuple, weakest first so
@@ -449,15 +420,9 @@ class HornSolver:
                     contexts.setdefault(constr.concrete_premises(), constr)
             mentioning[name] = sorted(contexts.values(), key=lambda c: len(c.concrete_premises()))
 
-        if roots is None:
-            roots = [{name: () for name in sorted(abducibles)}]
-        queue: deque = deque()
-        seen = set()
-        for cand in roots:
-            key = _candidate_key(cand)
-            if key not in seen:
-                seen.add(key)
-                queue.append(dict(cand))
+        root: Assignment = {name: () for name in sorted(abducibles)}
+        queue: deque = deque([root])
+        seen = {_candidate_key(root)}
 
         solutions: List[Assignment] = []
         solution_guards: List[Dict[str, FrozenSet[Formula]]] = []
@@ -479,7 +444,6 @@ class HornSolver:
             if best_size is not None and size > best_size:
                 # Level stop: a weaker solution exists and this whole level
                 # (the queue is size-ordered) can only strengthen it.
-                queue.appendleft(candidate)
                 break
             explored += 1
             self.statistics.candidates_explored += 1
@@ -594,12 +558,7 @@ class HornSolver:
 
         self.statistics.candidates_pruned += musfix.statistics.candidates_pruned
         self.statistics.muses_enumerated += musfix.statistics.muses_enumerated
-        return CandidateSearchResult(
-            solutions=tuple(solutions),
-            frontier=tuple(queue),
-            failed=failed_constr,
-            lemmas=tuple(musfix.export_muses()),
-        )
+        return CandidateSearchResult(solutions=tuple(solutions), failed=failed_constr)
 
     def _vacuous(
         self,
@@ -625,42 +584,26 @@ class HornSolver:
         space_map: Dict[str, QualifierSpace],
         options: SolveOptions,
     ) -> HornSolution:
-        result = self.search_candidates(constraints, space_map, options)
-        return self.assemble_solution(
-            constraints, result.solutions, result.failed, options, space_map
-        )
-
-    def assemble_solution(
-        self,
-        constraints: Sequence[HornConstraint],
-        solutions: Sequence[Assignment],
-        failed: Optional[HornConstraint],
-        options: SolveOptions,
-        spaces: SpacesLike,
-    ) -> HornSolution:
-        """Rank surviving candidates weakest-first into a :class:`HornSolution`.
+        """Candidate-set search, its survivors ranked weakest-first.
 
         Only minimal-total-size solutions survive; deeper ones are either
         supersets of a minimal guard or strictly stronger strengthenings no
-        weakest-first caller wants.  Because every search (serial, or each
-        portfolio branch) finishes the level a solution lives on before
-        stopping, the minimal level is explored exhaustively everywhere —
-        which is what makes this filter process-count independent.
+        weakest-first caller wants.
         """
-        space_map = as_space_map(spaces)
+        result = self.search_candidates(constraints, space_map, options)
         names = sorted(n for n, sp in space_map.items() if sp.abducible)
 
         def total_size(sol: Assignment) -> int:
             return sum(len(sol.get(name, ())) for name in names)
 
-        solutions = list(solutions)
+        solutions = list(result.solutions)
         if solutions:
             best = min(total_size(sol) for sol in solutions)
             solutions = [sol for sol in solutions if total_size(sol) == best]
         survivors = order_solutions(filter_dominated(solutions, names), names, space_map)
         survivors = survivors[: max(1, options.max_candidates)]
         if not survivors:
-            return HornSolution(False, {}, failed=failed)
+            return HornSolution(False, {}, failed=result.failed)
         best = survivors[0]
         solution = HornSolution(True, dict(best), candidates=tuple(dict(s) for s in survivors))
         if options.minimize:

@@ -51,7 +51,8 @@ class QualifierSpace:
     def index_of(self, qualifier: Formula) -> int:
         """Position of ``qualifier`` in the space's fixed order — the order
         the candidate search and the MUS enumerator canonicalize subsets
-        by, so serial and portfolio runs agree on candidate identity."""
+        by, so every run (and the brute-force abduction oracle) agrees on
+        candidate identity."""
         return self.qualifiers.index(qualifier)
 
 

@@ -22,11 +22,6 @@ Budgets are installed with :func:`budget_scope`, a thread-local stack:
 * **Absent by default**: with no active scope a checkpoint is one
   thread-local read and a truth test, so un-budgeted callers (the whole
   test suite, library users) pay nothing.
-
-Budgets are plain picklable data, so the Horn portfolio ships the active
-budget to its worker processes; the deadline is an absolute
-``time.monotonic()`` value, which on Linux (CLOCK_MONOTONIC is
-system-wide) means parent and child agree on when it passes.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ __all__ = [
     "Budget",
     "BudgetExhausted",
     "BudgetScope",
-    "active_budget",
     "budget_scope",
     "checkpoint",
     "remaining_ms",
@@ -62,12 +56,6 @@ class BudgetExhausted(Exception):
         self.progress: Dict[str, int] = dict(progress or {})
         detail = ", ".join(f"{k}={v}" for k, v in sorted(self.progress.items()))
         super().__init__(f"budget exhausted: {limit}" + (f" ({detail})" if detail else ""))
-
-    def __reduce__(self):
-        # Portfolio workers raise this across a process boundary; the
-        # default exception pickling would replay ``args`` (the message)
-        # into ``__init__`` and crash on arrival.
-        return (type(self), (self.limit, self.progress))
 
 
 @dataclass(frozen=True)
@@ -165,13 +153,6 @@ def budget_scope(budget: Optional[Budget]) -> Iterator[Optional[BudgetScope]]:
         yield scope
     finally:
         stack.pop()
-
-
-def active_budget() -> Optional[Budget]:
-    """The innermost installed budget (what the portfolio ships to its
-    workers), or ``None``."""
-    stack = _stack()
-    return stack[-1].budget if stack else None
 
 
 def remaining_ms() -> Optional[float]:

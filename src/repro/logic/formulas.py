@@ -215,12 +215,6 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self) -> Tuple:
-        # Rebuild through the constructor, so an unpickled formula is the
-        # receiving process's canonical node (the portfolio ships formulas
-        # to worker processes).
-        return (self.__class__, tuple(getattr(self, name) for name in self.__slots__))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from .pretty import pretty_formula
 

@@ -15,9 +15,6 @@ from typing import Tuple
 class Sort:
     """Base class for all sorts."""
 
-    def is_set(self) -> bool:
-        return isinstance(self, SetSort)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return str(self)
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .. import limits
-from ..horn.solver import SolveOptions
 from ..syntax.parser import ParseError, Program, parse_term
 from ..syntax.types import generalize
 from ..synth.synthesizer import SynthesisGoal, Synthesizer, describe_goal
@@ -86,11 +85,7 @@ def _component_environment(program: Program, upto: str):
 # -- check -------------------------------------------------------------------
 
 
-def compute_check(
-    program: Program,
-    workers: int = 1,
-    timeout_ms: Optional[float] = None,
-) -> dict:
+def compute_check(program: Program, timeout_ms: Optional[float] = None) -> dict:
     """Type-check every definition; the payload the ``check`` verb renders.
 
     With a ``timeout_ms`` budget (or inside an enclosing budget scope —
@@ -100,7 +95,6 @@ def compute_check(
     the progress counters at that point.  Unknowns are counted apart
     from ``failures`` — an unanswered query is not a refuted one.
     """
-    options = SolveOptions(max_workers=workers)
     budget = limits.Budget.from_timeout_ms(timeout_ms) if timeout_ms else None
     items = []
     failures = 0
@@ -111,7 +105,7 @@ def compute_check(
                 session, env = _component_environment(program, name)
                 goal = program.signatures[name]
                 session.check_program(term, goal, env, where=name)
-                outcome = session.solve(options)
+                outcome = session.solve()
             except TypecheckError as error:
                 items.append({"name": name, "status": "rejected", "message": str(error)})
                 failures += 1
@@ -161,7 +155,6 @@ def _unknown_item(name: str, exhausted: limits.BudgetExhausted) -> dict:
 
 def check_query(
     program: Program,
-    workers: int = 1,
     cache: Optional[ResultCache] = None,
     timeout_ms: Optional[float] = None,
 ) -> Tuple[dict, bool, str]:
@@ -173,12 +166,12 @@ def check_query(
     """
     from .cache import query_digest
 
-    digest = query_digest("check", program, {"workers": workers})
+    digest = query_digest("check", program, {})
     if cache is not None:
         payload = cache.get(digest)
         if payload is not None:
             return payload, True, digest
-    payload = compute_check(program, workers, timeout_ms)
+    payload = compute_check(program, timeout_ms)
     if cache is not None and not payload.get("timeout"):
         cache.put(digest, payload)
     return payload, False, digest
@@ -193,7 +186,6 @@ def compute_synth(
     depth: int = 4,
     max_conditionals: int = 2,
     max_matches: int = 1,
-    workers: int = 1,
     timeout_ms: Optional[float] = None,
 ) -> dict:
     """Synthesize every goal (or just ``only``); the ``synth`` payload.
@@ -224,7 +216,6 @@ def compute_synth(
                     max_depth=depth,
                     max_conditionals=max_conditionals,
                     max_matches=max_matches,
-                    workers=workers,
                 )
                 result = synthesizer.synthesize()
             except limits.BudgetExhausted as exhausted:
@@ -276,7 +267,6 @@ def synth_query(
     max_matches: int = 1,
     cache: Optional[ResultCache] = None,
     recheck: bool = False,
-    workers: int = 1,
     timeout_ms: Optional[float] = None,
 ) -> Tuple[dict, bool, str]:
     """``synth`` through the cache: ``(payload, was_cached, digest)``.
@@ -291,7 +281,6 @@ def synth_query(
         "depth": depth,
         "max_conditionals": max_conditionals,
         "max_matches": max_matches,
-        "workers": workers,
     }
     digest = query_digest("synth", program, options)
     if cache is not None:
@@ -299,9 +288,7 @@ def synth_query(
         if payload is not None:
             if not recheck or recheck_synth_payload(program, payload):
                 return payload, True, digest
-    payload = compute_synth(
-        program, only, depth, max_conditionals, max_matches, workers, timeout_ms
-    )
+    payload = compute_synth(program, only, depth, max_conditionals, max_matches, timeout_ms)
     if cache is not None and not payload.get("timeout"):
         cache.put(digest, payload)
     return payload, False, digest

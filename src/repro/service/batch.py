@@ -21,12 +21,10 @@ it cold and warm and asserts the ratio).
 
 **Robustness.** A sweep is only useful if one bad file cannot sink it:
 any per-file exception is recorded on that file's line and the sweep
-continues.  Three failure classes are distinguished — a *timeout*
+continues.  Two failure classes are distinguished — a *timeout*
 (``--file-timeout-ms`` budget exhausted; the file reports partial
-progress), a *transient worker death* (:class:`BrokenProcessPool` and
-friends, retried with exponential backoff up to ``retries`` times before
-being recorded), and everything else (recorded once, no retry).  Queries
-that raised mid-sweep surface in the summary as worker resets.
+progress) and everything else (recorded once).  Queries that raised
+mid-sweep surface in the summary as worker resets.
 """
 
 from __future__ import annotations
@@ -34,21 +32,14 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import List, Optional
 
 from .. import limits
 from ..syntax.parser import ParseError, parse_program
-from ..testing import faults
 from . import api
 from .cache import ResultCache
 from .worker import WarmStack
-
-#: Worker-death shapes worth one more try: the pool process vanished or
-#: its pipe closed mid-answer — load-dependent, not a property of the
-#: file being screened.
-TRANSIENT_ERRORS = (BrokenProcessPool, EOFError, BrokenPipeError)
 
 
 def discover_files(root: str) -> List[Path]:
@@ -84,8 +75,6 @@ def screen_file(
         record["error"] = str(error)
         record["failures"] = 1
         return record
-    if faults.maybe_fire("batch.worker-death"):
-        raise BrokenProcessPool("injected: batch worker process died")
     if program.definitions:
         payload, was_cached, _ = api.check_query(program, cache=cache)
         record["check"] = payload
@@ -117,27 +106,23 @@ def run_batch(
     max_conditionals: int = 2,
     max_matches: int = 1,
     file_timeout_ms: Optional[float] = None,
-    retries: int = 1,
-    backoff_s: float = 0.05,
 ) -> dict:
     """Sweep ``root`` and return the batch report.
 
     ``{"files": [record, ...], "failures", "queries", "cached",
-    "timeouts", "retries", "resets", "timeout_resets", "elapsed",
+    "timeouts", "resets", "timeout_resets", "elapsed",
     "cache": counters-or-None}`` — everything except ``elapsed`` (and
     the counters) is deterministic, which is what the cold-vs-warm
     determinism test pins down.
 
     ``file_timeout_ms`` installs a fresh :class:`~repro.limits.Budget`
     per file (nested inside any enclosing scope, e.g. a server
-    request's); transient worker deaths are retried up to ``retries``
-    times with exponential backoff before the file is marked failed.
+    request's).
     """
     paths = discover_files(root)
     local = threading.local()
     stacks: List[WarmStack] = []
     stacks_lock = threading.Lock()
-    retry_count = [0]
 
     def stack() -> WarmStack:
         if getattr(local, "stack", None) is None:
@@ -146,7 +131,10 @@ def run_batch(
                 stacks.append(local.stack)
         return local.stack
 
-    def attempt(path: Path) -> dict:
+    def failed(path: Path, **extra) -> dict:
+        return {"file": str(path), "failures": 1, "cached": 0, "fresh": 0, **extra}
+
+    def job(path: Path) -> dict:
         # Exceptions are caught *outside* the stack's query guard, so a
         # crashed or cancelled query is counted before the per-file
         # record is written.
@@ -154,45 +142,28 @@ def run_batch(
         budget = (
             limits.Budget.from_timeout_ms(file_timeout_ms) if file_timeout_ms else None
         )
-        with limits.budget_scope(budget):
-            with worker.query():
-                return screen_file(
-                    path,
-                    cache=cache,
-                    depth=depth,
-                    max_conditionals=max_conditionals,
-                    max_matches=max_matches,
-                )
-
-    def failed(path: Path, **extra) -> dict:
-        return {"file": str(path), "failures": 1, "cached": 0, "fresh": 0, **extra}
-
-    def job(path: Path) -> dict:
-        for tries in range(max(0, retries) + 1):
-            try:
-                return attempt(path)
-            except limits.BudgetExhausted as exhausted:
-                # Tripped outside the query layer's own degradation (the
-                # stack has already counted a timeout reset).
-                return failed(
-                    path, error=str(exhausted), timeout=True, limit=exhausted.limit
-                )
-            except TRANSIENT_ERRORS as error:
-                if tries < max(0, retries):
-                    with stacks_lock:
-                        retry_count[0] += 1
-                    time.sleep(backoff_s * (2**tries))
-                    continue
-                return failed(path, error=f"worker died ({type(error).__name__}: {error})")
-            except Exception as error:  # noqa: BLE001 - one bad file, one bad line
-                return failed(path, error=f"{type(error).__name__}: {error}")
-        raise AssertionError("unreachable: the retry loop always returns")
+        try:
+            with limits.budget_scope(budget):
+                with worker.query():
+                    return screen_file(
+                        path,
+                        cache=cache,
+                        depth=depth,
+                        max_conditionals=max_conditionals,
+                        max_matches=max_matches,
+                    )
+        except limits.BudgetExhausted as exhausted:
+            # Tripped outside the query layer's own degradation (the
+            # stack has already counted a timeout reset).
+            return failed(path, error=str(exhausted), timeout=True, limit=exhausted.limit)
+        except Exception as error:  # noqa: BLE001 - one bad file, one bad line
+            return failed(path, error=f"{type(error).__name__}: {error}")
 
     started = time.monotonic()
     if jobs <= 1:
         records = [job(path) for path in paths]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(jobs) as pool:
             records = list(pool.map(job, paths))
     return {
         "files": records,
@@ -200,7 +171,6 @@ def run_batch(
         "queries": sum(record["cached"] + record["fresh"] for record in records),
         "cached": sum(record["cached"] for record in records),
         "timeouts": sum(1 for record in records if record.get("timeout")),
-        "retries": retry_count[0],
         "resets": sum(worker.resets for worker in stacks),
         "timeout_resets": sum(worker.timeout_resets for worker in stacks),
         "elapsed": time.monotonic() - started,
@@ -237,8 +207,6 @@ def render_report(report: dict, out) -> None:
     degraded = ""
     if report.get("timeouts"):
         degraded += f", {report['timeouts']} timeouts"
-    if report.get("retries"):
-        degraded += f", {report['retries']} retries"
     if report.get("resets"):
         degraded += f", {report['resets']} worker resets"
     print(

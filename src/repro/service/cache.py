@@ -45,7 +45,8 @@ from . import default_cache_dir
 
 #: Bump to invalidate every persisted cache entry (schema salt).
 #: v2: synth payload statistics gained ``depth_reached``.
-CACHE_SCHEMA_VERSION = 2
+#: v3: ``workers`` left the check and synth option sets.
+CACHE_SCHEMA_VERSION = 3
 
 
 def canonical_program_text(program: Program) -> str:

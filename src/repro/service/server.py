@@ -6,20 +6,21 @@ dependencies beyond the standard library) that answers four routes:
 ===========  ======  ====================================================
 ``/healthz``  GET    liveness: ``{"status": "ok", "version": ...}``
 ``/stats``    GET    cache + worker counters (hits, misses, queries, ...)
-``/check``    POST   ``{"program": "<.sq source>", "workers"?: int}``
+``/check``    POST   ``{"program": "<.sq source>"}``
 ``/synth``    POST   ``{"program": "<.sq source>", "only"?, "depth"?,
                      "max_conditionals"?, "max_matches"?, "recheck"?}``
 ===========  ======  ====================================================
 
-POST responses wrap the ordinary query payloads (see
-:mod:`repro.service.api`) as ``{"digest", "cached", "result"}`` — the
-same structures the CLI renders, so a client can diff server answers
-against local runs byte for byte.  Errors are JSON too: ``400`` for a
-malformed body, a parse error, or an unknown goal; ``404`` for any other
-path; ``500`` for an unexpected solver crash (counted in ``resets``).
-Connections are kept alive, so every reply first consumes the request
-body; a body the handler will not read (malformed, oversized or
-chunked) is a ``400`` that closes the connection.
+A body field the route does not read (such as the ``workers`` older
+clients sent) is ignored.  POST responses wrap the ordinary query
+payloads (see :mod:`repro.service.api`) as ``{"digest", "cached",
+"result"}`` — the same structures the CLI renders, so a client can diff
+server answers against local runs byte for byte.  Errors are JSON too:
+``400`` for a malformed body, a parse error, or an unknown goal; ``404``
+for any other path; ``500`` for an unexpected solver crash (counted in
+``resets``).  Connections are kept alive, so every reply first consumes
+the request body; a body the handler will not read (malformed,
+oversized or chunked) is a ``400`` that closes the connection.
 
 **Deadlines.** ``--request-timeout`` arms every POST with a wall-clock
 budget (a per-request ``"timeout_ms"`` body field tightens it further);
@@ -219,13 +220,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _handle_check(self, body: dict) -> Tuple[int, dict]:
         program = self._program(body)
-        workers = self._int(body, "workers", 1)
         server: ReproServer = self.server
         with limits.budget_scope(self._budget(body)):
             with server.stack.query():
-                payload, cached, digest = api.check_query(
-                    program, workers=workers, cache=server.cache
-                )
+                payload, cached, digest = api.check_query(program, cache=server.cache)
         return self._finish(payload, cached, digest)
 
     def _handle_synth(self, body: dict) -> Tuple[int, dict]:

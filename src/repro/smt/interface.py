@@ -97,17 +97,3 @@ class SolverBackend(ABC):
                 self.assert_(premise)
             self.assert_(ops.not_(conclusion))
             return not self.check()
-
-
-def new_backend() -> SolverBackend:
-    """A fresh incremental backend with no shared state.
-
-    This is the portfolio's per-worker backend factory: it is a
-    module-level function, so it pickles by reference into worker
-    processes, and each call builds an independent solver (workers must
-    not share the coordinator's SAT/theory state across process
-    boundaries).
-    """
-    from .solver import IncrementalSolver
-
-    return IncrementalSolver()

@@ -54,7 +54,7 @@ from ..logic import ops
 from ..logic.formulas import VALUE_VAR, Formula, Var, value_var
 from ..logic.measures import MeasureCase, MeasureDef
 from ..logic.qualifiers import sorts_compatible
-from ..logic.sortcheck import MeasureSignatures, check_sort
+from ..logic.sortcheck import MeasureSignatures, SortError, check_sort
 from ..logic.sorts import BOOL, Sort, VarSort
 from .datatypes import Constructor, Datatype
 from .terms import (
@@ -340,9 +340,16 @@ class _Parser:
     def _check_refinement(self, refinement: Formula, value_sort: Sort) -> None:
         scope = dict(self.scope)
         scope[VALUE_VAR] = value_sort
-        sort = check_sort(refinement, scope, self.measures)
+        sort = self._sort_of(refinement, scope)
         if sort != BOOL:
             raise self.fail(f"refinement must have sort Bool, got {sort}")
+
+    def _sort_of(self, formula: Formula, scope: Mapping[str, Sort]) -> Sort:
+        """:func:`check_sort`, an ill-sorted formula being a parse error."""
+        try:
+            return check_sort(formula, scope, self.measures)
+        except SortError as error:
+            raise self.fail(str(error)) from error
 
     # -- terms ---------------------------------------------------------------
 
@@ -565,7 +572,7 @@ class _Parser:
             body = self.formula()
         finally:
             self.scope = outer_scope
-        sort = check_sort(body, scope, self.measures)
+        sort = self._sort_of(body, scope)
         if not sorts_compatible(sort, header.result_sort):
             raise self.fail(
                 f"measure case `{cname}` has sort {sort}, "

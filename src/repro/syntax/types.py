@@ -102,12 +102,6 @@ def base_sort(base: BaseType) -> Sort:
 class RType:
     """Base class of refinement types ``T``."""
 
-    def is_scalar(self) -> bool:
-        return isinstance(self, ScalarType)
-
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return pretty_type(self)
 

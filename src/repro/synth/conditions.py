@@ -23,9 +23,7 @@ known-inconsistent core, vacuous guards (ones contradicting **every**
 demanding context — equivalently, unsatisfiable at the abduction point
 itself, so no executable branch could ever take them; contradicting only
 a deeper context, say one match arm, is what a branch condition is *for*)
-are rejected, and with ``SolveOptions(max_workers > 1)``
-the branches fan out across the process portfolio, MUS lemmas flowing
-between them.  The search is level-stopped, so the surviving candidates
+are rejected.  The search is level-stopped, so the surviving candidates
 are exactly the minimal-size solutions; :func:`_weakest_guards` then
 drops the ones another survivor strictly entails, and the result is the
 weakest-guard *antichain* — several genuinely incomparable conditions
@@ -129,12 +127,11 @@ def abduce_condition(
     The candidate's constraints are collected in a trial scope (no
     residue); ``C``'s space is then re-inserted marked ``abducible`` and
     the whole system goes through the candidate-set Horn search on the
-    session's shared incremental backend.  ``options`` defaults to the
-    session's :attr:`~repro.typecheck.session.TypecheckSession.
-    solve_options` (worker count, MUS budget); ``stats`` — when given —
-    accumulates the solver's search counters.
+    session's shared incremental backend.  ``options`` defaults to
+    :class:`~repro.horn.solver.SolveOptions`'s defaults; ``stats`` — when
+    given — accumulates the solver's search counters.
     """
-    opts = options if options is not None else session.solve_options
+    opts = options if options is not None else SolveOptions()
     # Cancellation point per abduction attempt: each spawns a whole
     # candidate-set Horn search, so check the budget before committing.
     limits.checkpoint()

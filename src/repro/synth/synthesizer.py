@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import limits
+from ..horn.solver import HornStatistics
 from ..logic import ops
 from ..logic.formulas import FALSE, TRUE, Var
 from ..logic.measures import MeasureDef
@@ -71,7 +72,6 @@ from ..syntax.types import (
 from ..typecheck.checker import elaborate_match_case, recursion_signature
 from ..typecheck.environment import EMPTY, Environment
 from ..typecheck.errors import TerminationError, TypecheckError
-from ..horn.solver import HornStatistics, SolveOptions
 from ..typecheck.session import TypecheckSession
 from .conditions import abduce_condition
 from .enumerator import EnumerationStatistics, ETermEnumerator
@@ -164,13 +164,11 @@ class Synthesizer:
         max_conditionals: int = 2,
         max_matches: int = 1,
         literals: Sequence[Term] = (IntConst(0),),
-        workers: int = 1,
     ) -> None:
         self.goal = goal
         self.max_depth = max_depth
         self.max_conditionals = max_conditionals
         self.max_matches = max_matches
-        self.workers = max(1, workers)
         self.literals: Tuple[Term, ...] = tuple(literals)
         self.statistics = EnumerationStatistics()
         #: The logical form of the term-literal pool: these join every
@@ -184,10 +182,6 @@ class Synthesizer:
         # Verification below builds a fresh session, so the search's own
         # solver never vouches for the search's result.
         self.session, self.base_env = goal.session_environment(self._formula_literals)
-        # `synth --workers N` reaches abduction through the session's
-        # default solve options: every condition search fans its candidate
-        # branches across the portfolio.
-        self.session.solve_options = SolveOptions(max_workers=self.workers)
         #: The goal's free type variables are parametric: enumeration never
         #: instantiates them with concrete types (see rigid_shape_match).
         self.rigid = frozenset(free_type_variables(goal.goal))

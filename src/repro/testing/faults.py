@@ -1,24 +1,23 @@
 """Fault injection: named failure points the chaos suite can arm.
 
 Production code hosts *injection points* — one :func:`maybe_fire` call at
-each place the robustness layer claims to survive: a portfolio worker
-dying mid-solve, a cache entry corrupting mid-read, a theory check
-raising, a warm stack stalling past its deadline.  Disarmed (the default,
-and the only state outside the chaos tests) a point is a dict lookup
-against an empty table plus, on first use per process, one environment
-read — nothing fires, nothing allocates.
+each place the robustness layer claims to survive: a cache entry
+corrupting mid-read, a theory check raising, a warm stack stalling past
+its deadline.  Disarmed (the default, and the only state outside the
+chaos tests) a point is a dict lookup against an empty table plus, on
+first use per process, one environment read — nothing fires, nothing
+allocates.
 
 Arming is either programmatic (:func:`arm`, for same-process tests) or
 via the ``REPRO_FAULTS`` environment variable (``point`` or
-``point:count``, comma-separated) — the env path exists because the
-portfolio's worker *processes* must inherit the arming, and environment
-plus forked module state is exactly what they inherit.  Each armed point
-fires ``count`` times (default 1) per process, then stays quiet, so a
-chaos test can kill exactly one worker and assert the rest of the run
-degrades rather than dies.
+``point:count``, comma-separated), which arms a process started from a
+shell, such as ``python -m repro serve``.  Each armed point fires
+``count`` times (default 1) per process, then stays quiet, so a chaos
+test can fail exactly one query and assert the rest of the run degrades
+rather than dies.
 
 The effect lives at the call site (the point only answers "should I fail
-here, now?"): killing a process, flipping a corrupt bit, raising
+here, now?"): flipping a corrupt bit, stalling, raising
 :class:`FaultInjected`.  That keeps this module dependency-free and the
 injection points one honest line each.
 """

@@ -107,11 +107,6 @@ class TypecheckSession:
         self.measure_defs: Dict[str, MeasureDef] = {}
         self.constraints: List[HornConstraint] = []
         self.spaces: Dict[str, QualifierSpace] = {}
-        #: Default solve options for every solver this session spawns —
-        #: :meth:`solve` calls without explicit ``options`` and condition
-        #: abduction both read it, which is how ``synth --workers`` reaches
-        #: the candidate-set portfolio inside abduction.
-        self.solve_options: SolveOptions = SolveOptions()
         self.last_solver: Optional[HornSolver] = None
         #: Grounded-implication verdicts shared by every solver this
         #: session spawns: enumeration re-solves systems sharing most of
@@ -352,16 +347,13 @@ class TypecheckSession:
         """Solve the accumulated system with a Horn solver running on this
         session's shared incremental backend.
 
-        ``options`` selects minimization, the candidate-frontier width, the
-        MUS budget, and the portfolio's worker count (``max_workers > 1``
-        fans candidate branches across processes when the system has
-        abducible spaces); omitted, the session's :attr:`solve_options`
+        ``options`` selects minimization, the candidate-frontier width and
+        the MUS budget; omitted, the defaults of :class:`SolveOptions`
         apply.
         """
-        opts = options if options is not None else self.solve_options
         solver = HornSolver(self.backend, validity_memo=self._validity_memo)
         self.last_solver = solver
-        solution = solver.solve(self.constraints, self.spaces, opts)
+        solution = solver.solve(self.constraints, self.spaces, options)
         return TypecheckResult(
             solved=solution.solved,
             assignment=solution.assignment,

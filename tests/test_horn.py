@@ -246,6 +246,27 @@ def disjunctive_system():
     return constraints, {"C": guard_space, "P": flow_space}
 
 
+def two_guard_system():
+    """Two abducible guards constrained jointly: the candidate walk
+    branches over both spaces, and only ``x >= 1`` with ``y <= -1``
+    meets every constraint."""
+    zero, one = IntLit(0), IntLit(1)
+    spaces = {
+        "C": QualifierSpace(
+            "C", (ops.ge(x, zero), ops.ge(x, one), ops.le(x, IntLit(-1))), abducible=True
+        ),
+        "D": QualifierSpace(
+            "D", (ops.ge(y, zero), ops.le(y, zero), ops.le(y, IntLit(-1))), abducible=True
+        ),
+    }
+    constraints = [
+        constraint([Unknown("C")], ops.ge(x, one), "need-x-pos"),
+        constraint([Unknown("D")], ops.le(y, IntLit(-1)), "need-y-neg"),
+        constraint([Unknown("C"), Unknown("D")], ops.gt(x, y), "joint"),
+    ]
+    return constraints, spaces
+
+
 class TestSolveOptions:
     def test_classic_path_exposes_its_single_candidate(self):
         constraints, spaces = max_system()
@@ -306,11 +327,61 @@ class TestDisjunctiveInference:
         assert solution.weakest is not None
         assert solution.weakest["C"] == (ops.le(x, IntLit(-1)),)
 
+    def test_unsolvable_system_stays_unsolvable(self):
+        zero = IntLit(0)
+        spaces = {"C": QualifierSpace("C", (ops.ge(x, zero), ops.le(x, zero)), abducible=True)}
+        constraints = [
+            constraint([Unknown("C")], ops.ge(x, IntLit(1)), "up"),
+            constraint([Unknown("C")], ops.le(x, IntLit(-1)), "down"),
+        ]
+        solution = HornSolver().solve(constraints, spaces)
+        assert not solution.solved
+        assert solution.candidates == ()
+        assert solution.failed is not None
+
     def test_abducible_in_conclusion_is_rejected(self):
         _, spaces = disjunctive_system()
         bad = [constraint([ops.ge(x, IntLit(0))], Unknown("C"), "bad")]
         with pytest.raises(ValueError, match="abducible"):
             HornSolver().solve(bad, spaces)
+
+    def test_two_guards_are_abduced_together(self):
+        constraints, spaces = two_guard_system()
+        solver = HornSolver()
+        solution = solver.solve(constraints, spaces)
+        assert solution.solved
+        assert solution.assignment == {
+            "C": (ops.ge(x, IntLit(1)),),
+            "D": (ops.le(y, IntLit(-1)),),
+        }
+        assert solution.candidates == (solution.assignment,)
+        assert solver.statistics.candidates_pruned > 0
+
+
+def guards_of(solution, names):
+    return [
+        {name: frozenset(candidate.get(name, ())) for name in names}
+        for candidate in solution.candidates
+    ]
+
+
+class TestSolverReuse:
+    """A solver's validity memo outlives a run; answering from it must
+    not change the answer."""
+
+    @pytest.mark.parametrize("system", [disjunctive_system, two_guard_system])
+    def test_warm_memo_gives_the_fresh_answer(self, system):
+        constraints, spaces = system()
+        names = sorted(spaces)
+        solver = HornSolver()
+        solver.solve(constraints, spaces)
+        cold_checks = solver.statistics.validity_checks
+        warm = solver.solve(constraints, spaces)
+        assert solver.statistics.validity_checks - cold_checks < cold_checks
+        fresh = HornSolver().solve(constraints, spaces)
+        assert warm.solved == fresh.solved
+        assert warm.assignment == fresh.assignment
+        assert guards_of(warm, names) == guards_of(fresh, names)
 
 
 class TestProvenance:

@@ -2,13 +2,10 @@
 
 The contract under test: a checkpoint with no installed scope is free
 and silent; an installed budget trips on exactly the limit it bounds,
-reports progress, and — once exhausted — keeps tripping; scopes nest so
-an inner (per-file) budget cannot outlive an outer (per-request) one;
-and the exhaustion exception survives the pickle round-trip the process
-portfolio puts it through.
+reports progress, and — once exhausted — keeps tripping; and scopes nest
+so an inner (per-file) budget cannot outlive an outer (per-request) one.
 """
 
-import pickle
 import time
 
 import pytest
@@ -113,28 +110,3 @@ class TestNestedScopes:
             with budget_scope(Budget.from_timeout_ms(1_000)):
                 left = limits.remaining_ms()
                 assert left is not None and left <= 1_000
-
-    def test_active_budget_is_the_innermost(self):
-        assert limits.active_budget() is None
-        outer, inner = Budget(max_terms=5), Budget(max_terms=1)
-        with budget_scope(outer):
-            with budget_scope(inner):
-                assert limits.active_budget() is inner
-            assert limits.active_budget() is outer
-
-
-class TestBudgetExhaustedPickling:
-    """Portfolio workers raise the exception across a process boundary."""
-
-    def test_round_trip_preserves_limit_and_progress(self):
-        original = BudgetExhausted("sat_conflicts", {"sat_conflicts": 41})
-        clone = pickle.loads(pickle.dumps(original))
-        assert isinstance(clone, BudgetExhausted)
-        assert clone.limit == "sat_conflicts"
-        assert clone.progress == {"sat_conflicts": 41}
-        assert str(clone) == str(original)
-
-    def test_budget_itself_is_plain_picklable_data(self):
-        budget = Budget.from_timeout_ms(1_000, max_conflicts=7)
-        clone = pickle.loads(pickle.dumps(budget))
-        assert clone == budget

@@ -6,7 +6,7 @@ whose conjunction is inconsistent with the constraint's concrete premises
 applies.  The tests pin the three MARCO invariants (every enumerated MUS
 is refuting, every enumerated MUS is minimal, map seeds never repeat),
 check enumeration completeness against brute force on small pools, and
-exercise pruning, budgets, and the portfolio lemma bus.
+exercise pruning, budgets and vacuity.
 """
 
 from itertools import combinations
@@ -162,28 +162,6 @@ class TestBudgetAndResume:
         # spends no further theory checks
         assert {frozenset(m) for m in again} == {frozenset(m) for m in first}
         assert solver.statistics.theory_checks == checks_after_first
-
-
-class TestLemmaBus:
-    def test_export_import_round_trip(self):
-        constr = guard_constraint()
-        learner = MusFixSolver({})
-        learner.enumerate_muses(constr, POOL)
-        lemmas = learner.export_muses()
-        assert len(lemmas) == learner.statistics.muses_enumerated == 3
-
-        receiver = MusFixSolver({})
-        assert receiver.import_muses(lemmas) == 3
-        assert receiver.import_muses(lemmas) == 0  # idempotent
-        # imported lemmas prune but are not counted as enumerated here
-        assert receiver.statistics.muses_enumerated == 0
-        assert receiver.statistics.lemmas_imported == 3
-        doomed = {"C": (ops.ge(x, ONE), ops.le(x, ZERO))}
-        assert receiver.prune_candidates([doomed], constr) == []
-        # and they are returned without re-running MARCO
-        assert {frozenset(m) for m in receiver.enumerate_muses(constr, POOL)} == {
-            frozenset(m) for (_, m) in lemmas
-        }
 
 
 class TestVacuity:

@@ -80,7 +80,7 @@ class TestDigests:
 
     def test_verb_and_options_separate_keys(self):
         program = parse_program(MAX_SQ)
-        check = query_digest("check", program, {"workers": 1})
+        check = query_digest("check", program, {})
         synth = query_digest("synth", program, {"depth": 4})
         deeper = query_digest("synth", program, {"depth": 5})
         assert len({check, synth, deeper}) == 3
@@ -96,7 +96,7 @@ class TestDigests:
         once per process — from a checkout, as ``pyproject.toml`` says."""
         package_version.cache_clear()
         program = parse_program(MAX_SQ)
-        keys = {query_digest("check", program, {"workers": n}) for n in (1, 2, 3)}
+        keys = {query_digest("synth", program, {"depth": n}) for n in (1, 2, 3)}
         assert len(keys) == 3
         assert package_version.cache_info().misses == 1
         pyproject = (ROOT / "pyproject.toml").read_text().splitlines()

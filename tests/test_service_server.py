@@ -137,6 +137,14 @@ class TestCheckRoute:
         assert stats["cache"]["hits"] == 1
         assert stats["worker"]["queries"] == 2
 
+    def test_workers_field_of_older_clients_is_ignored(self, server):
+        status, old = call(server, "POST", "/check", {"program": CHECK_SQ, "workers": 2})
+        assert status == 200 and not old["cached"]
+        status, plain = call(server, "POST", "/check", {"program": CHECK_SQ})
+        assert status == 200 and plain["cached"]
+        assert plain["digest"] == old["digest"]
+        assert plain["result"] == old["result"]
+
     def test_rejection_is_a_200_with_failures(self, server):
         bad = CHECK_SQ.replace("inc (inc a)", "inc a")
         status, body = call(server, "POST", "/check", {"program": bad})
@@ -162,6 +170,14 @@ class TestSynthRoute:
         assert status == 200
         assert body["cached"], "a re-checked valid entry is still a hit"
 
+    def test_workers_field_of_older_clients_is_ignored(self, server):
+        status, old = call(server, "POST", "/synth", {"program": MAX_SQ, "workers": 2})
+        assert status == 200 and not old["cached"]
+        status, plain = call(server, "POST", "/synth", {"program": MAX_SQ})
+        assert status == 200 and plain["cached"]
+        assert plain["digest"] == old["digest"]
+        assert plain["result"] == old["result"]
+
     def test_unknown_goal_is_400(self, server):
         status, body = call(server, "POST", "/synth", {"program": MAX_SQ, "only": "nonesuch"})
         assert status == 400
@@ -179,8 +195,17 @@ class TestBadRequests:
         assert status == 400
         assert "missing `program`" in body["error"]
 
-    def test_parse_error_is_400(self, server):
-        status, body = call(server, "POST", "/check", {"program": "max :: Int ->"})
+    @pytest.mark.parametrize(
+        "program",
+        [
+            "max :: Int ->",
+            "f :: {Int | nu + True > 0}\n",
+            "data L where\n    N :: L\n\nmeasure size :: L -> Int where\n    N -> 1 + True\n",
+        ],
+        ids=["truncated", "ill-sorted", "ill-sorted-measure-case"],
+    )
+    def test_parse_error_is_400(self, server, program):
+        status, body = call(server, "POST", "/check", {"program": program})
         assert status == 400
         assert "parse error" in body["error"]
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.logic import ops
 from repro.logic.formulas import TRUE, Unknown, Var, value_var
+from repro.logic.sortcheck import SortError
 from repro.logic.sorts import BOOL, INT, UninterpretedSort, VarSort
 from repro.syntax import (
     ContextualType,
@@ -24,6 +25,7 @@ from repro.syntax import (
     lit,
     monomorphic,
     parse_formula,
+    parse_program,
     parse_type,
     pretty_term,
     pretty_type,
@@ -218,6 +220,28 @@ class TestFormulaParser:
             parse_formula("len(x)", {"x": INT})  # unknown measure
         with pytest.raises(ParseError):
             parse_formula("f(x, y)", {"x": INT, "y": INT}, measures={"f": ((INT,), INT)})
+
+
+class TestIllSortedDeclarations:
+    """Inside a program an ill-sorted formula is a parse error at its
+    declaration; a formula parsed on its own keeps the sort checker's
+    :class:`SortError`."""
+
+    def test_ill_sorted_refinement_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="must have sort Int") as caught:
+            parse_program("f :: {Int | nu + True > 0}\n")
+        assert isinstance(caught.value.__cause__, SortError)
+
+    def test_ill_sorted_measure_case_is_a_parse_error(self):
+        source = "data L where\n    N :: L\n\nmeasure size :: L -> Int where\n    N -> 1 + True\n"
+        with pytest.raises(ParseError, match="must have sort Int") as caught:
+            parse_program(source)
+        assert "measure size" in str(caught.value)
+
+    def test_a_lone_formula_keeps_sort_error(self):
+        with pytest.raises(SortError, match="must have sort Int") as caught:
+            parse_formula("x + True > 0", {"x": INT})
+        assert not isinstance(caught.value, ParseError)
 
 
 class TestTypeParser:

@@ -5,10 +5,12 @@ with several incomparable guards; the synthesizer realizes the antichain as
 a nested conditional chain (``if g1 ... else if g2 ... else ...``) and
 discharges a whole-term coverage obligation before accepting it.  These
 tests pin the antichain itself, the realized multi-guard programs, guard
-order independence, and serial ≡ portfolio determinism over the whole
-``examples/`` corpus.
+order independence, and, over the whole ``examples/`` corpus, that a
+repeated run synthesizes the same program and that the printed program
+re-checks on its own.
 """
 
+import gc
 import random
 from pathlib import Path
 
@@ -136,15 +138,33 @@ CORPUS = [
 ]
 
 
-class TestPortfolioDeterminism:
+class TestSynthesisDeterminism:
     @pytest.mark.parametrize("filename,goal,depth", CORPUS)
-    def test_serial_and_portfolio_synthesize_the_same_program(self, filename, goal, depth):
-        """`--workers` only parallelizes the Horn candidate walk; the
-        program that comes out is byte-identical either way."""
-        _, serial = synth_example(filename, goal, depth, workers=1)
-        _, portfolio = synth_example(filename, goal, depth, workers=2)
-        assert serial.solved and portfolio.solved
-        assert pretty_term(serial.program) == pretty_term(portfolio.program)
+    def test_repeated_synthesis_gives_the_same_program(self, filename, goal, depth):
+        """The second run starts with the formula table and its caches
+        filled by the first, and nodes collected in between come back at
+        new addresses; the program and the search counters are identical
+        either way."""
+        _, first = synth_example(filename, goal, depth)
+        gc.collect()
+        _, second = synth_example(filename, goal, depth)
+        assert first.solved and second.solved
+        assert pretty_term(first.program) == pretty_term(second.program)
+        assert first.statistics.as_dict() == second.statistics.as_dict()
+
+
+class TestCorpusRoundTrip:
+    @pytest.mark.parametrize("filename,goal,depth", CORPUS)
+    def test_printed_program_rechecks_in_a_fresh_session(self, filename, goal, depth):
+        """What the user sees is the program: its printed text parses back
+        to the same term, which checks against the goal on its own."""
+        _, result = synth_example(filename, goal, depth)
+        assert result.solved and result.verified
+        reparsed = parse_term(pretty_term(result.program))
+        assert reparsed == result.program
+        session, env = result.goal.session_environment()
+        session.check_program(reparsed, result.goal.goal, env, where="re-check")
+        assert session.solve().solved
 
 
 class TestGuardOrderIndependence:
