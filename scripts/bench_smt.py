@@ -207,7 +207,6 @@ def run_stutter_deep(depth: int = 5):
         learned_clauses=backend.learned_clauses,
         theory_propagations=backend.theory_propagations,
         tableau_pivots=backend.tableau_pivots,
-        lemmas_generalized=backend.lemmas_generalized,
         minimized_literals=backend.minimized_literals,
     )
     return elapsed, counters

@@ -52,7 +52,6 @@ def run_workload(source: str, goal_name: str, depth: int):
     counters["sat_queries"] = backend.sat_queries
     counters["theory_propagations"] = backend.theory_propagations
     counters["tableau_pivots"] = backend.tableau_pivots
-    counters["lemmas_generalized"] = backend.lemmas_generalized
     counters["minimized_literals"] = backend.minimized_literals
     return elapsed, counters
 

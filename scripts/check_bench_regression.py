@@ -18,10 +18,10 @@ reported but never fail the gate (new benchmarks need a first run to
 become a baseline).
 
 The solver-behaviour counters in :data:`TRACKED_COUNTERS` (theory
-propagations, tableau pivots, generalized lemmas, minimized literals) are
-diffed report-only: a drift means the search behaved differently, which
-is exactly what triages a wall-clock change, but it is never a failure by
-itself.  Exactly one summary line is printed per invocation so the job
+propagations, tableau pivots, minimized literals, MUS pruning, cache
+hits) are diffed report-only: a drift means the search behaved
+differently, which is exactly what triages a wall-clock change, but it is
+never a failure by itself.  Exactly one summary line is printed per invocation so the job
 log stays scannable.
 """
 
@@ -40,7 +40,6 @@ from typing import Dict, List, Tuple
 TRACKED_COUNTERS = (
     "theory_propagations",
     "tableau_pivots",
-    "lemmas_generalized",
     "minimized_literals",
     "muses_enumerated",
     "candidates_pruned",

@@ -74,14 +74,18 @@ def _answer(args, compute, query, program: Program, **options) -> dict:
     environment.  A plain invocation is stateless: it calls ``compute``
     without loading the cache.  Otherwise ``query`` answers through the
     cache, which computes the same way on a miss.  (``batch`` and
-    ``serve`` cache by default.)
+    ``serve`` cache by default.)  A definition or goal nested too deeply
+    for the interpreter's stack is a usage error, not an answer.
     """
     options.update(timeout_ms=args.timeout_ms)
-    if args.no_cache or (args.cache_dir is None and "REPRO_CACHE_DIR" not in os.environ):
-        return compute(program, **options)
-    from .service.cache import open_cache
+    try:
+        if args.no_cache or (args.cache_dir is None and "REPRO_CACHE_DIR" not in os.environ):
+            return compute(program, **options)
+        from .service.cache import open_cache
 
-    return query(program, cache=open_cache(args.cache_dir), **options)[0]
+        return query(program, cache=open_cache(args.cache_dir), **options)[0]
+    except api.NestingTooDeep as error:
+        raise _CliError(f"{args.file}: {error}") from None
 
 
 # -- check -------------------------------------------------------------------

@@ -99,9 +99,6 @@ class MusFixSolver:
         self._vacuity: Dict[
             Tuple[Tuple[Formula, ...], FrozenSet[Formula]], Optional[Tuple[Formula, ...]]
         ] = {}
-        #: Premise tuples found contradictory on their own: their vacuity
-        #: entries are blanket bookkeeping, not model evidence.
-        self._dead_contexts: set = set()
 
     # -- the MARCO loop ------------------------------------------------------
 
@@ -227,22 +224,6 @@ class MusFixSolver:
 
     # -- candidate pruning ---------------------------------------------------
 
-    def prune_candidates(
-        self,
-        candidates: Sequence[Dict[str, Sequence[Formula]]],
-        constraint: HornConstraint,
-    ) -> List[Dict[str, Sequence[Formula]]]:
-        """Drop every candidate containing a known MUS of ``constraint``.
-
-        A candidate contains a MUS when the valuation it assigns to one of
-        the constraint's premise unknowns is a superset of it — such a
-        valuation is inconsistent exactly where the constraint applies, so
-        no strengthening can ever rescue the candidate.
-        """
-        survivors = [c for c in candidates if not self.dooms(c, constraint)]
-        self.statistics.candidates_pruned += len(candidates) - len(survivors)
-        return list(survivors)
-
     def prune_everywhere(
         self,
         candidates: Sequence[Dict[str, Sequence[Formula]]],
@@ -282,26 +263,6 @@ class MusFixSolver:
                 return True
         return False
 
-    def dooms(self, candidate: CandidateLike, constraint: Optional[HornConstraint] = None) -> bool:
-        """Does ``candidate`` contain a known MUS (of ``constraint``, or of
-        any constraint when none is given)?"""
-        items = (
-            [(constraint, self._mus_sets.get(constraint, []))]
-            if constraint is not None
-            else list(self._mus_sets.items())
-        )
-        for constr, muses in items:
-            if not muses:
-                continue
-            names = constr.premise_unknowns()
-            for name, valuation in candidate.items():
-                if name not in names:
-                    continue
-                members = set(valuation)
-                if any(mus <= members for mus in muses):
-                    return True
-        return False
-
     def note_live(self, constraint: HornConstraint, qualifier: Formula) -> None:
         """Record outside model evidence that ``qualifier`` is consistent
         with the constraint's concrete premises — a free ``None`` entry in
@@ -314,36 +275,6 @@ class MusFixSolver:
         key = (constraint.concrete_premises(), frozenset((qualifier,)))
         self._vacuity.setdefault(key, None)
 
-    def prefill_contexts(
-        self, constraints: Sequence[HornConstraint], qualifiers: Sequence[Formula]
-    ) -> None:
-        """Prefill vacuity over several demanding contexts of one unknown,
-        strongest (most premises) first, flowing live verdicts down the
-        premise-subset order: a model of a superset context is a model of
-        every subset context, so liveness there is liveness here for free.
-        Dead contexts prove nothing — their blanket ``None`` entries are
-        bookkeeping, not models — and are never propagated from.
-        """
-        ordered = sorted(constraints, key=lambda c: -len(c.concrete_premises()))
-        for index, constr in enumerate(ordered):
-            self.prefill_vacuity(constr, qualifiers)
-            hard = constr.concrete_premises()
-            if hard in self._dead_contexts:
-                continue
-            strong = set(hard)
-            live = [
-                q
-                for q in qualifiers
-                if (hard, frozenset((q,))) in self._vacuity
-                and self._vacuity[(hard, frozenset((q,)))] is None
-            ]
-            for weaker in ordered[index + 1:]:
-                weak_hard = weaker.concrete_premises()
-                if weak_hard == hard or not set(weak_hard) <= strong:
-                    continue
-                for q in live:
-                    self._vacuity.setdefault((weak_hard, frozenset((q,))), None)
-
     def prefill_vacuity(
         self, constraint: HornConstraint, qualifiers: Sequence[Formula]
     ) -> None:
@@ -351,8 +282,9 @@ class MusFixSolver:
 
         One model of the constraint's concrete premises certifies every
         qualifier it satisfies as live; only the leftovers get individual
-        probes, all under premises asserted a single time.  The candidate
-        search calls this on a failure so the per-candidate
+        probes, all under premises asserted a single time.  On a failure
+        the candidate search calls this on every context demanding a
+        repairable unknown, in order, so the per-candidate
         :meth:`is_vacuous` checks at the next level are memo hits.
         """
         hard = constraint.concrete_premises()
@@ -367,7 +299,6 @@ class MusFixSolver:
             if values is None:
                 # Dead context: contradictory premises never count
                 # against a guard.
-                self._dead_contexts.add(hard)
                 for q in pending:
                     self._vacuity[(hard, frozenset((q,)))] = None
                 return

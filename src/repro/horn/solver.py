@@ -527,7 +527,8 @@ class HornSolver:
                 # Enumerate against every demanding context, not just the
                 # failing constraint: dooming needs a refutation in all of
                 # them before a candidate may be dropped.
-                musfix.prefill_contexts(mentioning[name], abducibles[name].qualifiers)
+                for rep in mentioning[name]:
+                    musfix.prefill_vacuity(rep, abducibles[name].qualifiers)
                 for rep in mentioning[name]:
                     musfix.enumerate_muses(rep, abducibles[name].qualifiers)
             if repairable and len(queue):
@@ -643,30 +644,12 @@ class HornSolver:
         definite: Sequence[HornConstraint],
         assignment: Assignment,
     ) -> Optional[HornConstraint]:
-        """First definite constraint the assignment does not validate.
-
-        Grounded constraints sharing a premises tuple (the common case in
-        abduction, where one goal splits into per-conjunct constraints
-        under the same context) are probed in one backend solve: the
-        premises and the negated conjunction of conclusions are asserted
-        once, and on SAT the counterexample model convicts every
-        conclusion it falsifies.  Only conclusions the model leaves open
-        fall back to an individual validity check, so the first-failure
-        order of the sequential scan is preserved exactly.
-        """
-        grounded = []
-        groups: Dict[Tuple[Formula, ...], List[Formula]] = {}
+        """First definite constraint, in order, that the assignment does
+        not validate: one memoized validity check per grounded constraint."""
         for constr in definite:
             premises = tuple(apply_assignment(p, assignment) for p in constr.premises)
             conclusion = apply_assignment(constr.conclusion, assignment)
-            grounded.append((constr, premises, conclusion))
-            groups.setdefault(premises, []).append(conclusion)
-        probed = set()
-        for constr, premises, conclusion in grounded:
             key = (premises, conclusion)
-            if key not in self._validity_memo and premises not in probed:
-                probed.add(premises)
-                self._probe_group(premises, groups[premises])
             verdict = self._validity_memo.get(key)
             if verdict is None:
                 self.statistics.validity_checks += 1
@@ -675,28 +658,6 @@ class HornSolver:
             if not verdict:
                 return constr
         return None
-
-    def _probe_group(self, premises: Tuple[Formula, ...], conclusions: List[Formula]) -> None:
-        """One batched probe resolving as many of the group's verdicts as
-        a single model can; results land in the validity memo."""
-        pending = [c for c in conclusions if (premises, c) not in self._validity_memo]
-        if not pending:
-            return
-        if any(mentions_sets(f) for f in list(premises) + pending):
-            return  # set atoms need the exact one-shot pipeline
-        self.statistics.validity_checks += 1
-        with self._backend.scoped():
-            for premise in premises:
-                self._backend.assert_(premise)
-            self._backend.assert_(ops.not_(ops.conj(pending)))
-            values = self._backend.check_evaluating(pending)
-        if values is None:
-            for conclusion in pending:
-                self._validity_memo[(premises, conclusion)] = True
-            return
-        for conclusion, value in zip(pending, values):
-            if value is False:
-                self._validity_memo[(premises, conclusion)] = False
 
     @staticmethod
     def _initial_assignment(

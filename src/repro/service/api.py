@@ -65,6 +65,14 @@ class UnknownGoal(Exception):
     """``only=`` names a goal with no signature in the program."""
 
 
+class NestingTooDeep(Exception):
+    """A definition or goal nests deeper than the interpreter's stack
+    allows: a client error, like a parse nested too deep."""
+
+    def __init__(self, name: str, verb: str) -> None:
+        super().__init__(f"`{name}` nests too deeply to {verb}")
+
+
 def _component_environment(program: Program, upto: str):
     """A fresh session and environment for checking the item named
     ``upto``: constructors plus every signature declared *before* it in
@@ -93,7 +101,9 @@ def compute_check(program: Program, timeout_ms: Optional[float] = None) -> dict:
     and all remaining definitions into structured ``unknown`` items
     instead of aborting the query: each records which limit tripped and
     the progress counters at that point.  Unknowns are counted apart
-    from ``failures`` — an unanswered query is not a refuted one.
+    from ``failures`` — an unanswered query is not a refuted one.  A
+    definition that overflows the interpreter's stack raises
+    :class:`NestingTooDeep`: that is not a refutation either.
     """
     budget = limits.Budget.from_timeout_ms(timeout_ms) if timeout_ms else None
     items = []
@@ -117,6 +127,8 @@ def compute_check(program: Program, timeout_ms: Optional[float] = None) -> dict:
                 items.append(_unknown_item(name, exhausted))
                 unknowns += 1
                 continue
+            except RecursionError:
+                raise NestingTooDeep(name, "check") from None
             if outcome.solved:
                 item = {"name": name, "status": "ok"}
                 valuations = {
@@ -194,7 +206,8 @@ def compute_synth(
     ``timeout`` item: unsolved, with the tripped limit and the partial
     statistics (including ``depth_reached``) the synthesizer gathered
     before the budget fired.  Raises :class:`UnknownGoal` when ``only``
-    names no signature.
+    names no signature, and :class:`NestingTooDeep` when a goal
+    overflows the interpreter's stack.
     """
     goals = list(program.goals)
     if only is not None:
@@ -237,6 +250,8 @@ def compute_synth(
                 failures += 1
                 timed_out = True
                 continue
+            except RecursionError:
+                raise NestingTooDeep(name, "synthesize") from None
             item = {
                 "name": name,
                 "goal": describe_goal(goal),

@@ -16,11 +16,12 @@ clients sent) is ignored.  POST responses wrap the ordinary query
 payloads (see :mod:`repro.service.api`) as ``{"digest", "cached",
 "result"}`` — the same structures the CLI renders, so a client can diff
 server answers against local runs byte for byte.  Errors are JSON too:
-``400`` for a malformed body, a parse error, or an unknown goal; ``404``
-for any other path; ``500`` for an unexpected solver crash (counted in
-``resets``).  Connections are kept alive, so every reply first consumes
-the request body; a body the handler will not read (malformed,
-oversized or chunked) is a ``400`` that closes the connection.
+``400`` for a malformed body, a parse error, an unknown goal, or a
+program nested too deeply to check; ``404`` for any other path; ``500``
+for an unexpected solver crash (counted in ``resets``).  Connections are
+kept alive, so every reply first consumes the request body; a body the
+handler will not read (malformed, oversized or chunked) is a ``400``
+that closes the connection.
 
 **Deadlines.** ``--request-timeout`` arms every POST with a wall-clock
 budget (a per-request ``"timeout_ms"`` body field tightens it further);
@@ -191,7 +192,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             if self.path == "/synth":
                 return self._handle_synth(self._json_body(data))
             return 404, {"error": f"no such route: {self.path}"}
-        except _BadRequest as error:
+        except (_BadRequest, api.NestingTooDeep) as error:
             return 400, {"error": str(error)}
         except limits.BudgetExhausted as exhausted:
             # The budget tripped outside the degradation paths the query

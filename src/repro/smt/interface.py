@@ -9,9 +9,8 @@ questions.  The concrete :class:`repro.smt.solver.IncrementalSolver`
 implements it with assumption literals over a single persistent SAT
 solver running DPLL(T) against one persistent, trail-backed theory state,
 so a fixpoint loop that re-asserts the same premises thousands of times
-pays for their encoding exactly once, keeps every learned (and
-alpha-generalized) theory lemma, and resumes every simplex check from the
-previous feasible basis.
+pays for their encoding exactly once, keeps every learned theory lemma,
+and resumes every simplex check from the previous feasible basis.
 """
 
 from __future__ import annotations

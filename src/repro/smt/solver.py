@@ -11,10 +11,7 @@ partial; the theory also *propagates*, pushing atom values it can already
 entail (LIA bound subsumption, congruence-entailed equalities) back into
 the SAT trail as implications with reason clauses.  Theory conflicts are
 explained (simplex bound tags) or QuickXplain-minimized with probes on
-fresh theories, learned as lemmas, and additionally *generalized*: lemmas
-are keyed by their alpha-canonical renaming, so a structurally identical
-conflict over fresh type variables is answered by instantiating the
-stored lemma instead of a new theory refutation.
+fresh theories, and learned as lemmas.
 
 :class:`IncrementalSolver` runs that loop and is the one way to run a
 query.  One persistent Tseitin encoder, **one persistent CDCL SAT
@@ -48,22 +45,18 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..logic import ops
 from ..logic.formulas import (
-    App,
     Binary,
     BinaryOp,
     BoolLit,
     Formula,
     Ite,
-    SetLit,
     Unary,
     UnaryOp,
-    Var,
     is_false,
     is_true,
 )
 from ..logic.simplify import negation_normal_form, simplify
 from ..logic.sorts import BoolSort
-from ..logic.substitution import rename
 from ..logic.transform import transform
 from .interface import SolverBackend
 from .names import FreshNames
@@ -96,8 +89,6 @@ class SolverStatistics:
     theory_conflicts: int = 0
     #: Pivots performed by the persistent simplex tableau.
     tableau_pivots: int = 0
-    #: Lemma clauses instantiated from alpha-canonical generalizations.
-    lemmas_generalized: int = 0
     #: Literals removed from learned clauses by self-subsumption.
     minimized_literals: int = 0
 
@@ -332,35 +323,6 @@ class _TheoryBridge:
         return implications
 
 
-def _ordered_free_vars(formula: Formula, out: List[str], seen: Set[str]) -> None:
-    """Collect free variable names in deterministic first-occurrence order
-    (structural left-to-right traversal)."""
-    if isinstance(formula, Var):
-        if formula.name not in seen:
-            seen.add(formula.name)
-            out.append(formula.name)
-    elif isinstance(formula, Unary):
-        _ordered_free_vars(formula.arg, out, seen)
-    elif isinstance(formula, Binary):
-        _ordered_free_vars(formula.lhs, out, seen)
-        _ordered_free_vars(formula.rhs, out, seen)
-    elif isinstance(formula, Ite):
-        _ordered_free_vars(formula.cond, out, seen)
-        _ordered_free_vars(formula.then_, out, seen)
-        _ordered_free_vars(formula.else_, out, seen)
-    elif isinstance(formula, App):
-        for arg in formula.args:
-            _ordered_free_vars(arg, out, seen)
-    elif isinstance(formula, SetLit):
-        for element in formula.elements:
-            _ordered_free_vars(element, out, seen)
-
-
-#: Theory lemmas longer than this are not alpha-generalized (wide conflicts
-#: rarely recur under renaming, and indexing them is all cost).
-_GENERALIZE_LIMIT = 8
-
-
 class IncrementalSolver(SolverBackend):
     """Assumption-literal based incremental CDCL(T) solver.
 
@@ -421,19 +383,6 @@ class IncrementalSolver(SolverBackend):
         #: the persistent DPLL(T) theory, shadowing the SAT trail.
         self._bridge = _TheoryBridge(self)
         self._sat.max_theory_restarts = self.MAX_ITERATIONS
-        #: atom -> (alpha-canonical form, variable names in canonical order).
-        self._canon_cache: Dict[Formula, Tuple[Formula, Tuple[str, ...]]] = {}
-        #: canonical atom -> interned atoms sharing that shape.
-        self._atoms_by_canon: Dict[Formula, List[Formula]] = {}
-        #: (canonical atom, variable order) -> the interned atom, so lemma
-        #: instantiation is pure dictionary lookup (no formula renaming).
-        self._atom_by_shape: Dict[Tuple[Formula, Tuple[str, ...]], Formula] = {}
-        #: canonical atom -> [(anchor var order, lemma literals)] entries.
-        self._lemma_index: Dict[Formula, List[Tuple[Tuple[str, ...], Tuple]]] = {}
-        #: whole-lemma canonical keys already generalized.
-        self._lemma_keys: Set[Tuple] = set()
-        #: instantiated lemma clauses already emitted (dedup).
-        self._emitted_instances: Set[frozenset] = set()
         self.statistics = SolverStatistics()
 
     # -- SolverBackend -------------------------------------------------------
@@ -540,7 +489,7 @@ class IncrementalSolver(SolverBackend):
         return result.model, checked
 
     def _theory_conflict_clause(self, conflict: Conflict) -> List[int]:
-        """Turn a theory conflict into a blocking clause (and generalize it).
+        """Turn a theory conflict into a blocking clause.
 
         Explained conflicts (simplex bound tags) are near-minimal already;
         unexplained ones (congruence, Nelson–Oppen) are QuickXplain-shrunk
@@ -561,7 +510,6 @@ class IncrementalSolver(SolverBackend):
             if lit not in seen:
                 seen.add(lit)
                 clause.append(lit)
-        self._generalize_lemma(literals)
         return clause
 
     def _sync_sat_statistics(self) -> None:
@@ -576,112 +524,6 @@ class IncrementalSolver(SolverBackend):
         stats.theory_conflicts = sat_stats.theory_conflicts
         stats.theory_checks = self._bridge.checks
         stats.tableau_pivots = self._bridge.theory.simplex.pivots
-
-    # -- lemma generalization ------------------------------------------------
-
-    def _canonical_atom(self, atom: Formula) -> Tuple[Formula, Tuple[str, ...]]:
-        """The atom with its free variables alpha-renamed in first-occurrence
-        order, plus the original names in that order.  Two atoms have equal
-        canonical forms iff one is a variable renaming of the other (with
-        matching sorts, since renaming preserves each variable's sort)."""
-        cached = self._canon_cache.get(atom)
-        if cached is None:
-            names: List[str] = []
-            _ordered_free_vars(atom, names, set())
-            if names:
-                mapping = {name: f"?c{i}" for i, name in enumerate(names)}
-                canon = rename(atom, mapping)
-            else:
-                canon = atom
-            cached = (canon, tuple(names))
-            self._canon_cache[atom] = cached
-        return cached
-
-    def _generalize_lemma(self, literals: Sequence[Literal]) -> None:
-        """Index a theory conflict by its alpha-canonical form and emit its
-        instances over already-interned renamed atoms.
-
-        A conflict is a theory-unsatisfiable conjunction; any uniform
-        variable renaming of it is equally unsatisfiable, so its blocking
-        clause may be replayed under every renaming whose atoms exist in
-        the encoder.  The synthesizer's fresh ``_tvN`` instantiations hit
-        exactly this: structurally identical conflicts that previously each
-        cost a theory refutation now propagate propositionally.
-        """
-        if not literals or len(literals) > _GENERALIZE_LIMIT:
-            return
-        atom_vars = self._encoder._atom_vars
-        if any(lit.atom not in atom_vars for lit in literals):
-            return
-        ordered = sorted(literals, key=lambda lit: atom_vars[lit.atom])
-        names: List[str] = []
-        seen_names: Set[str] = set()
-        for lit in ordered:
-            _ordered_free_vars(lit.atom, names, seen_names)
-        if not names:
-            return
-        mapping = {name: f"?g{i}" for i, name in enumerate(names)}
-        key = tuple((rename(lit.atom, mapping), lit.polarity) for lit in ordered)
-        if key in self._lemma_keys:
-            return
-        self._lemma_keys.add(key)
-        lemma = tuple((lit.atom, lit.polarity) for lit in ordered)
-        anchored: Set[Formula] = set()
-        for lit in ordered:
-            if lit.atom in anchored:
-                continue
-            anchored.add(lit.atom)
-            canon, order = self._canonical_atom(lit.atom)
-            entry = (order, lemma)
-            self._lemma_index.setdefault(canon, []).append(entry)
-            # Replay against renamed atoms interned before this lemma.
-            for existing in self._atoms_by_canon.get(canon, ()):
-                self._instantiate_entry(entry, self._canonical_atom(existing)[1])
-
-    def _instantiate_entry(
-        self, entry: Tuple[Tuple[str, ...], Tuple], new_order: Tuple[str, ...]
-    ) -> None:
-        """Emit one lemma instance: rename the anchor's variables to the new
-        atom's and block the renamed conjunction — provided every renamed
-        atom is already interned (no new atoms are invented).
-
-        Renamed atoms are found by (canonical shape, renamed variable
-        order) lookup rather than by building the renamed formula, so a
-        replay attempt costs dictionary probes only.  Instances whose
-        renaming collapses distinct variables change an atom's canonical
-        shape and are not found — such degenerate instances are skipped
-        (a completeness trade, never a soundness one).
-        """
-        var_order, lemma = entry
-        if len(var_order) != len(new_order):
-            return
-        substitution = {
-            old: new for old, new in zip(var_order, new_order) if old != new
-        }
-        if not substitution:
-            return  # the identity instance is the original blocking clause
-        atom_vars = self._encoder._atom_vars
-        atom_by_shape = self._atom_by_shape
-        clause: List[int] = []
-        for lemma_atom, polarity in lemma:
-            canon, order = self._canonical_atom(lemma_atom)
-            instance_order = tuple(substitution.get(name, name) for name in order)
-            if instance_order == order:
-                instance = lemma_atom
-            else:
-                instance = atom_by_shape.get((canon, instance_order))
-                if instance is None:
-                    return
-            variable = atom_vars.get(instance)
-            if variable is None:
-                return
-            clause.append(-variable if polarity else variable)
-        dedup = frozenset(clause)
-        if dedup in self._emitted_instances:
-            return
-        self._emitted_instances.add(dedup)
-        self._sat.add_lemma(clause)
-        self.statistics.lemmas_generalized += 1
 
     def _make_selector(self, formula: Formula) -> Optional[int]:
         self.statistics.encoded_assertions += 1
@@ -732,15 +574,7 @@ class IncrementalSolver(SolverBackend):
         while self._linked_atoms < len(log):
             atom, variable = log[self._linked_atoms]
             self._linked_atoms += 1
-            # Register for theory propagation and alpha-canonical lemma
-            # replay: a generalized conflict stored under this atom's shape
-            # is instantiated here, at interning time.
-            self._bridge.theory.watch_atom(atom, variable)
-            canon, order = self._canonical_atom(atom)
-            self._atoms_by_canon.setdefault(canon, []).append(atom)
-            self._atom_by_shape[(canon, order)] = atom
-            for entry in self._lemma_index.get(canon, ()):
-                self._instantiate_entry(entry, order)
+            self._bridge.theory.watch_atom(atom, variable)  # theory propagation
             decomposed = _comparison_parts(atom)
             if decomposed is None:
                 continue

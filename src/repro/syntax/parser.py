@@ -295,10 +295,11 @@ class _Parser:
             self.expect("|")
             saved = self.value_sort
             self.value_sort = sort = base_sort(base)
+            start = self.peek()
             refinement = self.formula()
             self.value_sort = saved
             self.expect("}")
-            self._check_refinement(refinement, sort)
+            self._check_refinement(refinement, sort, start)
             return ScalarType(base, refinement)
         return ScalarType(self.base_type())
 
@@ -337,19 +338,20 @@ class _Parser:
             return DataBase(name, tuple(args))
         return TypeVarBase(name)
 
-    def _check_refinement(self, refinement: Formula, value_sort: Sort) -> None:
+    def _check_refinement(self, refinement: Formula, value_sort: Sort, start: _Token) -> None:
         scope = dict(self.scope)
         scope[VALUE_VAR] = value_sort
-        sort = self._sort_of(refinement, scope)
+        sort = self._sort_of(refinement, scope, start)
         if sort != BOOL:
-            raise self.fail(f"refinement must have sort Bool, got {sort}")
+            raise self.error(f"refinement must have sort Bool, got {sort}", start)
 
-    def _sort_of(self, formula: Formula, scope: Mapping[str, Sort]) -> Sort:
-        """:func:`check_sort`, an ill-sorted formula being a parse error."""
+    def _sort_of(self, formula: Formula, scope: Mapping[str, Sort], start: _Token) -> Sort:
+        """:func:`check_sort`, an ill-sorted formula being a parse error at
+        ``start``, the formula's first token."""
         try:
             return check_sort(formula, scope, self.measures)
         except SortError as error:
-            raise self.fail(str(error)) from error
+            raise self.error(str(error), start) from error
 
     # -- terms ---------------------------------------------------------------
 
@@ -568,15 +570,17 @@ class _Parser:
             node = node.result_type
         outer_scope = self.scope
         self.scope = scope
+        start = self.peek()
         try:
             body = self.formula()
         finally:
             self.scope = outer_scope
-        sort = self._sort_of(body, scope)
+        sort = self._sort_of(body, scope, start)
         if not sorts_compatible(sort, header.result_sort):
-            raise self.fail(
+            raise self.error(
                 f"measure case `{cname}` has sort {sort}, "
-                f"expected {header.result_sort}"
+                f"expected {header.result_sort}",
+                start,
             )
         return MeasureCase(cname, tuple(binder_vars), body)
 

@@ -43,7 +43,7 @@ entailment, so the answer is the weakest guard regardless of pool order —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -117,7 +117,6 @@ def abduce_condition(
     goal: RType,
     where: str = "abduce",
     max_conjuncts: int = 2,
-    options: Optional[SolveOptions] = None,
     stats: Optional[HornStatistics] = None,
 ) -> Optional[AbducedCondition]:
     """The weakest qualifier-space conditions validating ``candidate``
@@ -127,11 +126,9 @@ def abduce_condition(
     The candidate's constraints are collected in a trial scope (no
     residue); ``C``'s space is then re-inserted marked ``abducible`` and
     the whole system goes through the candidate-set Horn search on the
-    session's shared incremental backend.  ``options`` defaults to
-    :class:`~repro.horn.solver.SolveOptions`'s defaults; ``stats`` — when
-    given — accumulates the solver's search counters.
+    session's shared incremental backend.  ``stats`` — when given —
+    accumulates the solver's search counters.
     """
-    opts = options if options is not None else SolveOptions()
     # Cancellation point per abduction attempt: each spawns a whole
     # candidate-set Horn search, so check the budget before committing.
     limits.checkpoint()
@@ -173,12 +170,7 @@ def abduce_condition(
     # witnesses (shrunk on the spot, a handful of theory probes each); a
     # big MARCO budget would re-derive them by blind enumeration over the
     # whole pool at every constraint failure, so keep it small here.
-    opts = replace(
-        opts,
-        max_candidates=max(opts.max_candidates, lattice),
-        minimize=False,
-        mus_budget=min(opts.mus_budget, 8),
-    )
+    opts = SolveOptions(max_candidates=max(SolveOptions.max_candidates, lattice), mus_budget=8)
 
     solver = HornSolver(session.backend, validity_memo=session._validity_memo)
     solution = solver.solve(constraints, spaces, opts)

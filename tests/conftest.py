@@ -33,3 +33,18 @@ def deeply_nested(request):
         return f"f :: {opened}Int{closed}\n", 0
     signature = "f :: Int\n"
     return f"{signature}f = {opened}0{closed}\n", len(signature)
+
+
+@pytest.fixture
+def curried_program():
+    """``curried_program(n)``: the source of an ``n``-argument ``f`` whose
+    definition nests ``n`` lambdas.  It parses at any ``n``, but checking
+    600 arguments overflows the interpreter's stack, and 300 does not."""
+
+    def make(arity):
+        binders = [f"a{index}" for index in range(arity)]
+        signature = " -> ".join(f"{name}:Int" for name in binders)
+        lambdas = " ".join(f"\\{name} ." for name in binders)
+        return f"f :: {signature} -> Int\nf = {lambdas} 0\n"
+
+    return make

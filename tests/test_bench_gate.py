@@ -71,8 +71,8 @@ class TestCounterDrift:
     def test_newly_appearing_tracked_counter_is_drift(self):
         """A counter present on only one side (e.g. a schema extension)
         reads as None on the other — visible, but still report-only."""
-        notes = gate.counter_drift({"case": {}}, {"case": {"lemmas_generalized": 3}})
-        assert notes == ["case.lemmas_generalized None->3"]
+        notes = gate.counter_drift({"case": {}}, {"case": {"minimized_literals": 3}})
+        assert notes == ["case.minimized_literals None->3"]
 
     def test_one_sided_cases_produce_no_drift(self):
         notes = gate.counter_drift(
@@ -195,10 +195,9 @@ class TestEndToEnd:
 
     def test_committed_smt_baseline_exercises_new_counters(self):
         """At least one committed benchmark must witness theory propagation
-        and lemma generalization actually firing."""
+        actually firing."""
         root = SCRIPT.parent.parent
         smt = gate.load_counters(root / "BENCH_smt.json")
         synth = gate.load_counters(root / "BENCH_synth.json")
         cases = {**smt, **synth}.values()
         assert any(c.get("theory_propagations", 0) > 0 for c in cases)
-        assert any(c.get("lemmas_generalized", 0) > 0 for c in cases)

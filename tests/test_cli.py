@@ -339,6 +339,33 @@ class TestParseErrors:
         assert code == EXIT_USAGE
         assert "parse error: nesting too deep" in capsys.readouterr().err
 
+    def test_check_too_deep_for_the_stack_exits_2(self, curried_program, tmp_path, capsys):
+        """Exit 1 means "refuted"; a check the stack cannot hold refutes
+        nothing, so it is a usage error naming the definition."""
+        path = tmp_path / "curried.sq"
+        path.write_text(curried_program(600))
+        code, out = run(["check", str(path)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: {path}: `f` nests too deeply to check\n"
+
+    def test_300_arguments_still_check(self, curried_program, tmp_path):
+        path = tmp_path / "curried.sq"
+        path.write_text(curried_program(300))
+        assert run(["check", str(path)]) == (EXIT_OK, "f: OK\n")
+
+    def test_synth_too_deep_for_the_stack_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A real 600-argument goal takes seconds to overflow; what is
+        # pinned here is how an overflow is reported.
+        def overflow(self):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("repro.service.api.Synthesizer.synthesize", overflow)
+        path = tmp_path / "max.sq"
+        path.write_text(MAX_SQ)
+        code, _ = run(["synth", str(path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: `max` nests too deeply to synthesize\n"
+
 
 class TestCacheFlags:
     def test_every_verb_takes_cache_flags(self, capsys):

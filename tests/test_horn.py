@@ -134,6 +134,24 @@ class TestUnsolvableSystem:
         assert not solution.solved
         assert solution.failed is spec
 
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)], ids=["below", "above"])
+    def test_first_failure_in_order_is_reported(self, order):
+        """Definite constraints over one premise tuple are checked in
+        order: of the two that fail, the earlier one is reported."""
+        space = build_space("P", default_qualifiers(), [x], value_sort=INT)
+        definite = [
+            constraint([Unknown("P")], ops.ge(nu, x), "holds"),
+            constraint([Unknown("P")], ops.lt(nu, IntLit(0)), "below"),
+            constraint([Unknown("P")], ops.gt(nu, ops.plus(x, IntLit(1))), "above"),
+        ]
+        constraints = [
+            constraint([ops.ge(x, IntLit(0))], Unknown("P", (("_v", x),))),
+            *(definite[index] for index in order),
+        ]
+        solution = HornSolver().solve(constraints, [space])
+        assert not solution.solved
+        assert solution.failed is definite[order[1]]
+
     def test_contradictory_premises_prove_anything(self):
         space = build_space("P", default_qualifiers(), [x, y], value_sort=INT)
         constraints = [

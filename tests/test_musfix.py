@@ -122,7 +122,9 @@ class TestPruneCandidates:
         superset_doomed = {"C": (ops.ge(x, ZERO), ops.ge(x, ONE), ops.le(x, ZERO))}
         viable = {"C": (ops.le(x, NEG_ONE),)}
         empty = {"C": ()}
-        survivors = solver.prune_candidates([doomed, superset_doomed, viable, empty], constr)
+        survivors = solver.prune_everywhere(
+            [doomed, superset_doomed, viable, empty], {"C": [constr]}
+        )
         assert survivors == [viable, empty]
         assert solver.statistics.candidates_pruned == 2
 
@@ -133,7 +135,7 @@ class TestPruneCandidates:
         # the same qualifiers under an unknown the constraint never
         # mentions are untouched
         other = {"D": (ops.ge(x, ONE), ops.le(x, ZERO))}
-        assert solver.prune_candidates([other], constr) == [other]
+        assert solver.prune_everywhere([other], {"C": [constr]}) == [other]
 
 
 class TestBudgetAndResume:
@@ -173,7 +175,7 @@ class TestVacuity:
         assert not solver.is_vacuous(constr, (ops.ge(x, ZERO),))
         # the discovery was shrunk and recorded: it now prunes candidates
         doomed = {"C": (ops.ge(x, ZERO), ops.le(x, ZERO))}
-        assert solver.prune_candidates([doomed], constr) == []
+        assert solver.prune_everywhere([doomed], {"C": [constr]}) == []
 
 
 class TestInterfaceShape:
@@ -186,11 +188,8 @@ class TestInterfaceShape:
             inspect.signature(MusFixSolver.enumerate_muses).parameters
         )
         assert enumerate_parameters == ["self", "constraint", "valuation"]
-        prune_parameters = list(inspect.signature(MusFixSolver.prune_candidates).parameters)
-        assert prune_parameters == ["self", "candidates", "constraint"]
 
     def test_methods_no_longer_raise_not_implemented(self):
         constr = HornConstraint((Unknown("C"),), ops.ge(x, ZERO))
         solver = MusFixSolver({})
         assert solver.enumerate_muses(constr, [ops.bool_lit(True)]) == []
-        assert solver.prune_candidates([], constr) == []

@@ -214,6 +214,21 @@ class TestBadRequests:
         assert status == 400
         assert body["error"].startswith("parse error: nesting too deep")
 
+    def test_check_too_deep_for_the_stack_is_400(self, server, curried_program):
+        status, body = call(server, "POST", "/check", {"program": curried_program(600)})
+        assert (status, body) == (400, {"error": "`f` nests too deeply to check"})
+        status, body = call(server, "POST", "/check", {"program": curried_program(300)})
+        assert status == 200
+        assert body["result"]["items"] == [{"name": "f", "status": "ok"}]
+
+    def test_synth_too_deep_for_the_stack_is_400(self, server, monkeypatch):
+        def overflow(self):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("repro.service.api.Synthesizer.synthesize", overflow)
+        status, body = call(server, "POST", "/synth", {"program": MAX_SQ})
+        assert (status, body) == (400, {"error": "`max` nests too deeply to synthesize"})
+
     def test_non_integer_option_is_400(self, server):
         status, body = call(server, "POST", "/synth", {"program": MAX_SQ, "depth": "four"})
         assert status == 400

@@ -238,6 +238,28 @@ class TestIllSortedDeclarations:
             parse_program(source)
         assert "measure size" in str(caught.value)
 
+    @pytest.mark.parametrize(
+        "source,position",
+        [
+            ("f :: {Int | nu + True > 0}\n", 12),
+            ("f :: {Int | nu + 1}\n", 12),
+            ("data L where\n    N :: L\n\nmeasure size :: L -> Int where\n    N -> 1 + True\n", 40),
+            ("data L where\n    N :: L\n\nmeasure size :: L -> Int where\n    N -> True\n", 40),
+        ],
+        ids=[
+            "ill-sorted-operand",
+            "int-refinement",
+            "ill-sorted-measure-case",
+            "bool-measure-case",
+        ],
+    )
+    def test_error_points_at_the_formula(self, source, position):
+        """The position is the formula's first token (in the measure's own
+        text for a measure case), not the token after the formula."""
+        with pytest.raises(ParseError) as caught:
+            parse_program(source)
+        assert caught.value.position == position
+
     def test_a_lone_formula_keeps_sort_error(self):
         with pytest.raises(SortError, match="must have sort Int") as caught:
             parse_formula("x + True > 0", {"x": INT})
