@@ -15,17 +15,16 @@ constraint valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from ..logic.formulas import Formula, Unknown
 from ..logic.substitution import substitute
 from ..logic.transform import transform
 from ..logic.transform import unknowns as formula_unknowns
+from ..value import Value
 
 
-@dataclass(frozen=True)
-class HornConstraint:
+class HornConstraint(Value):
     """``premises ==> conclusion`` with unknowns on either side.
 
     ``provenance`` is the structured diagnostics trail the type checker
@@ -37,16 +36,27 @@ class HornConstraint:
     entry point.
     """
 
-    premises: Tuple[Formula, ...]
-    conclusion: Formula
-    provenance: Tuple[object, ...] = ()
+    __slots__ = ("premises", "conclusion", "provenance", "_premise_unknowns", "_concrete_premises")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.conclusion, Unknown) and formula_unknowns(self.conclusion):
+    def __init__(
+        self,
+        premises: Tuple[Formula, ...],
+        conclusion: Formula,
+        provenance: Tuple[object, ...] = (),
+    ) -> None:
+        if not isinstance(conclusion, Unknown) and formula_unknowns(conclusion):
             raise ValueError(
                 "conclusion must be a single predicate unknown or unknown-free, "
-                f"got: {self.conclusion!r}"
+                f"got: {conclusion!r}"
             )
+        self.premises = premises
+        self.conclusion = conclusion
+        self.provenance = provenance
+        self._premise_unknowns: Optional[FrozenSet[str]] = None
+        self._concrete_premises: Optional[Tuple[Formula, ...]] = None
+
+    def _fields(self) -> Tuple:
+        return (self.premises, self.conclusion, self.provenance)
 
     # -- structure -----------------------------------------------------------
 
@@ -66,13 +76,13 @@ class HornConstraint:
         (queued candidate, known MUS) pair, and re-joining the premises'
         cached unknowns over big environment embeddings each time adds up.
         """
-        cached = self.__dict__.get("_premise_unknowns")
+        cached = self._premise_unknowns
         if cached is None:
             names = set()
             for premise in self.premises:
                 names |= formula_unknowns(premise)
             cached = frozenset(names)
-            object.__setattr__(self, "_premise_unknowns", cached)
+            self._premise_unknowns = cached
         return cached
 
     def unknowns(self) -> FrozenSet[str]:
@@ -86,10 +96,10 @@ class HornConstraint:
         of any valuation.  MUS enumeration checks tentative valuations of
         premise-position unknowns for consistency against exactly these.
         Memoized like :meth:`premise_unknowns`."""
-        cached = self.__dict__.get("_concrete_premises")
+        cached = self._concrete_premises
         if cached is None:
             cached = tuple(p for p in self.premises if not formula_unknowns(p))
-            object.__setattr__(self, "_concrete_premises", cached)
+            self._concrete_premises = cached
         return cached
 
     # -- diagnostics ---------------------------------------------------------

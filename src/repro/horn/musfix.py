@@ -31,7 +31,6 @@ of the same constraint continues where the last call stopped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .. import limits
@@ -47,27 +46,36 @@ from .spaces import QualifierSpace
 CandidateLike = Mapping[str, Sequence[Formula]]
 
 
-@dataclass
 class MusFixStatistics:
     """Counters describing one enumerator's work."""
 
-    muses_enumerated: int = 0
-    theory_checks: int = 0
-    map_seeds: int = 0
-    candidates_pruned: int = 0
+    def __init__(self) -> None:
+        self.muses_enumerated = 0
+        self.theory_checks = 0
+        self.map_seeds = 0
+        self.candidates_pruned = 0
 
 
-@dataclass
 class _MarcoState:
     """Resumable MARCO state for one (constraint, qualifier pool) pair."""
 
-    pool: Tuple[Formula, ...]
-    map: SatSolver = field(default_factory=SatSolver)
-    #: Every seed the map proposed, in order (introspection: tests assert
-    #: that blocking makes them unique).
-    seeds: List[FrozenSet[int]] = field(default_factory=list)
-    budget_left: int = 0
-    complete: bool = False
+    __slots__ = ("pool", "map", "seeds", "budget_left", "complete")
+
+    def __init__(
+        self,
+        pool: Tuple[Formula, ...],
+        map: Optional[SatSolver] = None,
+        seeds: Optional[List[FrozenSet[int]]] = None,
+        budget_left: int = 0,
+        complete: bool = False,
+    ) -> None:
+        self.pool = pool
+        self.map = map if map is not None else SatSolver()
+        #: Every seed the map proposed, in order (introspection: tests
+        #: assert that blocking makes them unique).
+        self.seeds = seeds if seeds is not None else []
+        self.budget_left = budget_left
+        self.complete = complete
 
 
 class MusFixSolver:

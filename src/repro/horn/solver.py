@@ -47,7 +47,6 @@ preconditions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import limits
@@ -66,7 +65,6 @@ from .spaces import QualifierSpace, SpacesLike, as_space_map
 Assignment = Dict[str, Tuple[Formula, ...]]
 
 
-@dataclass(frozen=True)
 class SolveOptions:
     """How :meth:`HornSolver.solve` should search.
 
@@ -78,29 +76,35 @@ class SolveOptions:
     qualifier pool.
     """
 
-    minimize: bool = False
-    max_candidates: int = 16
-    mus_budget: int = 64
+    __slots__ = ("minimize", "max_candidates", "mus_budget")
+
+    def __init__(
+        self, minimize: bool = False, max_candidates: int = 16, mus_budget: int = 64
+    ) -> None:
+        self.minimize = minimize
+        self.max_candidates = max_candidates
+        self.mus_budget = mus_budget
 
 
-@dataclass
 class HornStatistics:
-    """Counters describing one solver's work."""
+    """Counters describing one solver's work (instance attributes, so
+    ``vars()`` lists them)."""
 
-    validity_checks: int = 0
-    fixpoint_rounds: int = 0
-    weakenings: int = 0
-    pruned_qualifiers: int = 0
-    #: Qualifiers pruned directly from a counterexample model, without a
-    #: per-qualifier validity probe of their own.
-    model_pruned_qualifiers: int = 0
-    #: Candidate assignments taken off the search frontier and evaluated.
-    candidates_explored: int = 0
-    #: Candidates dropped because they contained a known MUS (or were
-    #: vacuous) — work the search never had to do.
-    candidates_pruned: int = 0
-    #: Minimal unsatisfiable subsets enumerated by the MARCO loop.
-    muses_enumerated: int = 0
+    def __init__(self) -> None:
+        self.validity_checks = 0
+        self.fixpoint_rounds = 0
+        self.weakenings = 0
+        self.pruned_qualifiers = 0
+        #: Qualifiers pruned directly from a counterexample model, without a
+        #: per-qualifier validity probe of their own.
+        self.model_pruned_qualifiers = 0
+        #: Candidate assignments taken off the search frontier and evaluated.
+        self.candidates_explored = 0
+        #: Candidates dropped because they contained a known MUS (or were
+        #: vacuous) — work the search never had to do.
+        self.candidates_pruned = 0
+        #: Minimal unsatisfiable subsets enumerated by the MARCO loop.
+        self.muses_enumerated = 0
 
     def merge(self, other: "HornStatistics") -> None:
         """Fold another solver's counters into this one."""
@@ -114,7 +118,6 @@ class HornStatistics:
         self.muses_enumerated += other.muses_enumerated
 
 
-@dataclass
 class HornSolution:
     """Outcome of :meth:`HornSolver.solve`.
 
@@ -127,18 +130,27 @@ class HornSolution:
     was requested.
     """
 
-    solved: bool
-    assignment: Assignment
-    candidates: Tuple[Assignment, ...] = ()
-    weakest: Optional[Assignment] = None
-    failed: Optional[HornConstraint] = None
+    __slots__ = ("solved", "assignment", "candidates", "weakest", "failed")
+
+    def __init__(
+        self,
+        solved: bool,
+        assignment: Assignment,
+        candidates: Tuple[Assignment, ...] = (),
+        weakest: Optional[Assignment] = None,
+        failed: Optional[HornConstraint] = None,
+    ) -> None:
+        self.solved = solved
+        self.assignment = assignment
+        self.candidates = candidates
+        self.weakest = weakest
+        self.failed = failed
 
     def formula_for(self, unknown: str) -> Formula:
         """The chosen valuation of ``unknown`` as one conjunction."""
         return ops.conj(self.assignment.get(unknown, ()))
 
 
-@dataclass
 class CandidateSearchResult:
     """Raw outcome of one :meth:`HornSolver.search_candidates` run.
 
@@ -147,8 +159,11 @@ class CandidateSearchResult:
     on (diagnostics when nothing solves).
     """
 
-    solutions: Tuple[Assignment, ...]
-    failed: Optional[HornConstraint]
+    __slots__ = ("solutions", "failed")
+
+    def __init__(self, solutions: Tuple[Assignment, ...], failed: Optional[HornConstraint]) -> None:
+        self.solutions = solutions
+        self.failed = failed
 
 
 def _candidate_key(candidate: Assignment) -> Tuple:

@@ -12,7 +12,6 @@ iteration starts from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from ..logic.formulas import Formula, value_var
@@ -20,7 +19,6 @@ from ..logic.qualifiers import Qualifier, instantiate_all
 from ..logic.sorts import Sort
 
 
-@dataclass(frozen=True)
 class QualifierSpace:
     """The instantiated qualifier set ``Q_P`` of one predicate unknown.
 
@@ -40,10 +38,19 @@ class QualifierSpace:
     unbounded (the whole power set of the space is reachable).
     """
 
-    unknown: str
-    qualifiers: Tuple[Formula, ...]
-    abducible: bool = False
-    max_conjuncts: Optional[int] = None
+    __slots__ = ("unknown", "qualifiers", "abducible", "max_conjuncts")
+
+    def __init__(
+        self,
+        unknown: str,
+        qualifiers: Tuple[Formula, ...],
+        abducible: bool = False,
+        max_conjuncts: Optional[int] = None,
+    ) -> None:
+        self.unknown = unknown
+        self.qualifiers = qualifiers
+        self.abducible = abducible
+        self.max_conjuncts = max_conjuncts
 
     def __len__(self) -> int:
         return len(self.qualifiers)

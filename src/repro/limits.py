@@ -2,7 +2,7 @@
 
 Synquid's evaluation reports every benchmark under a per-goal timeout;
 this module is that machinery for the whole stack.  A :class:`Budget` is
-a *frozen* resource envelope — an absolute wall-clock deadline plus
+an immutable resource envelope — an absolute wall-clock deadline plus
 optional per-counter step limits — and :func:`checkpoint` is the cheap
 cooperative check the hot loops call at their natural quanta (one SAT
 conflict, one simplex repair pivot, one Horn candidate, one enumerated
@@ -29,7 +29,6 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 __all__ = [
@@ -58,29 +57,46 @@ class BudgetExhausted(Exception):
         super().__init__(f"budget exhausted: {limit}" + (f" ({detail})" if detail else ""))
 
 
-@dataclass(frozen=True)
 class Budget:
     """An immutable resource envelope.
 
     ``deadline`` is an absolute :func:`time.monotonic` instant (``None``
     = no wall-clock bound).  The ``max_*`` fields bound the matching
-    :func:`checkpoint` counters (``None`` = unbounded).  Freezing the
-    budget keeps the contract one-directional: limits are fixed at entry,
-    progress lives in the (mutable) :class:`BudgetScope`.
+    :func:`checkpoint` counters (``None`` = unbounded).  Never assigning
+    to a budget keeps the contract one-directional: limits are fixed at
+    entry, progress lives in the (mutable) :class:`BudgetScope`.
     """
 
-    deadline: Optional[float] = None
-    #: SAT conflicts (checked once per CDCL conflict).
-    max_conflicts: Optional[int] = None
-    #: Simplex repair pivots.
-    max_pivots: Optional[int] = None
-    #: Horn candidate valuations explored by the frontier search.
-    max_candidates: Optional[int] = None
-    #: E-terms generated by the enumerator.
-    max_terms: Optional[int] = None
-    #: Theory probes issued by MUS enumeration (the global counterpart of
-    #: the per-pool ``SolveOptions.mus_budget``).
-    max_theory_checks: Optional[int] = None
+    __slots__ = (
+        "deadline",
+        "max_conflicts",
+        "max_pivots",
+        "max_candidates",
+        "max_terms",
+        "max_theory_checks",
+    )
+
+    def __init__(
+        self,
+        deadline: Optional[float] = None,
+        max_conflicts: Optional[int] = None,
+        max_pivots: Optional[int] = None,
+        max_candidates: Optional[int] = None,
+        max_terms: Optional[int] = None,
+        max_theory_checks: Optional[int] = None,
+    ) -> None:
+        self.deadline = deadline
+        #: SAT conflicts (checked once per CDCL conflict).
+        self.max_conflicts = max_conflicts
+        #: Simplex repair pivots.
+        self.max_pivots = max_pivots
+        #: Horn candidate valuations explored by the frontier search.
+        self.max_candidates = max_candidates
+        #: E-terms generated by the enumerator.
+        self.max_terms = max_terms
+        #: Theory probes issued by MUS enumeration (the global counterpart
+        #: of the per-pool ``SolveOptions.mus_budget``).
+        self.max_theory_checks = max_theory_checks
 
     @classmethod
     def from_timeout_ms(cls, timeout_ms: Optional[float], **steps: Optional[int]) -> "Budget":

@@ -29,9 +29,9 @@ unfolding per match case plus non-negativity of ``len``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..value import Value
 from . import ops
 from .formulas import TRUE, App, Formula, Var, is_true, value_var
 from .sorts import BOOL, Sort
@@ -39,8 +39,7 @@ from .substitution import instantiate_value_var, substitute
 from .transform import free_vars, measure_apps
 
 
-@dataclass(frozen=True)
-class MeasureCase:
+class MeasureCase(Value):
     """One catamorphism case ``C x1 ... xk -> body``.
 
     ``binders`` are the constructor-argument variables the body may
@@ -49,13 +48,18 @@ class MeasureCase:
     measure itself recursively (``1 + len(xs)``).
     """
 
-    constructor: str
-    binders: Tuple[Var, ...]
-    body: Formula
+    __slots__ = ("constructor", "binders", "body")
+
+    def __init__(self, constructor: str, binders: Tuple[Var, ...], body: Formula) -> None:
+        self.constructor = constructor
+        self.binders = binders
+        self.body = body
+
+    def _fields(self) -> Tuple:
+        return (self.constructor, self.binders, self.body)
 
 
-@dataclass(frozen=True)
-class MeasureDef:
+class MeasureDef(Value):
     """A measure ``m :: D -> {S | post}`` with one case per constructor.
 
     ``arg_sort`` is the sort of the datatype being measured and
@@ -64,12 +68,33 @@ class MeasureDef:
     every application (``True`` when the measure promises nothing).
     """
 
-    name: str
-    datatype: str
-    arg_sort: Sort
-    result_sort: Sort
-    cases: Tuple[MeasureCase, ...] = ()
-    postcondition: Formula = TRUE
+    __slots__ = ("name", "datatype", "arg_sort", "result_sort", "cases", "postcondition")
+
+    def __init__(
+        self,
+        name: str,
+        datatype: str,
+        arg_sort: Sort,
+        result_sort: Sort,
+        cases: Tuple[MeasureCase, ...] = (),
+        postcondition: Formula = TRUE,
+    ) -> None:
+        self.name = name
+        self.datatype = datatype
+        self.arg_sort = arg_sort
+        self.result_sort = result_sort
+        self.cases = cases
+        self.postcondition = postcondition
+
+    def _fields(self) -> Tuple:
+        return (
+            self.name,
+            self.datatype,
+            self.arg_sort,
+            self.result_sort,
+            self.cases,
+            self.postcondition,
+        )
 
     def signature(self) -> Tuple[Tuple[Sort, ...], Sort]:
         """The sort signature in the shape :data:`~repro.logic.sortcheck.
@@ -140,21 +165,35 @@ def measure_signatures(defs: Iterable[MeasureDef]) -> Dict[str, Tuple[Tuple[Sort
 
 
 def instantiate_postconditions(
-    formulas: Iterable[Formula], defs: Mapping[str, MeasureDef]
+    formulas: Iterable[Formula],
+    defs: Mapping[str, MeasureDef],
+    order: Optional[Dict[Formula, Tuple[App, ...]]] = None,
 ) -> List[Formula]:
     """Postcondition instances for every measure application in ``formulas``.
 
     Occurrences are collected across all the formulas of one obligation
     (premises and conclusion alike — an axiom about a subterm of the goal
     is still a fact) and deduplicated; the result is deterministic so the
-    emitted Horn constraints are stable across runs.
+    emitted Horn constraints are stable across runs: each formula's
+    applications are taken in the order of their printed form.
+
+    ``order`` remembers that order per formula for a caller that passes
+    the same formulas again (a typecheck session's obligations share
+    most of their premises), so each formula's applications are printed
+    and sorted once.
     """
     if not defs:
         return []
+    if order is None:
+        order = {}
     seen = set()
     ordered: List[App] = []
     for formula in formulas:
-        for application in sorted(measure_apps(formula), key=repr):
+        applications = order.get(formula)
+        if applications is None:
+            applications = tuple(sorted(measure_apps(formula), key=repr))
+            order[formula] = applications
+        for application in applications:
             if application in seen:
                 continue
             seen.add(application)

@@ -13,7 +13,6 @@ goal type and the component signatures (:func:`extract_qualifiers`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from . import ops
@@ -38,7 +37,6 @@ from .transform import subterms, transform
 PLACEHOLDER_PREFIX = "?"
 
 
-@dataclass(frozen=True)
 class Qualifier:
     """A qualifier: an atomic boolean formula over placeholder variables.
 
@@ -47,8 +45,11 @@ class Qualifier:
     match (up to :func:`sorts_compatible`).
     """
 
-    formula: Formula
-    placeholders: Tuple[Tuple[str, Sort], ...]
+    __slots__ = ("formula", "placeholders")
+
+    def __init__(self, formula: Formula, placeholders: Tuple[Tuple[str, Sort], ...]) -> None:
+        self.formula = formula
+        self.placeholders = placeholders
 
     def arity(self) -> int:
         """Number of placeholders to fill."""

@@ -8,41 +8,56 @@ classify refinement *terms*; they are not program types (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
+from ..value import Value
 
-class Sort:
-    """Base class for all sorts."""
+
+class Sort(Value):
+    """Base class for all sorts.
+
+    Sorts sit inside formula keys such as ``("var", name, sort)``, so their
+    hash (the tuple of their fields) fixes the iteration order of
+    formula-keyed sets.
+    """
+
+    __slots__ = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return str(self)
 
 
-@dataclass(frozen=True)
 class BoolSort(Sort):
     """Sort of boolean refinement terms (formulas)."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True)
 class IntSort(Sort):
     """Sort of linear-integer-arithmetic terms."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "Int"
 
 
-@dataclass(frozen=True)
 class UninterpretedSort(Sort):
     """An uninterpreted sort, e.g. the sort of values of a datatype or of a
     type variable.  ``args`` carries the sorts of type parameters so that
     ``List Int`` and ``List Bool`` are distinct sorts."""
 
-    name: str
-    args: Tuple[Sort, ...] = ()
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: Tuple[Sort, ...] = ()) -> None:
+        self.name = name
+        self.args = args
+
+    def _fields(self) -> Tuple:
+        return (self.name, self.args)
 
     def __str__(self) -> str:
         if not self.args:
@@ -50,7 +65,6 @@ class UninterpretedSort(Sort):
         return f"{self.name}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
 class SetSort(Sort):
     """Sort of finite sets of elements of ``element`` sort.
 
@@ -58,18 +72,29 @@ class SetSort(Sort):
     first-class sort handled by ``repro.smt.sets``.
     """
 
-    element: Sort
+    __slots__ = ("element",)
+
+    def __init__(self, element: Sort) -> None:
+        self.element = element
+
+    def _fields(self) -> Tuple:
+        return (self.element,)
 
     def __str__(self) -> str:
         return f"Set {self.element}"
 
 
-@dataclass(frozen=True)
 class VarSort(Sort):
     """A sort variable: the sort of a refinement term whose sort is not yet
     known (it stands for the sort of a program type variable ``alpha``)."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def _fields(self) -> Tuple:
+        return (self.name,)
 
     def __str__(self) -> str:
         return f"?{self.name}"

@@ -63,8 +63,9 @@ def screen_file(
 
     ``{"file", "failures", "cached", "fresh", "check"?, "synth"?,
     "error"?, "timeout"?}`` — ``check``/``synth`` hold the ordinary
-    query payloads, ``error`` a parse failure (one failure, sweep goes
-    on).  Solver exceptions deliberately propagate: :func:`run_batch`
+    query payloads, ``error`` a client error: a parse failure, or a
+    definition or goal nested too deeply to check (one failure, sweep
+    goes on).  Solver exceptions deliberately propagate: :func:`run_batch`
     catches them *outside* the stack's query guard, so a crashed query
     is counted before the failure is recorded.
     """
@@ -75,26 +76,30 @@ def screen_file(
         record["error"] = str(error)
         record["failures"] = 1
         return record
-    if program.definitions:
-        payload, was_cached, _ = api.check_query(program, cache=cache)
-        record["check"] = payload
-        record["failures"] += payload["failures"]
-        record["cached" if was_cached else "fresh"] += 1
-        if payload.get("timeout"):
-            record["timeout"] = True
-    if program.goals:
-        payload, was_cached, _ = api.synth_query(
-            program,
-            depth=depth,
-            max_conditionals=max_conditionals,
-            max_matches=max_matches,
-            cache=cache,
-        )
-        record["synth"] = payload
-        record["failures"] += payload["failures"]
-        record["cached" if was_cached else "fresh"] += 1
-        if payload.get("timeout"):
-            record["timeout"] = True
+    try:
+        if program.definitions:
+            payload, was_cached, _ = api.check_query(program, cache=cache)
+            record["check"] = payload
+            record["failures"] += payload["failures"]
+            record["cached" if was_cached else "fresh"] += 1
+            if payload.get("timeout"):
+                record["timeout"] = True
+        if program.goals:
+            payload, was_cached, _ = api.synth_query(
+                program,
+                depth=depth,
+                max_conditionals=max_conditionals,
+                max_matches=max_matches,
+                cache=cache,
+            )
+            record["synth"] = payload
+            record["failures"] += payload["failures"]
+            record["cached" if was_cached else "fresh"] += 1
+            if payload.get("timeout"):
+                record["timeout"] = True
+    except api.NestingTooDeep as error:
+        record["error"] = str(error)
+        record["failures"] += 1
     return record
 
 

@@ -21,16 +21,17 @@ attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
-@dataclass
 class TermBank:
     """Interns first-order terms as integer ids."""
 
-    _terms: List[Tuple] = field(default_factory=list)
-    _ids: Dict[Tuple, int] = field(default_factory=dict)
+    __slots__ = ("_terms", "_ids")
+
+    def __init__(self) -> None:
+        self._terms: List[Tuple] = []
+        self._ids: Dict[Tuple, int] = {}
 
     def constant(self, name: str) -> int:
         """Intern a constant symbol."""

@@ -22,7 +22,6 @@ the slow ``Fraction`` arithmetic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Set, Tuple, Union
@@ -57,7 +56,6 @@ class Relation(enum.Enum):
     NEQ = "!="
 
 
-@dataclass(frozen=True)
 class LinearExpr:
     """A linear expression ``sum(coeff * var) + constant``.
 
@@ -65,8 +63,13 @@ class LinearExpr:
     expression built from integer terms holds only ``int``.
     """
 
-    coefficients: Tuple[Tuple[str, Number], ...] = ()
-    constant: Number = 0
+    __slots__ = ("coefficients", "constant")
+
+    def __init__(
+        self, coefficients: Tuple[Tuple[str, Number], ...] = (), constant: Number = 0
+    ) -> None:
+        self.coefficients = coefficients
+        self.constant = constant
 
     @staticmethod
     def from_dict(coefficients: Dict[str, Number], constant: Number) -> "LinearExpr":
@@ -113,12 +116,14 @@ class LinearExpr:
         return not self.coefficients
 
 
-@dataclass(frozen=True)
 class Constraint:
     """A linear constraint ``expr REL 0``."""
 
-    expr: LinearExpr
-    relation: Relation
+    __slots__ = ("expr", "relation")
+
+    def __init__(self, expr: LinearExpr, relation: Relation) -> None:
+        self.expr = expr
+        self.relation = relation
 
 
 def le(lhs: LinearExpr, rhs: LinearExpr) -> Constraint:

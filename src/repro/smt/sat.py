@@ -39,7 +39,6 @@ Counters for all of the above are exposed on :attr:`SatSolver.statistics`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -57,26 +56,25 @@ _RESTART_BASE = 100
 _THEORY_RESTART = object()
 
 
-@dataclass
 class SatStatistics:
     """Counters describing one solver's lifetime of work."""
 
-    decisions: int = 0
-    propagations: int = 0
-    conflicts: int = 0
-    restarts: int = 0
-    learned_clauses: int = 0
-    gced_clauses: int = 0
-    gc_runs: int = 0
-    #: literals deleted from 1UIP clauses by recursive self-subsumption
-    minimized_literals: int = 0
-    #: implications enqueued on behalf of the theory listener
-    theory_propagations: int = 0
-    #: conflicts raised by the theory listener (each learns a lemma)
-    theory_conflicts: int = 0
+    def __init__(self) -> None:
+        self.decisions = 0
+        self.propagations = 0
+        self.conflicts = 0
+        self.restarts = 0
+        self.learned_clauses = 0
+        self.gced_clauses = 0
+        self.gc_runs = 0
+        #: literals deleted from 1UIP clauses by recursive self-subsumption
+        self.minimized_literals = 0
+        #: implications enqueued on behalf of the theory listener
+        self.theory_propagations = 0
+        #: conflicts raised by the theory listener (each learns a lemma)
+        self.theory_conflicts = 0
 
 
-@dataclass
 class SatResult:
     """Outcome of a SAT call: ``satisfiable`` plus a model when it is.
 
@@ -87,8 +85,11 @@ class SatResult:
     for.
     """
 
-    satisfiable: bool
-    model: Dict[int, bool] = field(default_factory=dict)
+    __slots__ = ("satisfiable", "model")
+
+    def __init__(self, satisfiable: bool, model: Optional[Dict[int, bool]] = None) -> None:
+        self.satisfiable = satisfiable
+        self.model = model if model is not None else {}
 
 
 class _Clause:

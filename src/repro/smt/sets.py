@@ -22,8 +22,7 @@ countermodel can always be shrunk to contain only named elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..logic import ops
 from ..logic.formulas import (
@@ -52,7 +51,6 @@ MEMBERSHIP_FUNC = "__mem"
 WITNESS_PREFIX = "__wit"
 
 
-@dataclass
 class SetEncoder:
     """Stateful encoder; one instance per SMT query.
 
@@ -61,13 +59,39 @@ class SetEncoder:
     different assertions never alias each other.
     """
 
-    fresh_names: Optional[FreshNames] = None
-    _universe: List[Formula] = field(default_factory=list)
-    _witness_count: int = 0
+    __slots__ = ("fresh_names", "_universe", "_witnesses", "_witness_count")
+
+    def __init__(self, fresh_names: Optional[FreshNames] = None) -> None:
+        self.fresh_names = fresh_names
+        self._universe: List[Formula] = []
+        #: The witness element of each set equality (``EQ``) or inclusion
+        #: (``SUBSET``) that occurs negated, keyed by ``(op, lhs, rhs)``.
+        self._witnesses: Dict[Tuple[BinaryOp, Formula, Formula], Var] = {}
+        self._witness_count = 0
 
     def encode(self, formula: Formula) -> Formula:
-        """Eliminate all set atoms from a formula in negation normal form."""
+        """Eliminate all set atoms from a formula in negation normal form.
+
+        Every negated set equality or inclusion gets its witness before any
+        atom is expanded, so the positive atoms are expanded at the
+        witnesses too.
+        """
         self._universe = self._collect_elements(formula)
+        self._witnesses = {}
+        for node in subterms(formula):
+            if isinstance(node, Unary) and node.op is UnaryOp.NOT:
+                atom = node.arg
+                if isinstance(atom, Binary) and (
+                    atom.op is BinaryOp.SUBSET
+                    or (atom.op is BinaryOp.EQ and isinstance(atom.lhs.sort, SetSort))
+                ):
+                    self._witness(atom.op, atom.lhs, atom.rhs)
+            elif (
+                isinstance(node, Binary)
+                and node.op is BinaryOp.NEQ
+                and isinstance(node.lhs.sort, SetSort)
+            ):
+                self._witness(BinaryOp.EQ, node.lhs, node.rhs)
         return self._rewrite(formula)
 
     # -- universe construction --------------------------------------------
@@ -94,6 +118,17 @@ class SetEncoder:
             return self.fresh_names.fresh_var("wit", sort)
         self._witness_count += 1
         return Var(f"{WITNESS_PREFIX}{self._witness_count}", sort)
+
+    def _witness(self, op: BinaryOp, lhs: Formula, rhs: Formula) -> Var:
+        """The element that tells ``lhs`` and ``rhs`` apart when the atom
+        ``lhs op rhs`` is false; it joins the universe when it is made."""
+        key = (op, lhs, rhs)
+        witness = self._witnesses.get(key)
+        if witness is None:
+            witness = self._fresh_witness(self._element_sort(lhs))
+            self._witnesses[key] = witness
+            self._universe.append(witness)
+        return witness
 
     # -- rewriting ----------------------------------------------------------
 
@@ -177,7 +212,7 @@ class SetEncoder:
                 ops.iff(self._membership(e, lhs), self._membership(e, rhs))
                 for e in self._universe
             )
-        witness = self._fresh_witness(self._element_sort(lhs))
+        witness = self._witness(BinaryOp.EQ, lhs, rhs)
         return ops.not_(ops.iff(self._membership(witness, lhs), self._membership(witness, rhs)))
 
     def _subset(self, lhs: Formula, rhs: Formula, positive: bool) -> Formula:
@@ -186,7 +221,7 @@ class SetEncoder:
                 ops.implies(self._membership(e, lhs), self._membership(e, rhs))
                 for e in self._universe
             )
-        witness = self._fresh_witness(self._element_sort(lhs))
+        witness = self._witness(BinaryOp.SUBSET, lhs, rhs)
         return ops.and_(self._membership(witness, lhs), ops.not_(self._membership(witness, rhs)))
 
 

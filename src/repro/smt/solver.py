@@ -40,7 +40,6 @@ Per-query preprocessing (see :meth:`IncrementalSolver._preprocess`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..logic import ops
@@ -65,32 +64,38 @@ from .sets import eliminate_sets, mentions_sets
 from .theory import Conflict, IncrementalTheory, Literal, TheoryChecker
 
 
-@dataclass
 class SolverStatistics:
-    """Counters exposed for the evaluation harness."""
+    """Counters exposed for the evaluation harness (instance attributes,
+    so ``vars()`` lists them); equal when every counter is."""
 
-    sat_queries: int = 0
-    theory_checks: int = 0
-    #: Distinct formulas encoded into CNF (selector created).
-    encoded_assertions: int = 0
-    #: Assertions answered from the selector table without re-encoding.
-    reused_assertions: int = 0
-    #: Theory checks spent minimizing conflicts (QuickXplain probes).
-    shrink_theory_checks: int = 0
-    # Mirrors of the persistent SAT core's lifetime counters.
-    propagations: int = 0
-    conflicts: int = 0
-    restarts: int = 0
-    learned_clauses: int = 0
-    gced_clauses: int = 0
-    #: Implications the theory pushed into the SAT trail (DPLL(T)).
-    theory_propagations: int = 0
-    #: Theory conflicts raised against (partial) assignments.
-    theory_conflicts: int = 0
-    #: Pivots performed by the persistent simplex tableau.
-    tableau_pivots: int = 0
-    #: Literals removed from learned clauses by self-subsumption.
-    minimized_literals: int = 0
+    def __init__(self) -> None:
+        self.sat_queries = 0
+        self.theory_checks = 0
+        #: Distinct formulas encoded into CNF (selector created).
+        self.encoded_assertions = 0
+        #: Assertions answered from the selector table without re-encoding.
+        self.reused_assertions = 0
+        #: Theory checks spent minimizing conflicts (QuickXplain probes).
+        self.shrink_theory_checks = 0
+        # Mirrors of the persistent SAT core's lifetime counters.
+        self.propagations = 0
+        self.conflicts = 0
+        self.restarts = 0
+        self.learned_clauses = 0
+        self.gced_clauses = 0
+        #: Implications the theory pushed into the SAT trail (DPLL(T)).
+        self.theory_propagations = 0
+        #: Theory conflicts raised against (partial) assignments.
+        self.theory_conflicts = 0
+        #: Pivots performed by the persistent simplex tableau.
+        self.tableau_pivots = 0
+        #: Literals removed from learned clauses by self-subsumption.
+        self.minimized_literals = 0
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 # ---------------------------------------------------------------------------

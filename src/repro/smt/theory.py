@@ -33,7 +33,6 @@ on random assert/push/pop sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import limits
@@ -54,17 +53,23 @@ from ..logic.formulas import (
     Var,
 )
 from ..logic.sorts import BOOL, IntSort
+from ..value import Value
 from . import lia
 from .euf import CongruenceClosure, TermBank
 from .lia import DERIVED, Constraint, LinearExpr, Relation, Simplex
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Value):
     """A theory literal: an atom together with its asserted polarity."""
 
-    atom: Formula
-    polarity: bool
+    __slots__ = ("atom", "polarity")
+
+    def __init__(self, atom: Formula, polarity: bool) -> None:
+        self.atom = atom
+        self.polarity = polarity
+
+    def _fields(self) -> Tuple:
+        return (self.atom, self.polarity)
 
 
 def _negated_comparison(op: BinaryOp) -> BinaryOp:

@@ -20,13 +20,13 @@ measure — the prelude every datatype benchmark and test uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..logic import ops
 from ..logic.formulas import App, Var, value_var
 from ..logic.measures import MeasureCase, MeasureDef
 from ..logic.sorts import INT, VarSort
+from ..value import Value
 from .types import (
     DataBase,
     FunctionType,
@@ -40,8 +40,7 @@ from .types import (
 )
 
 
-@dataclass(frozen=True)
-class Constructor:
+class Constructor(Value):
     """A constructor and its refined signature.
 
     ``schema`` is quantified over exactly the owning datatype's type
@@ -49,8 +48,14 @@ class Constructor:
     datatype (possibly refined by measure facts).
     """
 
-    name: str
-    schema: TypeSchema
+    __slots__ = ("name", "schema")
+
+    def __init__(self, name: str, schema: TypeSchema) -> None:
+        self.name = name
+        self.schema = schema
+
+    def _fields(self) -> Tuple:
+        return (self.name, self.schema)
 
     def arity(self) -> int:
         """Number of term-level arguments the constructor takes."""
@@ -71,13 +76,23 @@ class Constructor:
         return node
 
 
-@dataclass(frozen=True)
-class Datatype:
+class Datatype(Value):
     """An inductive datatype: name, type parameters, constructors."""
 
-    name: str
-    type_params: Tuple[str, ...] = ()
-    constructors: Tuple[Constructor, ...] = ()
+    __slots__ = ("name", "type_params", "constructors")
+
+    def __init__(
+        self,
+        name: str,
+        type_params: Tuple[str, ...] = (),
+        constructors: Tuple[Constructor, ...] = (),
+    ) -> None:
+        self.name = name
+        self.type_params = type_params
+        self.constructors = constructors
+
+    def _fields(self) -> Tuple:
+        return (self.name, self.type_params, self.constructors)
 
     def find(self, constructor: str) -> Optional[Constructor]:
         """The named constructor, or ``None``."""

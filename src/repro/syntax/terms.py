@@ -20,14 +20,16 @@ lexicographic termination metric (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
+from ..value import Value
 from .types import RType
 
 
-class Term:
+class Term(Value):
     """Base class of program terms."""
+
+    __slots__ = ()
 
     def is_e_term(self) -> bool:
         """Is this an elimination term (type can be inferred)?"""
@@ -37,92 +39,147 @@ class Term:
         return pretty_term(self)
 
 
-@dataclass(frozen=True, repr=False)
 class VarTerm(Term):
     """A program variable occurrence."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def _fields(self) -> Tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True, repr=False)
 class IntConst(Term):
     """An integer constant."""
 
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def _fields(self) -> Tuple:
+        return (self.value,)
 
 
-@dataclass(frozen=True, repr=False)
 class BoolConst(Term):
     """A boolean constant."""
 
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        self.value = value
+
+    def _fields(self) -> Tuple:
+        return (self.value,)
 
 
-@dataclass(frozen=True, repr=False)
 class AppTerm(Term):
     """Application ``fun arg`` (curried, one argument at a time)."""
 
-    fun: Term
-    arg: Term
+    __slots__ = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term) -> None:
+        self.fun = fun
+        self.arg = arg
+
+    def _fields(self) -> Tuple:
+        return (self.fun, self.arg)
 
 
-@dataclass(frozen=True, repr=False)
 class LambdaTerm(Term):
     """Abstraction ``\\arg_name . body``."""
 
-    arg_name: str
-    body: Term
+    __slots__ = ("arg_name", "body")
+
+    def __init__(self, arg_name: str, body: Term) -> None:
+        self.arg_name = arg_name
+        self.body = body
+
+    def _fields(self) -> Tuple:
+        return (self.arg_name, self.body)
 
 
-@dataclass(frozen=True, repr=False)
 class IfTerm(Term):
     """Conditional ``if cond then then_ else else_``."""
 
-    cond: Term
-    then_: Term
-    else_: Term
+    __slots__ = ("cond", "then_", "else_")
+
+    def __init__(self, cond: Term, then_: Term, else_: Term) -> None:
+        self.cond = cond
+        self.then_ = then_
+        self.else_ = else_
+
+    def _fields(self) -> Tuple:
+        return (self.cond, self.then_, self.else_)
 
 
-@dataclass(frozen=True, repr=False)
 class LetTerm(Term):
     """``let name = value in body`` (monomorphic let)."""
 
-    name: str
-    value: Term
-    body: Term
+    __slots__ = ("name", "value", "body")
+
+    def __init__(self, name: str, value: Term, body: Term) -> None:
+        self.name = name
+        self.value = value
+        self.body = body
+
+    def _fields(self) -> Tuple:
+        return (self.name, self.value, self.body)
 
 
-@dataclass(frozen=True, repr=False)
 class MatchCase(Term):
     """One alternative ``C x1 ... xk -> body`` of a match."""
 
-    constructor: str
-    binders: Tuple[str, ...]
-    body: Term
+    __slots__ = ("constructor", "binders", "body")
+
+    def __init__(self, constructor: str, binders: Tuple[str, ...], body: Term) -> None:
+        self.constructor = constructor
+        self.binders = binders
+        self.body = body
+
+    def _fields(self) -> Tuple:
+        return (self.constructor, self.binders, self.body)
 
 
-@dataclass(frozen=True, repr=False)
 class MatchTerm(Term):
     """``match scrutinee with cases`` over a datatype value."""
 
-    scrutinee: Term
-    cases: Tuple[MatchCase, ...]
+    __slots__ = ("scrutinee", "cases")
+
+    def __init__(self, scrutinee: Term, cases: Tuple[MatchCase, ...]) -> None:
+        self.scrutinee = scrutinee
+        self.cases = cases
+
+    def _fields(self) -> Tuple:
+        return (self.scrutinee, self.cases)
 
 
-@dataclass(frozen=True, repr=False)
 class FixTerm(Term):
     """``fix name . body`` — recursion, checked with termination metrics."""
 
-    name: str
-    body: Term
+    __slots__ = ("name", "body")
+
+    def __init__(self, name: str, body: Term) -> None:
+        self.name = name
+        self.body = body
+
+    def _fields(self) -> Tuple:
+        return (self.name, self.body)
 
 
-@dataclass(frozen=True, repr=False)
 class Annot(Term):
     """A term with a type ascription ``(term :: rtype)``."""
 
-    term: Term
-    rtype: RType
+    __slots__ = ("term", "rtype")
+
+    def __init__(self, term: Term, rtype: RType) -> None:
+        self.term = term
+        self.rtype = rtype
+
+    def _fields(self) -> Tuple:
+        return (self.term, self.rtype)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ substitution on refinements used by dependent application.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Set, Tuple, Union
 
 from ..logic import ops
@@ -36,42 +35,57 @@ from ..logic.formulas import TRUE, VALUE_VAR, Formula, Unknown, Var, is_true
 from ..logic.sorts import BOOL, INT, Sort, UninterpretedSort, VarSort
 from ..logic.substitution import substitute
 from ..logic.transform import free_vars, transform
+from ..value import Value
 
 # ---------------------------------------------------------------------------
 # base types
 # ---------------------------------------------------------------------------
 
 
-class BaseType:
+class BaseType(Value):
     """Base class of base types ``B``."""
+
+    __slots__ = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return pretty_base(self)
 
 
-@dataclass(frozen=True, repr=False)
 class IntBase(BaseType):
     """The base type ``Int``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
+
 class BoolBase(BaseType):
     """The base type ``Bool``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
+
 class DataBase(BaseType):
     """A datatype ``D T1 ... Tk`` applied to refinement-type arguments."""
 
-    name: str
-    args: Tuple["RType", ...] = ()
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: Tuple["RType", ...] = ()) -> None:
+        self.name = name
+        self.args = args
+
+    def _fields(self) -> Tuple:
+        return (self.name, self.args)
 
 
-@dataclass(frozen=True, repr=False)
 class TypeVarBase(BaseType):
     """A type variable ``alpha``."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def _fields(self) -> Tuple:
+        return (self.name,)
 
 
 INT_BASE = IntBase()
@@ -99,19 +113,26 @@ def base_sort(base: BaseType) -> Sort:
 # ---------------------------------------------------------------------------
 
 
-class RType:
+class RType(Value):
     """Base class of refinement types ``T``."""
+
+    __slots__ = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return pretty_type(self)
 
 
-@dataclass(frozen=True, repr=False)
 class ScalarType(RType):
     """A refined base type ``{B | psi}``; ``psi`` mentions ``nu``."""
 
-    base: BaseType
-    refinement: Formula = TRUE
+    __slots__ = ("base", "refinement")
+
+    def __init__(self, base: BaseType, refinement: Formula = TRUE) -> None:
+        self.base = base
+        self.refinement = refinement
+
+    def _fields(self) -> Tuple:
+        return (self.base, self.refinement)
 
     @property
     def sort(self) -> Sort:
@@ -119,23 +140,33 @@ class ScalarType(RType):
         return base_sort(self.base)
 
 
-@dataclass(frozen=True, repr=False)
 class FunctionType(RType):
     """A dependent arrow ``x:T1 -> T2``; ``x`` scopes over ``T2``."""
 
-    arg_name: str
-    arg_type: RType
-    result_type: RType
+    __slots__ = ("arg_name", "arg_type", "result_type")
+
+    def __init__(self, arg_name: str, arg_type: RType, result_type: RType) -> None:
+        self.arg_name = arg_name
+        self.arg_type = arg_type
+        self.result_type = result_type
+
+    def _fields(self) -> Tuple:
+        return (self.arg_name, self.arg_type, self.result_type)
 
 
-@dataclass(frozen=True, repr=False)
 class ContextualType(RType):
     """``<bindings; body>``: a type whose refinements mention the bound
     fresh variables (Sec. 3.2).  Bindings are ordered and dependent: each
     binding's type may mention the variables bound before it."""
 
-    bindings: Tuple[Tuple[str, RType], ...]
-    body: RType
+    __slots__ = ("bindings", "body")
+
+    def __init__(self, bindings: Tuple[Tuple[str, RType], ...], body: RType) -> None:
+        self.bindings = bindings
+        self.body = body
+
+    def _fields(self) -> Tuple:
+        return (self.bindings, self.body)
 
 
 def int_type(refinement: Formula = TRUE) -> ScalarType:
@@ -368,18 +399,22 @@ def subst_type_vars(rtype: RType, mapping: Mapping[str, RType]) -> RType:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredSig:
+class PredSig(Value):
     """The signature ``P :: Δ`` of a quantified predicate variable: the
     sorts of its arguments (the last one conventionally being the value the
     predicate refines)."""
 
-    name: str
-    arg_sorts: Tuple[Sort, ...] = ()
+    __slots__ = ("name", "arg_sorts")
+
+    def __init__(self, name: str, arg_sorts: Tuple[Sort, ...] = ()) -> None:
+        self.name = name
+        self.arg_sorts = arg_sorts
+
+    def _fields(self) -> Tuple:
+        return (self.name, self.arg_sorts)
 
 
-@dataclass(frozen=True, repr=False)
-class TypeSchema:
+class TypeSchema(Value):
     """``forall alphas. forall preds. body`` — a polymorphic refinement type.
 
     Monomorphic signatures are schemas with empty quantifier lists; the
@@ -388,9 +423,17 @@ class TypeSchema:
     unknowns for predicate variables.
     """
 
-    type_vars: Tuple[str, ...]
-    pred_vars: Tuple[PredSig, ...]
-    body: RType
+    __slots__ = ("type_vars", "pred_vars", "body")
+
+    def __init__(
+        self, type_vars: Tuple[str, ...], pred_vars: Tuple[PredSig, ...], body: RType
+    ) -> None:
+        self.type_vars = type_vars
+        self.pred_vars = pred_vars
+        self.body = body
+
+    def _fields(self) -> Tuple:
+        return (self.type_vars, self.pred_vars, self.body)
 
     def monotype(self) -> RType:
         """The body of a quantifier-free schema."""

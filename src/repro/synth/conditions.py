@@ -43,7 +43,6 @@ entailment, so the answer is the weakest guard regardless of pool order —
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -62,7 +61,6 @@ from ..typecheck.errors import TypecheckError
 from ..typecheck.session import TypecheckSession
 
 
-@dataclass(frozen=True)
 class AbducedCondition:
     """The weakest path conditions under which a branch candidate checks.
 
@@ -73,8 +71,15 @@ class AbducedCondition:
     means the candidate checks unconditionally.
     """
 
-    qualifiers: Tuple[Formula, ...]
-    candidates: Tuple[Tuple[Formula, ...], ...] = ()
+    __slots__ = ("qualifiers", "candidates")
+
+    def __init__(
+        self,
+        qualifiers: Tuple[Formula, ...],
+        candidates: Tuple[Tuple[Formula, ...], ...] = (),
+    ) -> None:
+        self.qualifiers = qualifiers
+        self.candidates = candidates
 
     @property
     def formula(self) -> Formula:
@@ -170,7 +175,7 @@ def abduce_condition(
     # witnesses (shrunk on the spot, a handful of theory probes each); a
     # big MARCO budget would re-derive them by blind enumeration over the
     # whole pool at every constraint failure, so keep it small here.
-    opts = SolveOptions(max_candidates=max(SolveOptions.max_candidates, lattice), mus_budget=8)
+    opts = SolveOptions(max_candidates=max(SolveOptions().max_candidates, lattice), mus_budget=8)
 
     solver = HornSolver(session.backend, validity_memo=session._validity_memo)
     solution = solver.solve(constraints, spaces, opts)

@@ -25,7 +25,6 @@ local check, and ``checked`` the solver round-trips issued.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import limits
@@ -113,35 +112,38 @@ def rigid_shape_match(candidate: RType, goal: RType, rigid: "frozenset" = frozen
     return False
 
 
-@dataclass
 class EnumerationStatistics:
     """Counters describing one synthesis run's enumeration work."""
 
-    #: Candidate E-terms built (atoms, prefixes, and full applications).
-    generated: int = 0
-    #: Candidates rejected by the early local liquid check — each one cut
-    #: off an entire subtree of extensions before it was enumerated.
-    pruned_early: int = 0
-    #: Candidates rejected because their instantiated result shape violates
-    #: the goal's rigid (parametric) type variables — no solver involved.
-    pruned_shape: int = 0
-    #: Local round-trip checks issued (each solves a small Horn system on
-    #: the shared incremental backend).
-    checked: int = 0
-    #: Full goal checks of complete candidates (issued by the synthesizer).
-    goal_checks: int = 0
-    #: Branch conditions abduced (issued by the synthesizer).
-    abductions: int = 0
-    #: Candidate guard valuations the abduction-side Horn search evaluated
-    #: (folded in from :class:`repro.horn.solver.HornStatistics`).
-    candidates_explored: int = 0
-    #: Guard valuations the MUS machinery pruned without evaluation.
-    candidates_pruned: int = 0
-    #: Minimal unsatisfiable subsets the abduction searches enumerated.
-    muses_enumerated: int = 0
-    #: Deepest E-term enumeration level completed or entered — the
-    #: "best depth reached" a timeout report carries.
-    depth_reached: int = 0
+    def __init__(self) -> None:
+        #: Candidate E-terms built (atoms, prefixes, and full applications).
+        self.generated = 0
+        #: Candidates rejected by the early local liquid check — each one
+        #: cut off an entire subtree of extensions before it was enumerated.
+        self.pruned_early = 0
+        #: Candidates rejected because their instantiated result shape
+        #: violates the goal's rigid (parametric) type variables — no
+        #: solver involved.
+        self.pruned_shape = 0
+        #: Local round-trip checks issued (each solves a small Horn system
+        #: on the shared incremental backend).
+        self.checked = 0
+        #: Full goal checks of complete candidates (issued by the
+        #: synthesizer).
+        self.goal_checks = 0
+        #: Branch conditions abduced (issued by the synthesizer).
+        self.abductions = 0
+        #: Candidate guard valuations the abduction-side Horn search
+        #: evaluated (folded in from
+        #: :class:`repro.horn.solver.HornStatistics`).
+        self.candidates_explored = 0
+        #: Guard valuations the MUS machinery pruned without evaluation.
+        self.candidates_pruned = 0
+        #: Minimal unsatisfiable subsets the abduction searches enumerated.
+        self.muses_enumerated = 0
+        #: Deepest E-term enumeration level completed or entered — the
+        #: "best depth reached" a timeout report carries.
+        self.depth_reached = 0
 
     def merge(self, other: "EnumerationStatistics") -> None:
         """Accumulate another run's counters into this one."""
@@ -178,12 +180,14 @@ class EnumerationStatistics:
         }
 
 
-@dataclass
 class _Head:
     """An application head: a component with at least one arrow."""
 
-    name: str
-    arrows: RType  # refinement-erased shape of the (instantiated) signature
+    __slots__ = ("name", "arrows")
+
+    def __init__(self, name: str, arrows: RType) -> None:
+        self.name = name
+        self.arrows = arrows  # refinement-erased shape of the (instantiated) signature
 
 
 class ETermEnumerator:

@@ -30,7 +30,6 @@ may use.  :class:`Synthesizer` runs the round-trip loop over it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import limits
@@ -77,16 +76,25 @@ from .conditions import abduce_condition
 from .enumerator import EnumerationStatistics, ETermEnumerator
 
 
-@dataclass(frozen=True)
 class SynthesisGoal:
     """A synthesis problem: inhabit ``goal`` using ``components``."""
 
-    name: str
-    goal: RType
-    #: Component signatures available to the program, in binding order.
-    components: Tuple[Tuple[str, TypeLike], ...] = ()
-    datatypes: Tuple[Datatype, ...] = ()
-    measures: Tuple[MeasureDef, ...] = ()
+    __slots__ = ("name", "goal", "components", "datatypes", "measures")
+
+    def __init__(
+        self,
+        name: str,
+        goal: RType,
+        components: Tuple[Tuple[str, TypeLike], ...] = (),
+        datatypes: Tuple[Datatype, ...] = (),
+        measures: Tuple[MeasureDef, ...] = (),
+    ) -> None:
+        self.name = name
+        self.goal = goal
+        #: Component signatures available to the program, in binding order.
+        self.components = components
+        self.datatypes = datatypes
+        self.measures = measures
 
     @classmethod
     def from_program(cls, program: Program, name: str) -> "SynthesisGoal":
@@ -127,21 +135,32 @@ class SynthesisGoal:
         return session, env
 
 
-@dataclass
 class SynthesisResult:
     """Outcome of one synthesis run."""
 
-    goal: SynthesisGoal
-    program: Optional[Term]
-    statistics: EnumerationStatistics = field(default_factory=EnumerationStatistics)
-    #: True when the program was independently re-checked in a fresh
-    #: session of the ordinary type checker.
-    verified: bool = False
-    reason: str = ""
-    #: True when the run was cut off by a :class:`repro.limits.Budget`
-    #: rather than finishing its search; ``limit`` names what tripped.
-    timeout: bool = False
-    limit: Optional[str] = None
+    __slots__ = ("goal", "program", "statistics", "verified", "reason", "timeout", "limit")
+
+    def __init__(
+        self,
+        goal: SynthesisGoal,
+        program: Optional[Term],
+        statistics: Optional[EnumerationStatistics] = None,
+        verified: bool = False,
+        reason: str = "",
+        timeout: bool = False,
+        limit: Optional[str] = None,
+    ) -> None:
+        self.goal = goal
+        self.program = program
+        self.statistics = statistics if statistics is not None else EnumerationStatistics()
+        #: True when the program was independently re-checked in a fresh
+        #: session of the ordinary type checker.
+        self.verified = verified
+        self.reason = reason
+        #: True when the run was cut off by a :class:`repro.limits.Budget`
+        #: rather than finishing its search; ``limit`` names what tripped.
+        self.timeout = timeout
+        self.limit = limit
 
     @property
     def solved(self) -> bool:

@@ -801,7 +801,10 @@ def _termination_strengthened(
     fresh_names = [session.fresh_name(name) for name, _ in spine]
     mapping: dict = {}  # outer binder name -> recursive binder variable
     strengthened: list = []
-    earlier_strict: list = []  # m_j(y_j) < m_j(x_j) escapes
+    # The disjunction of every earlier m_j(y_j) < m_j(x_j) escape, shared
+    # by all later positions and extended by one disjunct per metric
+    # argument, so a wide signature builds a linear number of nodes.
+    escape = FALSE
     for index, (binder, rtype) in enumerate(spine):
         arg_type = substitute_in_type(rtype, mapping)
         metric = _metric(session, arg_type)
@@ -816,17 +819,16 @@ def _termination_strengthened(
                 )
             else:
                 descends = ops.le(metric_nu, metric_outer)
-            termination = descends
-            for strict in earlier_strict:
-                termination = ops.or_(termination, strict)
+            termination = ops.or_(descends, escape)
             arg_type = ScalarType(arg_type.base, ops.and_(arg_type.refinement, termination))
             recursive_var = Var(fresh_names[index], arg_type.sort)
             metric_recursive = metric(recursive_var)
-            earlier_strict.append(
+            escape = ops.or_(
+                escape,
                 ops.and_(
                     ops.le(ops.int_lit(0), metric_recursive),
                     ops.lt(metric_recursive, metric_outer),
-                )
+                ),
             )
         if isinstance(arg_type, ScalarType):
             mapping[binder] = Var(fresh_names[index], arg_type.sort)

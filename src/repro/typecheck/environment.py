@@ -17,7 +17,6 @@ reduction to Horn constraints:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..logic.formulas import Formula, Var, is_true
@@ -30,12 +29,18 @@ from ..syntax.types import RType, ScalarType, TypeSchema, substitute_in_type, ty
 Binding = Union[RType, TypeSchema]
 
 
-@dataclass(frozen=True)
 class Environment:
     """An immutable typing context; extension returns a new environment."""
 
-    bindings: Tuple[Tuple[str, Binding], ...] = ()
-    assumptions: Tuple[Formula, ...] = ()
+    __slots__ = ("bindings", "assumptions")
+
+    def __init__(
+        self,
+        bindings: Tuple[Tuple[str, Binding], ...] = (),
+        assumptions: Tuple[Formula, ...] = (),
+    ) -> None:
+        self.bindings = bindings
+        self.assumptions = assumptions
 
     # -- construction --------------------------------------------------------
 

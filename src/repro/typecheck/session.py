@@ -23,14 +23,13 @@ on failure it names the subtyping obligation whose constraint was refuted
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..horn.constraints import HornConstraint
 from ..horn.solver import Assignment, HornSolver, SolveOptions
 from ..horn.spaces import QualifierSpace, build_space
 from ..logic import ops
-from ..logic.formulas import Formula, Unknown, value_var
+from ..logic.formulas import App, Formula, Unknown, value_var
 from ..logic.measures import MeasureDef, instantiate_postconditions
 from ..logic.qualifiers import Qualifier, default_qualifiers
 from ..logic.simplify import conjuncts
@@ -47,7 +46,6 @@ from .environment import EMPTY, Environment
 from .errors import SubtypingError, TypecheckError, WellFormednessError
 
 
-@dataclass
 class TypecheckResult:
     """Outcome of solving a session's constraint system.
 
@@ -59,11 +57,21 @@ class TypecheckResult:
     subtyping obligation it came from.
     """
 
-    solved: bool
-    assignment: Assignment = field(default_factory=dict)
-    candidates: Tuple[Assignment, ...] = ()
-    weakest: Optional[Assignment] = None
-    failed: Optional[HornConstraint] = None
+    __slots__ = ("solved", "assignment", "candidates", "weakest", "failed")
+
+    def __init__(
+        self,
+        solved: bool,
+        assignment: Optional[Assignment] = None,
+        candidates: Tuple[Assignment, ...] = (),
+        weakest: Optional[Assignment] = None,
+        failed: Optional[HornConstraint] = None,
+    ) -> None:
+        self.solved = solved
+        self.assignment = assignment if assignment is not None else {}
+        self.candidates = candidates
+        self.weakest = weakest
+        self.failed = failed
 
     def refinement_of(self, unknown: str) -> Formula:
         """The inferred refinement of ``unknown`` as one conjunction."""
@@ -113,6 +121,9 @@ class TypecheckSession:
         #: their obligations, and validity is a pure function of the
         #: formulas, so verdicts stay good across solves (and trials).
         self._validity_memo: Dict = {}
+        #: Each obligation formula's measure applications in their
+        #: deterministic order (see :func:`instantiate_postconditions`).
+        self._application_order: Dict[Formula, Tuple[App, ...]] = {}
         self._names = FreshNames(prefix="_")
         for datatype in datatypes:
             self.declare_datatype(datatype)
@@ -237,7 +248,9 @@ class TypecheckSession:
         catamorphism facts reach the Horn solver without quantifiers.
         """
         if self.measure_defs:
-            axioms = instantiate_postconditions(list(premises) + [conclusion], self.measure_defs)
+            axioms = instantiate_postconditions(
+                list(premises) + [conclusion], self.measure_defs, self._application_order
+            )
             if axioms:
                 premises = list(premises) + axioms
         for conjunct in conjuncts(conclusion):

@@ -444,6 +444,23 @@ class TestOneShotImports:
         assert "repro.service.api" in loaded
         assert loaded.isdisjoint(NOT_ONE_SHOT), sorted(loaded.intersection(NOT_ONE_SHOT))
 
+    def test_import_builds_no_code(self):
+        """Every class under ``src/`` is written out by hand, so importing
+        the CLI loads neither ``dataclasses`` nor the ``inspect`` it pulls
+        in (generating their methods was most of the import's time)."""
+        env = dict(os.environ, PYTHONPATH=str(EXAMPLES.parent / "src"))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.cli; print(' '.join(sys.modules))"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert probe.returncode == 0, probe.stderr
+        loaded = set(probe.stdout.split())
+        assert "repro.cli" in loaded
+        generating = loaded & {"dataclasses", "inspect"}
+        assert not generating, sorted(generating)
+
     def test_cached_run_loads_the_cache_only(self, tmp_path):
         loaded = self.loaded("--cache-dir", str(tmp_path / "cache"))
         assert "repro.service.cache" in loaded

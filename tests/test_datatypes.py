@@ -10,7 +10,7 @@ import pytest
 
 from repro.horn import SolveOptions
 from repro.logic import ops
-from repro.logic.formulas import App, Var, value_var
+from repro.logic.formulas import App, Binary, BinaryOp, Var, value_var
 from repro.logic.measures import MeasureCase, MeasureDef, instantiate_postconditions
 from repro.logic.sorts import INT, VarSort
 from repro.syntax import (
@@ -24,12 +24,13 @@ from repro.syntax import (
     parse_type,
     type_var,
 )
-from repro.syntax.types import INT_BASE, base_sort
+from repro.syntax.types import INT_BASE, FunctionType, base_sort
 from repro.typecheck import (
     EMPTY,
     MatchError,
     TerminationError,
     TypecheckSession,
+    recursion_signature,
 )
 
 INC = "a:Int -> {Int | nu == a + 1}"
@@ -306,6 +307,32 @@ class TestFixTermination:
             where="shadowed-fix",
         )
         assert session.solve().solved
+
+    def test_wide_signature_shares_its_escape_disjunction(self):
+        """Each argument of the recursive signature may escape by a strict
+        descent of any earlier one.  Those escapes form one disjunction,
+        extended by one disjunct per argument and shared by every later
+        position, so a 300-argument goal has a linear number of distinct
+        ``||`` nodes (rebuilding it per position took quadratically many,
+        about 45,000, and over a second)."""
+        arity = 300
+        spine = [(f"a{index}", int_type()) for index in range(arity)]
+        signature = recursion_signature(TypecheckSession(), spine, int_type())
+        seen, disjunctions = set(), set()
+        stack = []
+        while isinstance(signature, FunctionType):
+            stack.append(signature.arg_type.refinement)
+            signature = signature.result_type
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            if isinstance(node, Binary):
+                if node.op is BinaryOp.OR:
+                    disjunctions.add(node)
+                stack.extend((node.lhs, node.rhs))
+        assert arity <= len(disjunctions) <= 2 * arity
 
     def test_lexicographic_second_argument(self):
         """Recursion that keeps the first list and shrinks the second is

@@ -87,6 +87,21 @@ class TestHashing:
         assert hash(f1) == hash(("binary", BinaryOp.LE, x, y))
         assert hash(x) == hash(("var", "x", INT))
 
+    @pytest.mark.parametrize(
+        "var, key",
+        [
+            (Var("x", INT), ("var", "x", ())),
+            (Var("b", BOOL), ("var", "b", ())),
+            (Var("s", SetSort(INT)), ("var", "s", ((),))),
+            (Var("xs", data_sort("List", INT)), ("var", "xs", ("List", ((),)))),
+        ],
+    )
+    def test_sort_keyed_var_hash_is_unchanged(self, var, key):
+        """A sort hashes as the tuple of its fields, ``hash(())`` when it
+        has none, so a variable hashes as its key with each sort spelled
+        as its fields, and formula-keyed sets keep their order."""
+        assert hash(var) == hash(key)
+
     def test_distinct_formulas_differ(self):
         assert ops.le(x, y) != ops.lt(x, y)
         assert ops.le(x, y) != ops.le(y, x)

@@ -142,6 +142,16 @@ class TestBatchCli:
         assert "check FAILED" in output
         assert "cache: disabled" in output
 
+    def test_nesting_too_deep_is_a_failure_not_a_worker_reset(self, tmp_path, curried_program):
+        """A file too deeply nested to check is a client error, like a
+        parse error: one failed line, and no query counts as crashed."""
+        root = corpus(tmp_path)
+        (root / "deep.sq").write_text(curried_program(600))
+        code, output = self.run(["batch", str(root), "--no-cache"])
+        assert code == EXIT_FAILURE
+        assert "deep.sq: ERROR — `f` nests too deeply to check" in output
+        assert "batch: 3 files, 1 failures, cache: disabled" in output
+
 
 class TestNoCacheDifferential:
     def test_synth_output_is_byte_identical_with_and_without_cache(self, tmp_path):

@@ -5,15 +5,30 @@ import pytest
 from repro.logic import ops
 from repro.logic.formulas import TRUE, Unknown, Var, value_var
 from repro.logic.sortcheck import SortError
-from repro.logic.sorts import BOOL, INT, UninterpretedSort, VarSort
+from repro.logic.sorts import BOOL, INT, SetSort, UninterpretedSort, VarSort
 from repro.syntax import (
+    INT_BASE,
+    Annot,
+    AppTerm,
+    BoolBase,
+    BoolConst,
     ContextualType,
     DataBase,
+    FixTerm,
     FunctionType,
+    IfTerm,
+    IntBase,
+    IntConst,
+    LambdaTerm,
+    LetTerm,
+    MatchCase,
+    MatchTerm,
     ParseError,
     PredSig,
     ScalarType,
     TypeSchema,
+    TypeVarBase,
+    VarTerm,
     app,
     arrow,
     bool_type,
@@ -41,6 +56,64 @@ from repro.syntax import (
 x = ops.var("x", INT)
 y = ops.var("y", INT)
 nu = value_var(INT)
+
+
+ZERO, ONE = IntConst(0), IntConst(1)
+CASE = MatchCase("Cons", ("y", "ys"), VarTerm("y"))
+
+#: Sorts, base types, types and terms, each with its fields in declaration
+#: order: every one is equal to the instance rebuilt from its fields, and
+#: hashes as their tuple (as a frozen dataclass did).
+VALUES_AND_FIELDS = [
+    (INT, ()),
+    (BOOL, ()),
+    (UninterpretedSort("List", (INT,)), ("List", (INT,))),
+    (SetSort(INT), (INT,)),
+    (VarSort("a"), ("a",)),
+    (IntBase(), ()),
+    (BoolBase(), ()),
+    (DataBase("List", (int_type(),)), ("List", (int_type(),))),
+    (TypeVarBase("a"), ("a",)),
+    (ScalarType(INT_BASE, ops.ge(nu, x)), (INT_BASE, ops.ge(nu, x))),
+    (FunctionType("x", int_type(), bool_type()), ("x", int_type(), bool_type())),
+    (ContextualType((("z", int_type()),), int_type()), ((("z", int_type()),), int_type())),
+    (VarTerm("f"), ("f",)),
+    (ZERO, (0,)),
+    (BoolConst(True), (True,)),
+    (AppTerm(VarTerm("f"), ONE), (VarTerm("f"), ONE)),
+    (LambdaTerm("x", VarTerm("x")), ("x", VarTerm("x"))),
+    (IfTerm(VarTerm("b"), ONE, ZERO), (VarTerm("b"), ONE, ZERO)),
+    (LetTerm("z", ONE, VarTerm("z")), ("z", ONE, VarTerm("z"))),
+    (CASE, ("Cons", ("y", "ys"), VarTerm("y"))),
+    (MatchTerm(VarTerm("xs"), (CASE,)), (VarTerm("xs"), (CASE,))),
+    (FixTerm("f", VarTerm("f")), ("f", VarTerm("f"))),
+    (Annot(ONE, int_type()), (ONE, int_type())),
+]
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize(
+        "value, fields",
+        VALUES_AND_FIELDS,
+        ids=[type(value).__name__ for value, _ in VALUES_AND_FIELDS],
+    )
+    def test_equal_to_its_fields_and_hashed_as_them(self, value, fields):
+        assert value == type(value)(*fields)
+        assert hash(value) == hash(fields)
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            (IntConst(1), BoolConst(True)),
+            (IntBase(), BoolBase()),
+            (INT, BOOL),
+            (FixTerm("f", ONE), LambdaTerm("f", ONE)),
+            (VarTerm("a"), TypeVarBase("a")),
+            (TypeVarBase("a"), VarSort("a")),
+        ],
+    )
+    def test_different_classes_with_equal_fields_differ(self, lhs, rhs):
+        assert lhs != rhs and not lhs == rhs
 
 
 class TestTypes:
