@@ -67,7 +67,11 @@ def abs_horn_system():
 def disjunctive_horn_system():
     """A guard whose weakest consistent strengthening is disjunctive over
     the pool: single-candidate (greedy) search dead-ends on it, so solving
-    exercises MUS enumeration and candidate pruning (see test_horn.py)."""
+    exercises the candidate-set search (see test_horn.py).  The search
+    explores the root and the four single-qualifier guards and stops at
+    that level; no guard it tries contradicts a premise, so the vacuity
+    probes record no MUS and prune nothing here (``synth.sign`` in
+    bench_synth.py is the case that records MUSes)."""
     zero, one, neg_one = IntLit(0), IntLit(1), IntLit(-1)
     guard_pool = (ops.ge(x, zero), ops.ge(x, one), ops.le(x, zero), ops.le(x, neg_one))
     spaces = {

@@ -93,7 +93,7 @@ class HornConstraint(Value):
 
     def concrete_premises(self) -> Tuple[Formula, ...]:
         """The unknown-free premises — the hard facts that hold regardless
-        of any valuation.  MUS enumeration checks tentative valuations of
+        of any valuation.  The vacuity probes check tentative valuations of
         premise-position unknowns for consistency against exactly these.
         Memoized like :meth:`premise_unknowns`."""
         cached = self._concrete_premises

@@ -1,4 +1,4 @@
-"""MUSFix: MARCO-style enumeration of minimal unsatisfiable subsets.
+"""MUSFix: minimal unsatisfiable subsets that prune the guard search.
 
 The candidate-set Horn search (Sec. 5 of the paper) prunes its frontier
 wholesale: the subsets of an abducible unknown's qualifier space that are
@@ -13,31 +13,22 @@ theory query — once known MUSes refute one of its guards in **every**
 context demanding that unknown (:meth:`MusFixSolver.dooms_everywhere`),
 which makes the guard unsatisfiable at its own declaration point.
 
-Enumeration is the MARCO algorithm (Liffiton et al.): a propositional
-"map" solver — one persistent :class:`repro.smt.sat.SatSolver` per
-(constraint, pool) pair, variable *i* meaning "qualifier *i* is in the
-subset" — proposes unexplored seeds.  Each seed is checked against the
-theory through the shared incremental backend: a consistent seed is
-*grown* into a maximal satisfiable subset (MSS) and the map learns that
-every future seed must leave the MSS (at least one variable outside it is
-true); an inconsistent seed is *shrunk* by linear deletion into a MUS,
-which is recorded and blocked (at least one of its members is false).
-Blocking clauses carve the power set down monotonically, so seeds never
-repeat and the map going unsatisfiable means the lattice is exhausted.
-Enumeration is budgeted (``mus_budget`` theory checks per pool) and
-resumable: the map solver keeps its blocking clauses, so a later failure
-of the same constraint continues where the last call stopped.
+The MUSes are the cores of the vacuity probes the search runs anyway:
+:meth:`MusFixSolver.prefill_vacuity` records every qualifier that is
+inconsistent with a context on its own (a singleton core), and
+:meth:`MusFixSolver.is_vacuous` shrinks each inconsistent candidate guard
+by linear deletion into a minimal core.  Every probe goes through the
+shared incremental backend, and a memo keyed by (premises, valuation)
+answers a repeated probe without a theory check.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .. import limits
 from ..logic.formulas import Formula
-from ..smt.interface import SolverBackend
-from ..smt.sat import SatSolver
 from ..smt.sets import mentions_sets
+from ..smt.solver import IncrementalSolver
 from .constraints import HornConstraint
 from .spaces import QualifierSpace
 
@@ -47,59 +38,26 @@ CandidateLike = Mapping[str, Sequence[Formula]]
 
 
 class MusFixStatistics:
-    """Counters describing one enumerator's work."""
+    """Counters describing one solver's work."""
 
     def __init__(self) -> None:
         self.muses_enumerated = 0
-        self.theory_checks = 0
-        self.map_seeds = 0
         self.candidates_pruned = 0
 
 
-class _MarcoState:
-    """Resumable MARCO state for one (constraint, qualifier pool) pair."""
-
-    __slots__ = ("pool", "map", "seeds", "budget_left", "complete")
-
-    def __init__(
-        self,
-        pool: Tuple[Formula, ...],
-        map: Optional[SatSolver] = None,
-        seeds: Optional[List[FrozenSet[int]]] = None,
-        budget_left: int = 0,
-        complete: bool = False,
-    ) -> None:
-        self.pool = pool
-        self.map = map if map is not None else SatSolver()
-        #: Every seed the map proposed, in order (introspection: tests
-        #: assert that blocking makes them unique).
-        self.seeds = seeds if seeds is not None else []
-        self.budget_left = budget_left
-        self.complete = complete
-
-
 class MusFixSolver:
-    """Enumerates MUSes of refuted qualifier sets to prune candidates."""
+    """Records the MUSes its vacuity probes find and prunes candidates."""
 
     def __init__(
         self,
         spaces: Dict[str, QualifierSpace],
-        backend: Optional[SolverBackend] = None,
-        budget: int = 64,
+        backend: Optional[IncrementalSolver] = None,
     ) -> None:
-        if backend is None:
-            from ..smt.solver import IncrementalSolver
-
-            backend = IncrementalSolver()
         self.spaces = spaces
         self.statistics = MusFixStatistics()
-        self._backend = backend
-        self._budget = budget
-        self._states: Dict[Tuple[HornConstraint, Tuple[Formula, ...]], _MarcoState] = {}
-        #: Known MUSes per constraint, as frozensets plus the ordered
-        #: originals.
+        self._backend = backend if backend is not None else IncrementalSolver()
+        #: Known MUSes per constraint.
         self._mus_sets: Dict[HornConstraint, List[FrozenSet[Formula]]] = {}
-        self._mus_order: Dict[HornConstraint, List[Tuple[Formula, ...]]] = {}
         #: Vacuity memo keyed by (concrete premises, valuation): many
         #: constraints share one premise context (same program point), so
         #: one theory check answers for all of them.  The value is the
@@ -108,126 +66,12 @@ class MusFixSolver:
             Tuple[Tuple[Formula, ...], FrozenSet[Formula]], Optional[Tuple[Formula, ...]]
         ] = {}
 
-    # -- the MARCO loop ------------------------------------------------------
-
-    def enumerate_muses(
-        self, constraint: HornConstraint, valuation: Sequence[Formula]
-    ) -> List[List[Formula]]:
-        """Minimal subsets of ``valuation`` inconsistent with the concrete
-        premises of ``constraint`` — the subsets that refute it as a guard
-        (any candidate containing one can only satisfy the constraint
-        vacuously).
-
-        Runs the MARCO loop until the power set is exhausted or the theory
-        budget is spent; every known MUS inside ``valuation`` is returned,
-        including those vacuity checks recorded.  Calling again resumes
-        enumeration.
-        """
-        state = self._state(constraint, tuple(valuation))
-        self._run_marco(constraint, state)
-        members = set(valuation)
-        return [
-            list(mus)
-            for mus, mus_set in zip(
-                self._mus_order.get(constraint, []), self._mus_sets.get(constraint, [])
-            )
-            if mus_set <= members
-        ]
-
-    def _state(self, constraint: HornConstraint, pool: Tuple[Formula, ...]) -> _MarcoState:
-        key = (constraint, pool)
-        if key not in self._states:
-            self._states[key] = _MarcoState(pool=pool, budget_left=self._budget)
-        return self._states[key]
-
-    def _run_marco(self, constraint: HornConstraint, state: _MarcoState) -> None:
-        if state.complete or state.budget_left <= 0 or not state.pool:
-            return
-        hard = constraint.concrete_premises()
-        with self._backend.scoped():
-            for premise in hard:
-                self._backend.assert_(premise)
-            if not self._probe(state, ()):
-                # The constraint's own premises are contradictory: it is
-                # vacuous for every valuation, which is no valuation's
-                # fault — there is nothing to prune.
-                state.complete = True
-                return
-            n = len(state.pool)
-            while state.budget_left > 0 and not state.complete:
-                result = state.map.solve()
-                if not result.satisfiable:
-                    state.complete = True
-                    break
-                seed = [i for i in range(1, n + 1) if result.model.get(i, False)]
-                state.seeds.append(frozenset(seed))
-                self.statistics.map_seeds += 1
-                if self._probe(state, seed):
-                    self._grow(state, seed, n)
-                else:
-                    self._shrink(constraint, state, seed)
-
-    def _grow(self, state: _MarcoState, seed: List[int], n: int) -> None:
-        """Grow a consistent seed toward an MSS, then block its down-set.
-
-        Blocking the down-set of *any* consistent set is sound (all its
-        subsets are consistent, so none is a MUS) — which makes running out
-        of budget mid-grow harmless.
-        """
-        mss = list(seed)
-        inside = set(seed)
-        for j in range(1, n + 1):
-            if j in inside:
-                continue
-            if state.budget_left <= 0:
-                break
-            if self._probe(state, mss + [j]):
-                mss.append(j)
-                inside.add(j)
-        blocking = [j for j in range(1, n + 1) if j not in inside]
-        if not blocking:
-            state.complete = True  # the whole pool is consistent: no MUSes
-        else:
-            state.map.add_clause(blocking)
-
-    def _shrink(self, constraint: HornConstraint, state: _MarcoState, seed: List[int]) -> None:
-        """Shrink an inconsistent seed by linear deletion; record the MUS.
-
-        Supersets of any inconsistent set are blocked either way (they are
-        inconsistent too, so none is an MSS and no MUS hides above them);
-        the core is *recorded* as a MUS only when the deletion pass ran to
-        completion, since an interrupted shrink is not yet minimal.
-        """
-        core = list(seed)
-        minimal = True
-        for j in list(core):
-            if state.budget_left <= 0:
-                minimal = False
-                break
-            trial = [k for k in core if k != j]
-            if not self._probe(state, trial):
-                core = trial
-        state.map.add_clause([-j for j in core] or [1])
-        if minimal:
-            self._record_mus(constraint, tuple(state.pool[j - 1] for j in core))
-
-    def _probe(self, state: _MarcoState, indices: Sequence[int]) -> bool:
-        """Theory-check a subset against the asserted hard premises."""
-        state.budget_left -= 1
-        self.statistics.theory_checks += 1
-        # The per-pool ``mus_budget`` bounds each enumerator's *total*
-        # work; this checkpoint is the global budget's view of the same
-        # quantum, so one deadline governs MUS enumeration too.
-        limits.checkpoint("mus_theory_checks")
-        return self._backend.check_assuming(state.pool[i - 1] for i in indices)
-
     def _record_mus(self, constraint: HornConstraint, mus: Tuple[Formula, ...]) -> None:
         known = self._mus_sets.setdefault(constraint, [])
         mus_set = frozenset(mus)
         if any(mus_set == existing for existing in known):
             return
         known.append(mus_set)
-        self._mus_order.setdefault(constraint, []).append(mus)
         self.statistics.muses_enumerated += 1
 
     # -- candidate pruning ---------------------------------------------------
@@ -256,8 +100,9 @@ class MusFixSolver:
         guard refuted in **all** the contexts where its unknown is demanded
         (equivalently, at the weakest of them — its own declaration point)
         is unestablishable outright, so this is the sound frontier prune
-        for condition abduction.  MUS knowledge is partial (budgeted), so
-        a ``False`` here is only "not yet known doomed".
+        for condition abduction.  MUS knowledge is partial (only the cores
+        the vacuity probes have found so far), so a ``False`` here is only
+        "not yet known doomed".
         """
         for name, valuation in candidate.items():
             constrs = mentioning.get(name)
@@ -302,7 +147,6 @@ class MusFixSolver:
         with self._backend.scoped():
             for premise in hard:
                 self._backend.assert_(premise)
-            self.statistics.theory_checks += 1
             values = self._backend.check_evaluating(pending)
             if values is None:
                 # Dead context: contradictory premises never count
@@ -321,7 +165,6 @@ class MusFixSolver:
             # one incremental solve).
             for q in remaining:
                 key = (hard, frozenset((q,)))
-                self.statistics.theory_checks += 1
                 if self._backend.check_assuming((q,)):
                     self._vacuity[key] = None
                 else:
@@ -352,7 +195,6 @@ class MusFixSolver:
         with self._backend.scoped():
             for premise in hard:
                 self._backend.assert_(premise)
-            self.statistics.theory_checks += 1
             if self._backend.check_assuming(valuation):
                 self._vacuity[memo_key] = None
                 return False
@@ -362,17 +204,8 @@ class MusFixSolver:
             core = list(valuation)
             for q in list(core):
                 trial = [k for k in core if k is not q]
-                self.statistics.theory_checks += 1
                 if not self._backend.check_assuming(trial):
                     core = trial
         self._vacuity[memo_key] = tuple(core)
         self._record_mus(constraint, tuple(core))
         return True
-
-    def seeds_for(
-        self, constraint: HornConstraint, valuation: Sequence[Formula]
-    ) -> List[FrozenSet[int]]:
-        """The map-solver seeds proposed so far for this pool (1-based
-        indices into ``valuation``) — introspection for tests and debugging."""
-        state = self._states.get((constraint, tuple(valuation)))
-        return list(state.seeds) if state is not None else []

@@ -27,14 +27,15 @@ strengthenings — disjunctive inference.  For those the solver keeps a
 **frontier of candidates**: each candidate fixes the abducible valuations,
 the classic fixpoint core runs on the grounded system, and a failure
 branches the candidate into its single-qualifier strengthenings while
-:class:`~repro.horn.musfix.MusFixSolver` enumerates MUSes of the failing
-constraint and prunes every frontier member containing one.
+:class:`~repro.horn.musfix.MusFixSolver` records the inconsistent cores
+(MUSes) its vacuity probes find and prunes every frontier member whose
+guard contains one in every demanding context.
 
 Pruning on the classic path is unsat-core style: a constraint's full
 valuation is first checked in one validity query; only when that fails
 does the solver descend to per-qualifier checks to identify exactly the
-conjuncts to drop.  All validity checks are issued through an incremental
-:class:`~repro.smt.interface.SolverBackend` — the premises of a constraint
+conjuncts to drop.  All validity checks are issued through one
+:class:`~repro.smt.solver.IncrementalSolver` — the premises of a constraint
 are asserted once per round and every per-qualifier probe runs in a
 sub-scope on top of them, so unchanged premises are never re-encoded.
 
@@ -54,7 +55,6 @@ from ..logic import ops
 from ..logic.formulas import Formula, Unknown
 from ..logic.substitution import apply_assignment, substitute
 from ..logic.transform import unknowns as formula_unknowns
-from ..smt.interface import SolverBackend
 from ..smt.sets import mentions_sets
 from ..smt.solver import IncrementalSolver
 from .constraints import HornConstraint, substitute_unknowns
@@ -72,18 +72,13 @@ class SolveOptions:
     minimal one.  ``max_candidates`` bounds the candidate frontier *and*
     the number of surviving solutions reported — 1 degenerates to a
     greedy single path that can dead-end on disjunctive goals.
-    ``mus_budget`` caps MARCO theory checks per failing constraint's
-    qualifier pool.
     """
 
-    __slots__ = ("minimize", "max_candidates", "mus_budget")
+    __slots__ = ("minimize", "max_candidates")
 
-    def __init__(
-        self, minimize: bool = False, max_candidates: int = 16, mus_budget: int = 64
-    ) -> None:
+    def __init__(self, minimize: bool = False, max_candidates: int = 16) -> None:
         self.minimize = minimize
         self.max_candidates = max_candidates
-        self.mus_budget = mus_budget
 
 
 class HornStatistics:
@@ -103,7 +98,7 @@ class HornStatistics:
         #: Candidates dropped because they contained a known MUS (or were
         #: vacuous) — work the search never had to do.
         self.candidates_pruned = 0
-        #: Minimal unsatisfiable subsets enumerated by the MARCO loop.
+        #: Minimal unsatisfiable subsets the vacuity probes recorded.
         self.muses_enumerated = 0
 
     def merge(self, other: "HornStatistics") -> None:
@@ -125,9 +120,10 @@ class HornSolution:
     classic path it is the one greatest-fixpoint assignment).
     ``assignment`` stays the chosen member — the weakest survivor — so
     existing callers keep working.  When ``solved`` is false, ``failed``
-    names a definite constraint no candidate could satisfy.  ``weakest``
-    is the greedily minimized valuation, present only when minimization
-    was requested.
+    names a definite constraint no candidate could satisfy, and
+    ``error_message`` names the subtyping obligation it came from.
+    ``weakest`` is the greedily minimized valuation, present only when
+    minimization was requested.
     """
 
     __slots__ = ("solved", "assignment", "candidates", "weakest", "failed")
@@ -149,6 +145,17 @@ class HornSolution:
     def formula_for(self, unknown: str) -> Formula:
         """The chosen valuation of ``unknown`` as one conjunction."""
         return ops.conj(self.assignment.get(unknown, ()))
+
+    @property
+    def error_message(self) -> Optional[str]:
+        """A human-readable account of the failure, if any."""
+        if self.solved or self.failed is None:
+            return None
+        return (
+            f"subtyping obligation failed at {self.failed.origin()}: "
+            "no refinement in the qualifier space satisfies "
+            f"`{self.failed!r}`"
+        )
 
 
 class CandidateSearchResult:
@@ -227,7 +234,7 @@ def order_solutions(
 
 
 def screen_singletons(
-    backend: SolverBackend,
+    backend: IncrementalSolver,
     statistics: "HornStatistics",
     constraints: Sequence[HornConstraint],
     name: str,
@@ -326,7 +333,7 @@ class HornSolver:
 
     def __init__(
         self,
-        backend: Optional[SolverBackend] = None,
+        backend: Optional[IncrementalSolver] = None,
         validity_memo: Optional[Dict[Tuple[Tuple[Formula, ...], Formula], bool]] = None,
     ) -> None:
         self._backend = backend if backend is not None else IncrementalSolver()
@@ -343,7 +350,7 @@ class HornSolver:
         )
 
     @property
-    def backend(self) -> SolverBackend:
+    def backend(self) -> IncrementalSolver:
         """The incremental backend issuing this solver's validity checks."""
         return self._backend
 
@@ -400,11 +407,12 @@ class HornSolver:
         context (its declaration point), it is unestablishable outright.
         Contradicting only *some* contexts is fine: such a guard merely
         makes those program points unreachable, which is exactly what a
-        branch condition is for.  A failed candidate feeds the failing
-        constraint to the MUS enumerator, prunes the frontier, and
-        branches into its single-qualifier strengthenings.  The frontier
-        starts at the all-``True`` candidate, and at most ``64 *
-        max_candidates`` candidates are evaluated.
+        branch condition is for.  A failed candidate prefills the
+        singleton vacuity of every context demanding a repairable unknown,
+        prunes the frontier with the cores found so far, and branches into
+        its single-qualifier strengthenings.  The frontier starts at the
+        all-``True`` candidate, and at most ``64 * max_candidates``
+        candidates are evaluated.
 
         The search is *level-stopped*: the queue is size-ordered, so once
         a solution of total guard size ``k`` exists, the first pop of a
@@ -422,7 +430,7 @@ class HornSolver:
         capacity = max(1, opts.max_candidates)
         explore_limit = 64 * capacity
 
-        musfix = MusFixSolver(space_map, backend=self._backend, budget=opts.mus_budget)
+        musfix = MusFixSolver(space_map, backend=self._backend)
 
         # The demanding contexts of each abducible: one representative
         # constraint per distinct concrete-premise tuple, weakest first so
@@ -539,13 +547,11 @@ class HornSolver:
                     musfix,
                 )
             for name in repairable:
-                # Enumerate against every demanding context, not just the
-                # failing constraint: dooming needs a refutation in all of
-                # them before a candidate may be dropped.
+                # Probe every demanding context, not just the failing
+                # constraint: dooming needs a refutation in all of them
+                # before a candidate may be dropped.
                 for rep in mentioning[name]:
                     musfix.prefill_vacuity(rep, abducibles[name].qualifiers)
-                for rep in mentioning[name]:
-                    musfix.enumerate_muses(rep, abducibles[name].qualifiers)
             if repairable and len(queue):
                 queue = deque(musfix.prune_everywhere(list(queue), mentioning))
             for name in repairable:
@@ -662,15 +668,7 @@ class HornSolver:
         """First definite constraint, in order, that the assignment does
         not validate: one memoized validity check per grounded constraint."""
         for constr in definite:
-            premises = tuple(apply_assignment(p, assignment) for p in constr.premises)
-            conclusion = apply_assignment(constr.conclusion, assignment)
-            key = (premises, conclusion)
-            verdict = self._validity_memo.get(key)
-            if verdict is None:
-                self.statistics.validity_checks += 1
-                verdict = self._backend.is_valid_implication(list(premises), conclusion)
-                self._validity_memo[key] = verdict
-            if not verdict:
+            if not self._constraint_valid(constr, assignment):
                 return constr
         return None
 

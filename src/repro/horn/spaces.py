@@ -57,9 +57,8 @@ class QualifierSpace:
 
     def index_of(self, qualifier: Formula) -> int:
         """Position of ``qualifier`` in the space's fixed order — the order
-        the candidate search and the MUS enumerator canonicalize subsets
-        by, so every run (and the brute-force abduction oracle) agrees on
-        candidate identity."""
+        the candidate search canonicalizes subsets by, so every run (and
+        the brute-force abduction oracle) agrees on candidate identity."""
         return self.qualifiers.index(qualifier)
 
 

@@ -73,7 +73,6 @@ class Budget:
         "max_pivots",
         "max_candidates",
         "max_terms",
-        "max_theory_checks",
     )
 
     def __init__(
@@ -83,7 +82,6 @@ class Budget:
         max_pivots: Optional[int] = None,
         max_candidates: Optional[int] = None,
         max_terms: Optional[int] = None,
-        max_theory_checks: Optional[int] = None,
     ) -> None:
         self.deadline = deadline
         #: SAT conflicts (checked once per CDCL conflict).
@@ -94,9 +92,6 @@ class Budget:
         self.max_candidates = max_candidates
         #: E-terms generated by the enumerator.
         self.max_terms = max_terms
-        #: Theory probes issued by MUS enumeration (the global counterpart
-        #: of the per-pool ``SolveOptions.mus_budget``).
-        self.max_theory_checks = max_theory_checks
 
     @classmethod
     def from_timeout_ms(cls, timeout_ms: Optional[float], **steps: Optional[int]) -> "Budget":
@@ -121,7 +116,6 @@ _LIMIT_FIELD: Dict[str, str] = {
     "tableau_pivots": "max_pivots",
     "horn_candidates": "max_candidates",
     "enum_terms": "max_terms",
-    "mus_theory_checks": "max_theory_checks",
 }
 
 

@@ -159,11 +159,6 @@ class MeasureDef(Value):
         return value_var(self.result_sort)
 
 
-def measure_signatures(defs: Iterable[MeasureDef]) -> Dict[str, Tuple[Tuple[Sort, ...], Sort]]:
-    """Signature map of several measures, for sort checking and parsing."""
-    return {mdef.name: mdef.signature() for mdef in defs}
-
-
 def instantiate_postconditions(
     formulas: Iterable[Formula],
     defs: Mapping[str, MeasureDef],

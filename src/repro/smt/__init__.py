@@ -1,7 +1,6 @@
 """The SMT substrate: SAT core, EUF, LIA, set encoding, lazy DPLL(T)."""
 
 from .euf import CongruenceClosure, TermBank
-from .interface import SolverBackend
 from .lia import Constraint, LinearExpr, Relation
 from .names import FreshNames
 from .sat import SatResult, SatSolver, SatStatistics, solve_clauses
@@ -20,7 +19,6 @@ __all__ = [
     "SatResult",
     "SatSolver",
     "SatStatistics",
-    "SolverBackend",
     "SolverStatistics",
     "TermBank",
     "TheoryChecker",

@@ -69,9 +69,9 @@ class CongruenceClosure:
     """Union-find based congruence closure with an undo trail.
 
     Usage: intern terms through :attr:`bank`, assert equalities and
-    disequalities, then ask :meth:`is_consistent`, :meth:`are_equal`, or
-    enumerate entailed equalities over a set of terms.  Incremental users
-    bracket assertions between :meth:`mark` and :meth:`undo_to`.
+    disequalities, then ask :meth:`is_consistent` or enumerate entailed
+    equalities over a set of terms.  Incremental users bracket assertions
+    between :meth:`mark` and :meth:`undo_to`.
     """
 
     def __init__(self, bank: Optional[TermBank] = None) -> None:
@@ -153,11 +153,6 @@ class CongruenceClosure:
         self.version += 1
 
     # -- queries -------------------------------------------------------------
-
-    def are_equal(self, a: int, b: int) -> bool:
-        """Are the two terms known to be equal?"""
-        self._rebuild_congruence()
-        return self._find(a) == self._find(b)
 
     def is_consistent(self) -> bool:
         """Do the asserted disequalities hold under the closure?

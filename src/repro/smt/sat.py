@@ -1,10 +1,8 @@
 """An incremental CDCL SAT solver (MiniSat-style).
 
-This is the propositional core of the lazy SMT loop (``repro.smt.solver``)
-and the "map" solver of the MARCO-style MUS enumerator
-:class:`repro.horn.musfix.MusFixSolver`.  Clauses are lists of non-zero
-integers in DIMACS convention: positive literal ``v`` means variable
-``v`` is true, ``-v`` means it is false.
+This is the propositional core of the lazy SMT loop (``repro.smt.solver``).
+Clauses are lists of non-zero integers in DIMACS convention: positive
+literal ``v`` means variable ``v`` is true, ``-v`` means it is false.
 
 The solver is *persistent*: clauses are added once and every later
 :meth:`SatSolver.solve` call reuses them — there is no per-call copying.

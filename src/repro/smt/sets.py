@@ -4,10 +4,11 @@ The paper's refinement logic uses sets (via the theory of arrays in Z3) for
 measures such as ``elems`` and ``keys``.  This module compiles set atoms away
 before the lazy SMT loop runs:
 
-* the *universe* of relevant elements is the set of element terms named in
-  the query plus one fresh witness per negative set atom;
+* the *universe* of each element sort is the set of element terms of that
+  sort named in the query plus one fresh witness per negative set atom over
+  sets of that sort;
 * positive equalities / inclusions are expanded into membership constraints
-  over the universe;
+  over the universe of their own element sort;
 * negative equalities / inclusions are expanded using their witness element
   (which makes them exact);
 * membership in an *uninterpreted* set term (a set-sorted variable or measure
@@ -63,7 +64,8 @@ class SetEncoder:
 
     def __init__(self, fresh_names: Optional[FreshNames] = None) -> None:
         self.fresh_names = fresh_names
-        self._universe: List[Formula] = []
+        #: The element terms of the query, grouped by sort.
+        self._universe: Dict[Sort, List[Formula]] = {}
         #: The witness element of each set equality (``EQ``) or inclusion
         #: (``SUBSET``) that occurs negated, keyed by ``(op, lhs, rhs)``.
         self._witnesses: Dict[Tuple[BinaryOp, Formula, Formula], Var] = {}
@@ -96,14 +98,14 @@ class SetEncoder:
 
     # -- universe construction --------------------------------------------
 
-    def _collect_elements(self, formula: Formula) -> List[Formula]:
-        elements: List[Formula] = []
+    def _collect_elements(self, formula: Formula) -> Dict[Sort, List[Formula]]:
+        elements: Dict[Sort, List[Formula]] = {}
         seen = set()
 
         def add(term: Formula) -> None:
             if term not in seen:
                 seen.add(term)
-                elements.append(term)
+                elements.setdefault(term.sort, []).append(term)
 
         for node in subterms(formula):
             if isinstance(node, SetLit):
@@ -121,13 +123,15 @@ class SetEncoder:
 
     def _witness(self, op: BinaryOp, lhs: Formula, rhs: Formula) -> Var:
         """The element that tells ``lhs`` and ``rhs`` apart when the atom
-        ``lhs op rhs`` is false; it joins the universe when it is made."""
+        ``lhs op rhs`` is false; it joins its sort's universe when it is
+        made."""
         key = (op, lhs, rhs)
         witness = self._witnesses.get(key)
         if witness is None:
-            witness = self._fresh_witness(self._element_sort(lhs))
+            sort = self._element_sort(lhs)
+            witness = self._fresh_witness(sort)
             self._witnesses[key] = witness
-            self._universe.append(witness)
+            self._universe.setdefault(sort, []).append(witness)
         return witness
 
     # -- rewriting ----------------------------------------------------------
@@ -210,7 +214,7 @@ class SetEncoder:
         if positive:
             return ops.conj(
                 ops.iff(self._membership(e, lhs), self._membership(e, rhs))
-                for e in self._universe
+                for e in self._universe.get(self._element_sort(lhs), ())
             )
         witness = self._witness(BinaryOp.EQ, lhs, rhs)
         return ops.not_(ops.iff(self._membership(witness, lhs), self._membership(witness, rhs)))
@@ -219,7 +223,7 @@ class SetEncoder:
         if positive:
             return ops.conj(
                 ops.implies(self._membership(e, lhs), self._membership(e, rhs))
-                for e in self._universe
+                for e in self._universe.get(self._element_sort(lhs), ())
             )
         witness = self._witness(BinaryOp.SUBSET, lhs, rhs)
         return ops.and_(self._membership(witness, lhs), ops.not_(self._membership(witness, rhs)))

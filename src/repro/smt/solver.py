@@ -26,8 +26,8 @@ Horn fixpoint loop does this constantly) reuses its existing CNF, theory
 lemmas learned in one query prune all later ones, and the learned-lemma
 database is garbage collected by clause activity so it stays bounded.
 A one-shot question is a scoped query on it:
-:meth:`~repro.smt.interface.SolverBackend.check_assuming` or
-:meth:`~repro.smt.interface.SolverBackend.is_valid_implication`.
+:meth:`IncrementalSolver.check_assuming` or
+:meth:`IncrementalSolver.is_valid_implication`.
 
 Per-query preprocessing (see :meth:`IncrementalSolver._preprocess`):
 
@@ -40,7 +40,8 @@ Per-query preprocessing (see :meth:`IncrementalSolver._preprocess`):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..logic import ops
 from ..logic.formulas import (
@@ -57,7 +58,6 @@ from ..logic.formulas import (
 from ..logic.simplify import negation_normal_form, simplify
 from ..logic.sorts import BoolSort
 from ..logic.transform import transform
-from .interface import SolverBackend
 from .names import FreshNames
 from .sat import SatSolver
 from .sets import eliminate_sets, mentions_sets
@@ -328,7 +328,7 @@ class _TheoryBridge:
         return implications
 
 
-class IncrementalSolver(SolverBackend):
+class IncrementalSolver:
     """Assumption-literal based incremental CDCL(T) solver.
 
     Every distinct asserted formula gets a *selector* literal ``s`` and a
@@ -390,12 +390,14 @@ class IncrementalSolver(SolverBackend):
         self._sat.max_theory_restarts = self.MAX_ITERATIONS
         self.statistics = SolverStatistics()
 
-    # -- SolverBackend -------------------------------------------------------
+    # -- assertion scopes ----------------------------------------------------
 
     def push(self) -> None:
+        """Open a new assertion scope."""
         self._frames.append([])
 
     def pop(self) -> None:
+        """Discard the innermost assertion scope."""
         if len(self._frames) == 1:
             raise RuntimeError("pop without matching push")
         counts = self._active_atom_counts
@@ -408,6 +410,8 @@ class IncrementalSolver(SolverBackend):
                     del counts[variable]
 
     def assert_(self, formula: Formula) -> None:
+        """Add a formula to the innermost scope (a formula asserted before
+        reuses its selector and CNF)."""
         if formula in self._selectors:
             self.statistics.reused_assertions += 1
             selector = self._selectors[formula]
@@ -420,7 +424,21 @@ class IncrementalSolver(SolverBackend):
             for variable in self._selector_atoms[selector]:
                 counts[variable] = counts.get(variable, 0) + 1
 
+    @contextmanager
+    def scoped(self) -> Iterator["IncrementalSolver"]:
+        """A ``with``-block assertion scope: ``push`` on entry, ``pop`` on
+        exit (even on error), so a caller sharing one solver across many
+        obligations keeps its scope discipline exception-safe."""
+        self.push()
+        try:
+            yield self
+        finally:
+            self.pop()
+
+    # -- queries -------------------------------------------------------------
+
     def check(self) -> bool:
+        """Is the conjunction of all live assertions satisfiable?"""
         return self._solve_active() is not None
 
     def check_evaluating(
@@ -444,25 +462,31 @@ class IncrementalSolver(SolverBackend):
         atom_vars = self._encoder._atom_vars
         return [_evaluate_partial(probe, atom_vars, model, checked) for probe in probes]
 
-    def check_assuming(self, formulas) -> bool:
+    def check_assuming(self, formulas: Iterable[Formula]) -> bool:
+        """Satisfiability of the live assertions plus the given formulas."""
         formulas = list(formulas)
-        if any(mentions_sets(f) for f in formulas):
-            # Per-assertion set elimination scopes element universes too
-            # narrowly for cross-assertion reasoning; fall back to one
-            # conjoined assertion (the exact, one-shot pipeline).
-            self.push()
-            try:
+        with self.scoped():
+            if any(mentions_sets(f) for f in formulas):
+                # Per-assertion set elimination scopes element universes too
+                # narrowly for cross-assertion reasoning; fall back to one
+                # conjoined assertion (the exact, one-shot pipeline).
                 self.assert_(ops.conj(formulas))
-                return self.check()
-            finally:
-                self.pop()
-        return super().check_assuming(formulas)
+            else:
+                for formula in formulas:
+                    self.assert_(formula)
+            return self.check()
 
-    def is_valid_implication(self, premises, conclusion: Formula) -> bool:
+    def is_valid_implication(self, premises: Iterable[Formula], conclusion: Formula) -> bool:
+        """Does the conjunction of ``premises`` entail ``conclusion`` (in the
+        context of the live assertions)?"""
         premises = list(premises)
         if mentions_sets(conclusion) or any(mentions_sets(p) for p in premises):
             return not self.check_assuming([ops.and_(ops.conj(premises), ops.not_(conclusion))])
-        return super().is_valid_implication(premises, conclusion)
+        with self.scoped():
+            for premise in premises:
+                self.assert_(premise)
+            self.assert_(ops.not_(conclusion))
+            return not self.check()
 
     # -- internals -----------------------------------------------------------
 

@@ -31,7 +31,6 @@ from .types import (
     DataBase,
     FunctionType,
     RType,
-    ScalarType,
     TypeSchema,
     arrow,
     base_sort,
@@ -65,15 +64,6 @@ class Constructor(Value):
             count += 1
             node = node.result_type
         return count
-
-    def result_type(self) -> ScalarType:
-        """The scalar result of the (uninstantiated) signature."""
-        node: RType = self.schema.body
-        while isinstance(node, FunctionType):
-            node = node.result_type
-        if not isinstance(node, ScalarType):
-            raise TypeError(f"constructor {self.name} does not end in a scalar: {node!r}")
-        return node
 
 
 class Datatype(Value):

@@ -234,25 +234,6 @@ def annot(term: Term, rtype: RType) -> Annot:
     return Annot(term, rtype)
 
 
-def alt(constructor: str, *binders: str, body: Optional[Term] = None) -> MatchCase:
-    """One match alternative ``constructor binders -> body``."""
-    if body is None:
-        raise ValueError("alt needs a body")
-    return MatchCase(constructor, tuple(binders), body)
-
-
-def match_(scrutinee: Term, *cases: MatchCase) -> MatchTerm:
-    """A match over a datatype scrutinee."""
-    if not cases:
-        raise ValueError("match needs at least one case")
-    return MatchTerm(scrutinee, tuple(cases))
-
-
-def fix_(name: str, body: Term) -> FixTerm:
-    """A recursive definition ``fix name . body``."""
-    return FixTerm(name, body)
-
-
 def term_free_names(term: Term) -> Set[str]:
     """The program variables occurring free in a term."""
     if isinstance(term, VarTerm):

@@ -17,13 +17,13 @@ greatest-fixpoint solver cannot weaken it.  :func:`abduce_condition`
 therefore re-marks ``C``'s space ``abducible`` and hands the system to
 :meth:`~repro.horn.solver.HornSolver.solve`'s candidate-set search: the
 frontier BFS strengthens ``C`` from ``True`` one qualifier at a time
-(capped at ``max_conjuncts``), MARCO-style MUS enumeration
-(:mod:`repro.horn.musfix`) prunes every candidate guard containing a
-known-inconsistent core, vacuous guards (ones contradicting **every**
-demanding context — equivalently, unsatisfiable at the abduction point
-itself, so no executable branch could ever take them; contradicting only
-a deeper context, say one match arm, is what a branch condition is *for*)
-are rejected.  The search is level-stopped, so the surviving candidates
+(capped at ``max_conjuncts``), the inconsistent cores (MUSes) its
+vacuity probes record (:mod:`repro.horn.musfix`) prune every candidate
+guard containing one in every demanding context, and vacuous guards
+(ones contradicting **every** demanding context — equivalently,
+unsatisfiable at the abduction point itself, so no executable branch
+could ever take them; contradicting only a deeper context, say one match
+arm, is what a branch condition is *for*) are rejected.  The search is level-stopped, so the surviving candidates
 are exactly the minimal-size solutions; :func:`_weakest_guards` then
 drops the ones another survivor strictly entails, and the result is the
 weakest-guard *antichain* — several genuinely incomparable conditions
@@ -53,7 +53,7 @@ from ..horn.solver import HornSolver, HornStatistics, SolveOptions
 from ..horn.spaces import QualifierSpace
 from ..logic import ops
 from ..logic.formulas import Binary, BinaryOp, Formula
-from ..smt.interface import SolverBackend
+from ..smt.solver import IncrementalSolver
 from ..syntax.terms import Term
 from ..syntax.types import RType
 from ..typecheck.environment import Environment
@@ -80,10 +80,6 @@ class AbducedCondition:
     ) -> None:
         self.qualifiers = qualifiers
         self.candidates = candidates
-
-    @property
-    def formula(self) -> Formula:
-        return ops.conj(self.qualifiers)
 
     def is_trivial(self) -> bool:
         """Does the candidate check under no assumption at all?"""
@@ -171,11 +167,7 @@ def abduce_condition(
     # pool: a capacity-truncated queue would silently skip guards the
     # brute-force oracle tries, breaking differential agreement.
     lattice = sum(comb(len(pool), size) for size in range(max_conjuncts + 1))
-    # MUS discovery during abduction comes almost entirely from vacuity
-    # witnesses (shrunk on the spot, a handful of theory probes each); a
-    # big MARCO budget would re-derive them by blind enumeration over the
-    # whole pool at every constraint failure, so keep it small here.
-    opts = SolveOptions(max_candidates=max(SolveOptions().max_candidates, lattice), mus_budget=8)
+    opts = SolveOptions(max_candidates=max(SolveOptions().max_candidates, lattice))
 
     solver = HornSolver(session.backend, validity_memo=session._validity_memo)
     solution = solver.solve(constraints, spaces, opts)
@@ -254,7 +246,7 @@ def _abduce_brute_force(
 
 
 def _weakest_guards(
-    backend: SolverBackend,
+    backend: IncrementalSolver,
     context: Sequence[Formula],
     guards: Sequence[Tuple[Formula, ...]],
 ) -> List[Tuple[Formula, ...]]:

@@ -145,19 +145,6 @@ class EnumerationStatistics:
         #: "best depth reached" a timeout report carries.
         self.depth_reached = 0
 
-    def merge(self, other: "EnumerationStatistics") -> None:
-        """Accumulate another run's counters into this one."""
-        self.generated += other.generated
-        self.pruned_early += other.pruned_early
-        self.pruned_shape += other.pruned_shape
-        self.checked += other.checked
-        self.goal_checks += other.goal_checks
-        self.abductions += other.abductions
-        self.candidates_explored += other.candidates_explored
-        self.candidates_pruned += other.candidates_pruned
-        self.muses_enumerated += other.muses_enumerated
-        self.depth_reached = max(self.depth_reached, other.depth_reached)
-
     def merge_horn(self, horn: object) -> None:
         """Fold one abduction's Horn search counters into this run."""
         self.candidates_explored += getattr(horn, "candidates_explored", 0)

@@ -27,7 +27,7 @@ from .errors import (
     WellFormednessError,
 )
 from ..horn.musfix import MusFixSolver
-from .session import TypecheckResult, TypecheckSession
+from .session import TypecheckSession
 
 __all__ = [
     "EMPTY",
@@ -38,7 +38,6 @@ __all__ = [
     "SubtypingError",
     "TerminationError",
     "TypecheckError",
-    "TypecheckResult",
     "TypecheckSession",
     "UnsupportedTermError",
     "WellFormednessError",

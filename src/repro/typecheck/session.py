@@ -12,11 +12,11 @@ through the same backend, so premises shared between obligations are
 encoded once and theory lemmas learned early prune every later query.
 
 :meth:`TypecheckSession.solve` hands the accumulated system to
-:class:`repro.horn.HornSolver` and packages the outcome: on success the
-:class:`TypecheckResult` carries the inferred valuation of every unknown;
-on failure it names the subtyping obligation whose constraint was refuted
-(:meth:`TypecheckResult.error_message`), and
-:meth:`TypecheckSession.solve_or_raise` turns that into a
+:class:`repro.horn.HornSolver` and returns its
+:class:`~repro.horn.HornSolution`: on success it carries the inferred
+valuation of every unknown; on failure it names the subtyping obligation
+whose constraint was refuted (:attr:`~repro.horn.HornSolution.error_message`),
+and :meth:`TypecheckSession.solve_or_raise` turns that into a
 :class:`SubtypingError`.
 """
 
@@ -26,16 +26,14 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..horn.constraints import HornConstraint
-from ..horn.solver import Assignment, HornSolver, SolveOptions
+from ..horn.solver import HornSolution, HornSolver, SolveOptions
 from ..horn.spaces import QualifierSpace, build_space
-from ..logic import ops
 from ..logic.formulas import App, Formula, Unknown, value_var
 from ..logic.measures import MeasureDef, instantiate_postconditions
 from ..logic.qualifiers import Qualifier, default_qualifiers
 from ..logic.simplify import conjuncts
 from ..logic.sortcheck import MeasureSignatures
 from ..logic.sorts import INT, Sort, UninterpretedSort
-from ..smt.interface import SolverBackend
 from ..smt.names import FreshNames
 from ..smt.solver import IncrementalSolver
 from ..syntax.datatypes import Datatype
@@ -46,49 +44,6 @@ from .environment import EMPTY, Environment
 from .errors import SubtypingError, TypecheckError, WellFormednessError
 
 
-class TypecheckResult:
-    """Outcome of solving a session's constraint system.
-
-    ``assignment`` maps every predicate unknown to its strongest inferred
-    valuation; ``candidates`` is the surviving candidate set (weakest
-    first) when the system needed candidate-set search, and ``weakest`` is
-    the minimized valuation when requested.  When ``solved`` is false,
-    ``failed`` is the refuted constraint and ``error_message`` names the
-    subtyping obligation it came from.
-    """
-
-    __slots__ = ("solved", "assignment", "candidates", "weakest", "failed")
-
-    def __init__(
-        self,
-        solved: bool,
-        assignment: Optional[Assignment] = None,
-        candidates: Tuple[Assignment, ...] = (),
-        weakest: Optional[Assignment] = None,
-        failed: Optional[HornConstraint] = None,
-    ) -> None:
-        self.solved = solved
-        self.assignment = assignment if assignment is not None else {}
-        self.candidates = candidates
-        self.weakest = weakest
-        self.failed = failed
-
-    def refinement_of(self, unknown: str) -> Formula:
-        """The inferred refinement of ``unknown`` as one conjunction."""
-        return ops.conj(self.assignment.get(unknown, ()))
-
-    @property
-    def error_message(self) -> Optional[str]:
-        """A human-readable account of the failure, if any."""
-        if self.solved or self.failed is None:
-            return None
-        return (
-            f"subtyping obligation failed at {self.failed.origin()}: "
-            "no refinement in the qualifier space satisfies "
-            f"`{self.failed!r}`"
-        )
-
-
 class TypecheckSession:
     """Accumulates constraints from a typing derivation and solves them."""
 
@@ -96,7 +51,7 @@ class TypecheckSession:
         self,
         qualifiers: Optional[Sequence[Qualifier]] = None,
         literals: Iterable[Formula] = (),
-        backend: Optional[SolverBackend] = None,
+        backend: Optional[IncrementalSolver] = None,
         measures: Optional[MeasureSignatures] = None,
         datatypes: Iterable[Datatype] = (),
         measure_defs: Iterable[MeasureDef] = (),
@@ -107,7 +62,7 @@ class TypecheckSession:
         #: Extra candidate formulas (e.g. the literal 0) joining every
         #: qualifier space's placeholder pool.
         self.literals: Tuple[Formula, ...] = tuple(literals)
-        self.backend: SolverBackend = (backend if backend is not None else IncrementalSolver())
+        self.backend = backend if backend is not None else IncrementalSolver()
         #: Raw measure signatures for sort checking; measure *definitions*
         #: (catamorphism cases + postconditions) add theirs automatically.
         self.measures: Dict[str, Tuple[Tuple[Sort, ...], Sort]] = dict(measures or {})
@@ -323,7 +278,7 @@ class TypecheckSession:
         goal: RType,
         where: str = "",
         options: Optional[SolveOptions] = None,
-    ) -> TypecheckResult:
+    ) -> HornSolution:
         """Check ``term`` against ``goal`` in a :meth:`trial` scope and solve.
 
         Structural rejections (shape, match, termination errors) are
@@ -334,7 +289,7 @@ class TypecheckSession:
             try:
                 self.check(env, term, goal, where)
             except TypecheckError:
-                return TypecheckResult(solved=False)
+                return HornSolution(False, {})
             return self.solve(options)
 
     def try_infer(self, env: Environment, term: Term, where: str = "") -> Optional[RType]:
@@ -356,26 +311,18 @@ class TypecheckSession:
 
     # -- solving -------------------------------------------------------------
 
-    def solve(self, options: Optional[SolveOptions] = None) -> TypecheckResult:
+    def solve(self, options: Optional[SolveOptions] = None) -> HornSolution:
         """Solve the accumulated system with a Horn solver running on this
         session's shared incremental backend.
 
-        ``options`` selects minimization, the candidate-frontier width and
-        the MUS budget; omitted, the defaults of :class:`SolveOptions`
-        apply.
+        ``options`` selects minimization and the candidate-frontier width;
+        omitted, the defaults of :class:`SolveOptions` apply.
         """
         solver = HornSolver(self.backend, validity_memo=self._validity_memo)
         self.last_solver = solver
-        solution = solver.solve(self.constraints, self.spaces, options)
-        return TypecheckResult(
-            solved=solution.solved,
-            assignment=solution.assignment,
-            candidates=solution.candidates,
-            weakest=solution.weakest,
-            failed=solution.failed,
-        )
+        return solver.solve(self.constraints, self.spaces, options)
 
-    def solve_or_raise(self, options: Optional[SolveOptions] = None) -> TypecheckResult:
+    def solve_or_raise(self, options: Optional[SolveOptions] = None) -> HornSolution:
         """Like :meth:`solve`, raising :class:`SubtypingError` on failure."""
         result = self.solve(options)
         if not result.solved:

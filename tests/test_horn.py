@@ -134,6 +134,31 @@ class TestUnsolvableSystem:
         assert not solution.solved
         assert solution.failed is spec
 
+    def test_error_message_names_the_refuted_obligation(self):
+        space = build_space("P", default_qualifiers(), [x], value_sort=INT)
+        spec = constraint([Unknown("P")], ops.lt(nu, IntLit(0)), "spec", provenance=("f",))
+        constraints = [constraint([ops.ge(x, IntLit(0))], Unknown("P", (("_v", x),))), spec]
+        solution = HornSolver().solve(constraints, [space])
+        assert solution.error_message == (
+            "subtyping obligation failed at f / spec: no refinement in the "
+            f"qualifier space satisfies `{spec!r}`"
+        )
+        solved = HornSolver().solve(*max_system())
+        assert solved.solved and solved.error_message is None
+
+    def test_final_definite_check_goes_through_the_validity_memo(self):
+        """The verdict that failed the run was memoized: asking about the
+        same grounded constraint again spends no validity check."""
+        space = build_space("P", default_qualifiers(), [x], value_sort=INT)
+        spec = constraint([Unknown("P")], ops.lt(nu, IntLit(0)), "spec")
+        constraints = [constraint([ops.ge(x, IntLit(0))], Unknown("P", (("_v", x),))), spec]
+        solver = HornSolver()
+        solution = solver.solve(constraints, [space])
+        assert solution.failed is spec
+        checks = solver.statistics.validity_checks
+        assert solver._first_invalid_definite([spec], solution.assignment) is spec
+        assert solver.statistics.validity_checks == checks
+
     @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)], ids=["below", "above"])
     def test_first_failure_in_order_is_reported(self, order):
         """Definite constraints over one premise tuple are checked in
@@ -325,9 +350,9 @@ class TestDisjunctiveInference:
         assert solution.assignment["C"] == (ops.le(x, IntLit(-1)),)
         # the classic core still solved the positive unknown per candidate
         assert ops.le(nu, IntLit(0)) in solution.assignment["P"]
-        # MUSFix did the pruning that makes the search finite
-        assert solver.statistics.muses_enumerated > 0
-        assert solver.statistics.candidates_pruned > 0
+        # the root and the four single-qualifier guards; the level stop
+        # ends the search before any pair is tried
+        assert solver.statistics.candidates_explored == 5
 
     def test_surviving_candidates_form_a_weakest_antichain(self):
         constraints, spaces = disjunctive_system()

@@ -1,17 +1,18 @@
-"""Tests for the MARCO-style MUS enumerator (Sec. 5 of the paper).
+"""Tests for the MUS cores that prune the guard search (Sec. 5 of the paper).
 
 A MUS of (constraint, qualifier pool) is a minimal subset of the pool
 whose conjunction is inconsistent with the constraint's concrete premises
 — a guard fragment that can never be established where the constraint
-applies.  The tests pin the three MARCO invariants (every enumerated MUS
-is refuting, every enumerated MUS is minimal, map seeds never repeat),
-check enumeration completeness against brute force on small pools, and
-exercise pruning, budgets and vacuity.
+applies.  The cores come from the vacuity probes: ``prefill_vacuity``
+records the inconsistent singletons and ``is_vacuous`` shrinks each
+inconsistent valuation it is asked about.  The tests check every recorded
+core against a brute-force MUS enumeration (it must refute, be minimal and
+be one of the true MUSes) and exercise pruning and vacuity.
 """
 
 from itertools import combinations
 
-from repro.horn import HornConstraint, constraint
+from repro.horn import constraint
 from repro.horn.musfix import MusFixSolver
 from repro.logic import ops
 from repro.logic.formulas import IntLit, Unknown
@@ -41,83 +42,97 @@ def consistent(subset, hard=()):
         return backend.check_assuming(subset)
 
 
+def subsets_smallest_first(pool):
+    for size in range(1, len(pool) + 1):
+        yield from combinations(pool, size)
+
+
 def brute_force_muses(pool, hard=()):
     """All minimal subsets of ``pool`` inconsistent with ``hard``,
     smallest-first so the superset filter leaves exactly the minimal ones."""
     muses = []
-    for size in range(1, len(pool) + 1):
-        for subset in combinations(pool, size):
-            if any(set(mus) <= set(subset) for mus in muses):
-                continue
-            if not consistent(subset, hard):
-                muses.append(subset)
+    for subset in subsets_smallest_first(pool):
+        if any(set(mus) <= set(subset) for mus in muses):
+            continue
+        if not consistent(subset, hard):
+            muses.append(subset)
     return {frozenset(mus) for mus in muses}
 
 
-class TestMarcoInvariants:
-    def test_every_mus_is_refuting_and_minimal(self):
-        constr = guard_constraint()
-        solver = MusFixSolver({})
-        muses = solver.enumerate_muses(constr, POOL)
-        assert muses, "the demo pool has inconsistent pairs"
-        for mus in muses:
-            assert not consistent(mus), f"MUS {mus} is not refuting"
-            for dropped in mus:
-                rest = [q for q in mus if q is not dropped]
-                assert consistent(rest), f"MUS {mus} is not minimal (drop {dropped})"
+def recorded(solver, constr):
+    """The cores the solver has recorded for ``constr``."""
+    return set(solver._mus_sets.get(constr, []))
 
-    def test_seeds_never_repeat(self):
-        constr = guard_constraint()
-        solver = MusFixSolver({})
-        solver.enumerate_muses(constr, POOL)
-        seeds = solver.seeds_for(constr, POOL)
-        assert len(seeds) > 1
-        assert len(seeds) == len(set(seeds)), "blocking clauses must prevent repeats"
 
-    def test_enumeration_is_complete_on_small_pools(self):
+class TestVacuityCores:
+    def test_every_recorded_core_is_a_refuting_minimal_mus(self):
         constr = guard_constraint()
         solver = MusFixSolver({})
-        found = {frozenset(mus) for mus in solver.enumerate_muses(constr, POOL)}
-        assert found == brute_force_muses(POOL)
+        for subset in subsets_smallest_first(POOL):
+            assert solver.is_vacuous(constr, subset) is not consistent(subset)
+        cores = recorded(solver, constr)
+        assert cores, "the demo pool has inconsistent pairs"
+        truth = brute_force_muses(POOL)
+        for core in cores:
+            assert not consistent(core), f"core {set(core)} is not refuting"
+            for dropped in core:
+                rest = [q for q in core if q is not dropped]
+                assert consistent(rest), f"core {set(core)} is not minimal (drop {dropped})"
+            assert core in truth
+
+    def test_probing_every_subset_finds_every_mus(self):
+        constr = guard_constraint()
+        solver = MusFixSolver({})
+        for subset in subsets_smallest_first(POOL):
+            solver.is_vacuous(constr, subset)
+        assert recorded(solver, constr) == brute_force_muses(POOL)
         # the known answer, spelled out: the three contradictory pairs
-        assert found == {
+        assert recorded(solver, constr) == {
             frozenset({ops.ge(x, ZERO), ops.le(x, NEG_ONE)}),
             frozenset({ops.ge(x, ONE), ops.le(x, ZERO)}),
             frozenset({ops.ge(x, ONE), ops.le(x, NEG_ONE)}),
         }
 
-    def test_hard_premises_shift_the_muses(self):
+    def test_hard_premises_shift_the_cores(self):
         # Against the hard fact x >= 5 the lower bounds are fine and each
-        # upper bound is inconsistent alone.
+        # upper bound is inconsistent alone: the prefill records both
+        # singletons, and shrinking the whole pool finds nothing new.
         hard = ops.ge(x, IntLit(5))
         constr = guard_constraint(hard)
         solver = MusFixSolver({})
-        found = {frozenset(mus) for mus in solver.enumerate_muses(constr, POOL)}
-        assert found == brute_force_muses(POOL, (hard,))
-        assert found == {
+        solver.prefill_vacuity(constr, POOL)
+        assert solver.is_vacuous(constr, POOL)
+        assert recorded(solver, constr) == brute_force_muses(POOL, (hard,))
+        assert recorded(solver, constr) == {
             frozenset({ops.le(x, ZERO)}),
             frozenset({ops.le(x, NEG_ONE)}),
         }
 
-    def test_contradictory_hard_premises_yield_no_muses(self):
+    def test_contradictory_hard_premises_record_no_cores(self):
         # The constraint is vacuous for *every* valuation: that is no
         # valuation's fault, so nothing may be pruned.
         constr = guard_constraint(ops.lt(x, ZERO), ops.gt(x, ZERO))
         solver = MusFixSolver({})
-        assert solver.enumerate_muses(constr, POOL) == []
+        solver.prefill_vacuity(constr, POOL)
+        for subset in subsets_smallest_first(POOL):
+            assert not solver.is_vacuous(constr, subset)
+        assert recorded(solver, constr) == set()
 
-    def test_fully_consistent_pool_yields_no_muses(self):
+    def test_fully_consistent_pool_records_no_cores(self):
         pool = (ops.ge(x, ZERO), ops.ge(x, ONE))
         constr = guard_constraint()
         solver = MusFixSolver({})
-        assert solver.enumerate_muses(constr, pool) == []
+        solver.prefill_vacuity(constr, pool)
+        for subset in subsets_smallest_first(pool):
+            assert not solver.is_vacuous(constr, subset)
+        assert recorded(solver, constr) == set()
 
 
 class TestPruneCandidates:
     def test_candidates_containing_a_mus_are_dropped(self):
         constr = guard_constraint()
         solver = MusFixSolver({})
-        solver.enumerate_muses(constr, POOL)
+        assert solver.is_vacuous(constr, (ops.ge(x, ONE), ops.le(x, ZERO)))
         doomed = {"C": (ops.ge(x, ONE), ops.le(x, ZERO))}
         superset_doomed = {"C": (ops.ge(x, ZERO), ops.ge(x, ONE), ops.le(x, ZERO))}
         viable = {"C": (ops.le(x, NEG_ONE),)}
@@ -131,39 +146,11 @@ class TestPruneCandidates:
     def test_muses_only_apply_to_the_constraints_unknowns(self):
         constr = guard_constraint()
         solver = MusFixSolver({})
-        solver.enumerate_muses(constr, POOL)
+        assert solver.is_vacuous(constr, (ops.ge(x, ONE), ops.le(x, ZERO)))
         # the same qualifiers under an unknown the constraint never
         # mentions are untouched
         other = {"D": (ops.ge(x, ONE), ops.le(x, ZERO))}
         assert solver.prune_everywhere([other], {"C": [constr]}) == [other]
-
-
-class TestBudgetAndResume:
-    def test_budget_caps_theory_checks(self):
-        constr = guard_constraint()
-        solver = MusFixSolver({}, budget=3)
-        solver.enumerate_muses(constr, POOL)
-        assert solver.statistics.theory_checks <= 3
-
-    def test_exhausted_budget_never_reports_a_non_minimal_core(self):
-        constr = guard_constraint()
-        for budget in range(1, 8):
-            solver = MusFixSolver({}, budget=budget)
-            for mus in solver.enumerate_muses(constr, POOL):
-                assert not consistent(mus)
-                for dropped in mus:
-                    assert consistent([q for q in mus if q is not dropped])
-
-    def test_enumeration_is_resumable(self):
-        constr = guard_constraint()
-        solver = MusFixSolver({}, budget=10_000)
-        first = solver.enumerate_muses(constr, POOL)
-        checks_after_first = solver.statistics.theory_checks
-        again = solver.enumerate_muses(constr, POOL)
-        # the lattice was exhausted: resuming proposes no new seeds and
-        # spends no further theory checks
-        assert {frozenset(m) for m in again} == {frozenset(m) for m in first}
-        assert solver.statistics.theory_checks == checks_after_first
 
 
 class TestVacuity:
@@ -177,19 +164,60 @@ class TestVacuity:
         doomed = {"C": (ops.ge(x, ZERO), ops.le(x, ZERO))}
         assert solver.prune_everywhere([doomed], {"C": [constr]}) == []
 
+    def test_repeated_probes_spend_no_theory_check(self):
+        constr = guard_constraint()
+        backend = IncrementalSolver()
+        solver = MusFixSolver({}, backend)
+        live, dead = (ops.ge(x, ONE),), (ops.ge(x, ONE), ops.le(x, ZERO))
+        assert not solver.is_vacuous(constr, live)
+        assert solver.is_vacuous(constr, dead)
+        spent = backend.statistics.sat_queries
+        assert not solver.is_vacuous(constr, live)
+        assert solver.is_vacuous(constr, dead)
+        assert backend.statistics.sat_queries == spent
+        assert solver.statistics.muses_enumerated == 1
 
-class TestInterfaceShape:
-    """The interface the stub fixed is the interface that shipped."""
+    def test_contexts_sharing_premises_share_one_probe(self):
+        # Two constraints at one program point (same concrete premises,
+        # different conclusions): the second asks the memo, not the
+        # theory, and still gets the core recorded as its own.
+        first = guard_constraint()
+        second = constraint([Unknown("C")], ops.gt(x, IntLit(7)), "other")
+        backend = IncrementalSolver()
+        solver = MusFixSolver({}, backend)
+        dead = (ops.ge(x, ZERO), ops.ge(x, ONE), ops.le(x, NEG_ONE))
+        assert solver.is_vacuous(first, dead)
+        spent = backend.statistics.sat_queries
+        assert solver.is_vacuous(second, dead)
+        assert backend.statistics.sat_queries == spent
+        assert recorded(solver, second) == recorded(solver, first)
+        assert len(recorded(solver, first)) == 1
+        assert next(iter(recorded(solver, first))) < frozenset(dead)
 
-    def test_fixed_signatures(self):
-        import inspect
+    def test_note_live_answers_without_a_theory_check(self):
+        constr = guard_constraint(ops.ge(x, IntLit(5)))
+        backend = IncrementalSolver()
+        solver = MusFixSolver({}, backend)
+        solver.note_live(constr, ops.ge(x, ONE))
+        assert not solver.is_vacuous(constr, (ops.ge(x, ONE),))
+        assert backend.statistics.sat_queries == 0
+        # the prefill skips the noted qualifier and probes only the rest
+        solver.prefill_vacuity(constr, POOL)
+        assert recorded(solver, constr) == {
+            frozenset({ops.le(x, ZERO)}),
+            frozenset({ops.le(x, NEG_ONE)}),
+        }
 
-        enumerate_parameters = list(
-            inspect.signature(MusFixSolver.enumerate_muses).parameters
-        )
-        assert enumerate_parameters == ["self", "constraint", "valuation"]
-
-    def test_methods_no_longer_raise_not_implemented(self):
-        constr = HornConstraint((Unknown("C"),), ops.ge(x, ZERO))
+    def test_a_core_in_one_context_only_does_not_doom_the_guard(self):
+        # Under x >= 5 the guard x <= 0 kills its branch, which is what a
+        # branch condition may do; only once it is refuted in every
+        # context demanding C is the candidate dropped.
+        guarded = guard_constraint(ops.ge(x, IntLit(5)))
+        declared = guard_constraint()
+        guard = {"C": (ops.le(x, ZERO),)}
         solver = MusFixSolver({})
-        assert solver.enumerate_muses(constr, [ops.bool_lit(True)]) == []
+        assert solver.is_vacuous(guarded, guard["C"])
+        mentioning = {"C": [guarded, declared]}
+        assert not solver.dooms_everywhere(guard, mentioning)
+        assert solver.prune_everywhere([guard], mentioning) == [guard]
+        assert solver.dooms_everywhere(guard, {"C": [guarded]})

@@ -16,8 +16,10 @@ import random
 import pytest
 
 from repro.logic import ops
-from repro.logic.formulas import Var
-from repro.logic.sorts import INT, SetSort
+from repro.logic.formulas import App, Var
+from repro.logic.sorts import INT, SetSort, UninterpretedSort
+from repro.logic.transform import subterms
+from repro.smt.sets import MEMBERSHIP_FUNC, eliminate_sets
 from repro.smt.solver import IncrementalSolver
 
 ELEMENTS = ("x", "y")
@@ -56,6 +58,43 @@ def test_set_implications(premises, goal, valid):
     atoms are expanded over; before it did, all four valid implications
     here were answered invalid."""
     assert IncrementalSolver().is_valid_implication(premises, goal) is valid
+
+
+def test_set_atoms_expand_only_at_elements_of_their_own_sort():
+    """An equality of ``Int`` sets next to a disequality of ``List Int``
+    sets: the ``List`` witness must not be tested for membership in the
+    ``Int`` sets, nor any element in a set of another element sort."""
+    ints, lists = SetSort(INT), SetSort(UninterpretedSort("List", (INT,)))
+    left, right = Var("left", ints), Var("right", ints)
+    xs, ys = Var("xs", lists), Var("ys", lists)
+    encoded = eliminate_sets(ops.and_(ops.eq(left, right), ops.neq(xs, ys)))
+    memberships = [
+        node
+        for node in subterms(encoded)
+        if isinstance(node, App) and node.func == MEMBERSHIP_FUNC
+    ]
+    assert memberships
+    for node in memberships:
+        element, set_term = node.args
+        assert element.sort == set_term.sort.element, f"ill-sorted {node!r}"
+
+
+def test_set_atoms_of_two_element_sorts_keep_their_meaning():
+    """Each sort's atoms still decide correctly next to the other's."""
+    ints, lists = SetSort(INT), SetSort(UninterpretedSort("List", (INT,)))
+    left, right = Var("left", ints), Var("right", ints)
+    xs, ys = Var("xs", lists), Var("ys", lists)
+    n = Var("n", INT)
+    solver = IncrementalSolver()
+    apart = ops.neq(xs, ys)
+    assert solver.check_assuming([ops.eq(left, right), apart])
+    assert not solver.check_assuming(
+        [ops.eq(left, right), apart, ops.member(n, left), ops.not_(ops.member(n, right))]
+    )
+    assert solver.is_valid_implication(
+        [ops.subset(left, right), ops.member(n, left), apart], ops.member(n, right)
+    )
+    assert not solver.is_valid_implication([ops.subset(left, right), apart], ops.eq(left, right))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.logic import ops
 from repro.logic.formulas import IntLit
 from repro.logic.sorts import BOOL, INT, set_of
-from repro.smt import IncrementalSolver, SolverBackend
+from repro.smt import IncrementalSolver
 
 x = ops.var("x", INT)
 y = ops.var("y", INT)
@@ -116,6 +116,35 @@ class TestIncrementalSolver:
         assert solver.is_valid_implication([ops.le(x, y), ops.le(y, z)], ops.le(x, z))
         assert not solver.is_valid_implication([ops.le(x, y)], ops.le(y, x))
 
+    def test_scoped_pops_even_when_the_body_raises(self):
+        solver = IncrementalSolver()
+        solver.assert_(ops.le(x, y))
+        with pytest.raises(ValueError):
+            with solver.scoped() as scope:
+                assert scope is solver
+                solver.assert_(ops.lt(y, x))
+                assert not solver.check()
+                raise ValueError("abandon the obligation")
+        # the contradiction left with its scope, and the base frame stays
+        assert solver.check()
+        with pytest.raises(RuntimeError):
+            solver.pop()
+
+    def test_is_valid_implication_reads_the_live_assertions(self):
+        solver = IncrementalSolver()
+        with solver.scoped():
+            solver.assert_(ops.ge(x, IntLit(5)))
+            assert solver.is_valid_implication([], ops.gt(x, IntLit(0)))
+        assert not solver.is_valid_implication([], ops.gt(x, IntLit(0)))
+
+    def test_is_valid_implication_restores_state(self):
+        # the negated conclusion is asserted only inside the query's scope
+        solver = IncrementalSolver()
+        solver.assert_(ops.le(x, y))
+        assert solver.is_valid_implication([], ops.le(x, y))
+        assert solver.check()
+        assert solver.check_assuming([ops.le(x, y)])
+
     def test_learned_lemmas_survive_pop(self):
         solver = IncrementalSolver()
         # Run a query that forces theory lemmas, then re-run it: the second
@@ -132,9 +161,6 @@ class TestIncrementalSolver:
         solver.pop()
         second_round = solver.statistics.theory_checks - first_round
         assert second_round <= first_round
-
-    def test_is_a_solver_backend(self):
-        assert isinstance(IncrementalSolver(), SolverBackend)
 
     def test_check_assuming_conjoins_set_formulas(self):
         solver = IncrementalSolver()

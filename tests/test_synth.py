@@ -281,6 +281,8 @@ class TestTrialScopes:
         env = EMPTY.bind("n", int_type())
         result = session.try_check(env, parse_term("n n"), int_type())
         assert not result.solved
+        # no constraint was refuted, so there is no obligation to name
+        assert result.failed is None and result.error_message is None
 
     def test_try_infer_rejects_unsolvable_obligations(self):
         session = TypecheckSession()
