@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from typing import List, Optional, TextIO
@@ -210,10 +211,36 @@ def _add_cache_flags(command, default_dir: bool) -> None:
     )
 
 
+def _option_type(convert, accept, expected: str):
+    """An argparse ``type=`` that converts the text and then demands
+    ``accept`` of the value: a value failing either is a usage error."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+#: Search bounds (``--depth``, ``--max-conditionals``, ``--max-matches``).
+_COUNT = _option_type(int, lambda count: count >= 0, "an integer of 0 or more")
+#: ``--jobs``.
+_WORKERS = _option_type(int, lambda count: count >= 1, "an integer of 1 or more")
+#: Budgets in milliseconds; a NaN fails the comparison too.
+_MILLISECONDS = _option_type(
+    float, lambda ms: 0 < ms < math.inf, "a positive, finite number of milliseconds"
+)
+
+
 def _add_timeout_flag(command) -> None:
     command.add_argument(
         "--timeout-ms",
-        type=float,
+        type=_MILLISECONDS,
         default=None,
         metavar="MS",
         help=(
@@ -226,17 +253,17 @@ def _add_timeout_flag(command) -> None:
 
 def _add_synth_limits(command) -> None:
     command.add_argument(
-        "--depth", type=int, default=4, help="E-term enumeration depth bound (default 4)"
+        "--depth", type=_COUNT, default=4, help="E-term enumeration depth bound (default 4)"
     )
     command.add_argument(
         "--max-conditionals",
-        type=int,
+        type=_COUNT,
         default=2,
         help="how many nested abduced conditionals to allow (default 2)",
     )
     command.add_argument(
         "--max-matches",
-        type=int,
+        type=_COUNT,
         default=1,
         help="how many nested matches to allow (default 1)",
     )
@@ -287,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("dir", help="directory to sweep (recursively) for .sq files")
     batch.add_argument(
         "--jobs",
-        type=int,
+        type=_WORKERS,
         default=1,
         metavar="N",
         help="worker threads; every query builds its own solvers (default 1)",
@@ -295,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_synth_limits(batch)
     batch.add_argument(
         "--file-timeout-ms",
-        type=float,
+        type=_MILLISECONDS,
         default=None,
         metavar="MS",
         help=(
@@ -316,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--request-timeout",
-        type=float,
+        type=_MILLISECONDS,
         default=None,
         metavar="MS",
         help=(

@@ -30,7 +30,6 @@ from ..logic.formulas import Formula
 from ..smt.sets import mentions_sets
 from ..smt.solver import IncrementalSolver
 from .constraints import HornConstraint
-from .spaces import QualifierSpace
 
 #: A candidate assignment restricted to what pruning needs: unknown name to
 #: the qualifiers currently in its valuation.
@@ -48,12 +47,7 @@ class MusFixStatistics:
 class MusFixSolver:
     """Records the MUSes its vacuity probes find and prunes candidates."""
 
-    def __init__(
-        self,
-        spaces: Dict[str, QualifierSpace],
-        backend: Optional[IncrementalSolver] = None,
-    ) -> None:
-        self.spaces = spaces
+    def __init__(self, backend: Optional[IncrementalSolver] = None) -> None:
         self.statistics = MusFixStatistics()
         self._backend = backend if backend is not None else IncrementalSolver()
         #: Known MUSes per constraint.

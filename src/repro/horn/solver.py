@@ -430,7 +430,7 @@ class HornSolver:
         capacity = max(1, opts.max_candidates)
         explore_limit = 64 * capacity
 
-        musfix = MusFixSolver(space_map, backend=self._backend)
+        musfix = MusFixSolver(backend=self._backend)
 
         # The demanding contexts of each abducible: one representative
         # constraint per distinct concrete-premise tuple, weakest first so

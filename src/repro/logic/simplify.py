@@ -74,17 +74,19 @@ def _simplify_binary(node: Binary) -> Formula:
 
 
 def conjuncts(formula: Formula) -> List[Formula]:
-    """Split a formula into its top-level conjuncts (dropping ``True``)."""
+    """Split a formula into its top-level conjuncts (dropping ``True``),
+    left to right."""
     result: List[Formula] = []
-
-    def walk(node: Formula) -> None:
+    # An explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, and this runs once per obligation.
+    stack = [formula]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Binary) and node.op is BinaryOp.AND:
-            walk(node.lhs)
-            walk(node.rhs)
+            stack.append(node.rhs)
+            stack.append(node.lhs)
         elif not is_true(node):
             result.append(node)
-
-    walk(formula)
     return result
 
 

@@ -48,6 +48,7 @@ import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from math import inf
 from typing import Optional, Tuple
 
 from .. import limits
@@ -132,20 +133,22 @@ class ServiceHandler(BaseHTTPRequestHandler):
             raise _BadRequest(f"parse error: {error}") from error
 
     @staticmethod
-    def _int(body: dict, key: str, default: int) -> int:
+    def _count(body: dict, key: str, default: int) -> int:
+        """A search bound: an integer of 0 or more, as the CLI demands."""
         value = body.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise _BadRequest(f"`{key}` must be an integer")
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise _BadRequest(f"`{key}` must be an integer of 0 or more")
         return value
 
     def _timeout_ms(self, body: dict) -> Optional[float]:
         """The request's wall-clock budget: the tighter of the server's
         ``--request-timeout`` and the body's ``timeout_ms``, if any."""
         value = body.get("timeout_ms")
+        # JSON's NaN and Infinity parse as floats; both fail the range test.
         if value is not None and (
-            isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0
+            isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < inf
         ):
-            raise _BadRequest("`timeout_ms` must be a positive number")
+            raise _BadRequest("`timeout_ms` must be a positive, finite number")
         server_default = getattr(self.server, "request_timeout_ms", None)
         candidates = [t for t in (value, server_default) if t is not None]
         return min(candidates) if candidates else None
@@ -232,6 +235,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
         only = body.get("only")
         if only is not None and not isinstance(only, str):
             raise _BadRequest("`only` must be a goal name")
+        # Read before the query starts, so a bad bound is not counted as a reset.
+        depth = self._count(body, "depth", 4)
+        max_conditionals = self._count(body, "max_conditionals", 2)
+        max_matches = self._count(body, "max_matches", 1)
         server: ReproServer = self.server
         try:
             with limits.budget_scope(self._budget(body)):
@@ -239,9 +246,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     payload, cached, digest = api.synth_query(
                         program,
                         only=only,
-                        depth=self._int(body, "depth", 4),
-                        max_conditionals=self._int(body, "max_conditionals", 2),
-                        max_matches=self._int(body, "max_matches", 1),
+                        depth=depth,
+                        max_conditionals=max_conditionals,
+                        max_matches=max_matches,
                         cache=server.cache,
                         recheck=bool(body.get("recheck", False)),
                     )

@@ -119,6 +119,8 @@ class SatSolver:
         self._watches: Dict[int, List[_Clause]] = {}
         self._variables: Set[int] = set()
         # Dense per-variable state, indexed by variable (slot 0 unused).
+        # Each list only ever grows in place: the DPLL(T) bridge in
+        # ``repro.smt.solver`` reads ``_assign`` by reference.
         self._assign: List[Optional[bool]] = [None]
         self._level: List[int] = [0]
         self._reason: List[Optional[_Clause]] = [None]
@@ -148,7 +150,8 @@ class SatSolver:
         #: lemmas received mid-search, integrated at the next return to
         #: decision level 0 (see add_lemma()).
         self._pending_lemmas: List[List[int]] = []
-        #: the DPLL(T) theory listener of the current solve (see solve()).
+        #: the DPLL(T) theory listener of the current solve, None between
+        #: solves (see solve()).
         self._theory = None
         self._theory_restarts = 0
         #: per-solve cap on theory-conflict restarts (a diverging theory
@@ -277,8 +280,18 @@ class SatSolver:
         implied literal), and ``backtrack(count)`` to unwind to a trail
         prefix.  Models returned with a theory attached are theory-
         consistent over every asserted literal the listener recognized.
+
+        The listener is attached for this call only and dropped on every
+        exit, a raised :class:`~repro.limits.BudgetExhausted` included, so
+        the SAT core never keeps its caller's theory state alive.
         """
         self._theory = theory
+        try:
+            return self._solve(assumptions, decide)
+        finally:
+            self._theory = None
+
+    def _solve(self, assumptions: Sequence[int], decide: Optional[FrozenSet[int]]) -> SatResult:
         self._theory_restarts = 0
         if self._unsat:
             return SatResult(False)

@@ -41,7 +41,7 @@ Per-query preprocessing (see :meth:`IncrementalSolver._preprocess`):
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..logic import ops
 from ..logic.formulas import (
@@ -253,11 +253,26 @@ class _TheoryBridge:
     one batch) pops the whole batch and the next ``extend`` re-asserts the
     surviving prefix verbatim.  On success, the entailed values of
     watched, still-unassigned atoms are reported as implications.
+
+    The bridge holds only what it reads — the encoder's atom tables, the
+    SAT core's assignment list (grown in place, never replaced), the
+    shrink checker and the statistics it charges — and never the
+    :class:`IncrementalSolver` that owns it, so a solver is freed by
+    reference counting the moment its last user lets go.
     """
 
-    def __init__(self, owner: "IncrementalSolver") -> None:
-        self._owner = owner
+    def __init__(
+        self,
+        encoder: TseitinEncoder,
+        assign: List[Optional[bool]],
+        statistics: SolverStatistics,
+    ) -> None:
         self.theory = IncrementalTheory()
+        self._encoder = encoder
+        self._assign = assign
+        #: decides the QuickXplain probes of unexplained conflicts.
+        self._checker = TheoryChecker()
+        self._statistics = statistics
         #: trail literals absorbed so far (the SatSolver protocol field).
         self.synced = 0
         #: trail position at which each open theory scope began.
@@ -280,12 +295,11 @@ class _TheoryBridge:
             self.synced = marks.pop()
 
     def extend(self, new_literals: Sequence[int]):
-        owner = self._owner
         theory = self.theory
         self._marks.append(self.synced)
         theory.push()
         self.synced += len(new_literals)
-        var_atoms = owner._encoder._var_atoms
+        var_atoms = self._encoder._var_atoms
         touched = False
         for lit in new_literals:
             atom = var_atoms.get(lit if lit > 0 else -lit)
@@ -296,23 +310,43 @@ class _TheoryBridge:
             if conflict is not None:
                 # The remaining batch is left unasserted: a conflict report
                 # always backtracks the trail, popping this whole scope.
-                return "conflict", owner._theory_conflict_clause(conflict)
+                return "conflict", self._conflict_clause(conflict)
         if not touched:
             return "ok", ()
         self.checks += 1
         conflict = theory.check()
         if conflict is not None:
-            return "conflict", owner._theory_conflict_clause(conflict)
+            return "conflict", self._conflict_clause(conflict)
         return "ok", self._implications()
+
+    def _conflict_clause(self, conflict: Conflict) -> List[int]:
+        """Turn a theory conflict into a blocking clause.
+
+        Explained conflicts (simplex bound tags) are near-minimal already;
+        unexplained ones (congruence, Nelson–Oppen) are QuickXplain-shrunk
+        before blocking, each probe decided on a fresh theory.
+        """
+        literals, explained = conflict
+        if not explained:
+            literals = _shrink_conflict(self._checker, literals, self._statistics)
+        atom_variable = self._encoder.atom_variable
+        clause: List[int] = []
+        seen: Set[int] = set()
+        for literal in literals:
+            lit = -atom_variable(literal.atom) if literal.polarity else atom_variable(literal.atom)
+            if lit not in seen:
+                seen.add(lit)
+                clause.append(lit)
+        return clause
 
     def _implications(self) -> Sequence[List[int]]:
         """Reason clauses for entailed values of unassigned watched atoms."""
-        assign = self._owner._sat._assign
+        assign = self._assign
         top = len(assign)
         unassigned = [v for v in self._watch_vars if v >= top or assign[v] is None]
         if not unassigned:
             return ()
-        atom_vars = self._owner._encoder._atom_vars
+        atom_vars = self._encoder._atom_vars
         implications: List[List[int]] = []
         for payload, polarity, reasons in self.theory.propagate(unassigned):
             lit = payload if polarity else -payload
@@ -365,7 +399,6 @@ class IncrementalSolver:
     def __init__(self) -> None:
         self._encoder = TseitinEncoder()
         self._sat = SatSolver()
-        self._theory = TheoryChecker()
         self._fresh = FreshNames()
         #: clauses of the encoder already loaded into the SAT core.
         self._loaded_clauses = 0
@@ -385,10 +418,10 @@ class IncrementalSolver:
         #: atoms of the encoder's log already linked.
         self._linked_atoms = 0
         self._frames: List[List[int]] = [[]]
-        #: the persistent DPLL(T) theory, shadowing the SAT trail.
-        self._bridge = _TheoryBridge(self)
-        self._sat.max_theory_restarts = self.MAX_ITERATIONS
         self.statistics = SolverStatistics()
+        #: the persistent DPLL(T) theory, shadowing the SAT trail.
+        self._bridge = _TheoryBridge(self._encoder, self._sat._assign, self.statistics)
+        self._sat.max_theory_restarts = self.MAX_ITERATIONS
 
     # -- assertion scopes ----------------------------------------------------
 
@@ -516,30 +549,6 @@ class IncrementalSolver:
             variable for variable in active_atoms if variable in result.model
         )
         return result.model, checked
-
-    def _theory_conflict_clause(self, conflict: Conflict) -> List[int]:
-        """Turn a theory conflict into a blocking clause.
-
-        Explained conflicts (simplex bound tags) are near-minimal already;
-        unexplained ones (congruence, Nelson–Oppen) are QuickXplain-shrunk
-        before blocking, each probe decided on a fresh theory.
-        """
-        literals, explained = conflict
-        if not explained:
-            literals = _shrink_conflict(self._theory, literals, self.statistics)
-        atom_variable = self._encoder.atom_variable
-        clause: List[int] = []
-        seen: Set[int] = set()
-        for literal in literals:
-            lit = (
-                -atom_variable(literal.atom)
-                if literal.polarity
-                else atom_variable(literal.atom)
-            )
-            if lit not in seen:
-                seen.add(lit)
-                clause.append(lit)
-        return clause
 
     def _sync_sat_statistics(self) -> None:
         stats, sat_stats = self.statistics, self._sat.statistics
@@ -749,45 +758,61 @@ def _shrink_conflict(
             statistics.shrink_theory_checks += 1
         return theory.is_consistent(subset)
 
-    def deletion(background: List[Literal], candidates: List[Literal]) -> List[Literal]:
-        """Minimal subset of ``candidates`` inconsistent with ``background``
-        by one-at-a-time deletion — never returns a consistent core."""
-        current = list(candidates)
-        index = 0
-        while index < len(current):
-            trial = current[:index] + current[index + 1 :]
-            if (trial or background) and not consistent(background + trial):
-                current = trial
-            else:
-                index += 1
-        return current
-
-    def quickxplain(
-        background: List[Literal], candidates: List[Literal], background_grew: bool
-    ) -> List[Literal]:
-        if background_grew and not consistent(background):
-            return []
-        if len(candidates) == 1:
-            return list(candidates)
-        if len(candidates) <= _SHRINK_DELETION_LIMIT:
-            return deletion(background, candidates)
-        mid = len(candidates) // 2
-        left, right = candidates[:mid], candidates[mid:]
-        conflict_right = quickxplain(background + left, right, bool(left))
-        conflict_left = quickxplain(background + conflict_right, left, bool(conflict_right))
-        return conflict_left + conflict_right
-
     if len(literals) <= 1:
         return list(literals)
     if len(literals) <= _SHRINK_DELETION_LIMIT:
-        return deletion([], literals)
-    core = quickxplain([], list(literals), False)
+        return _deletion(consistent, [], literals)
+    core = _quickxplain(consistent, [], list(literals), False)
     # Safety net: the divide-and-conquer relies on the theory checker being
     # monotone; fall back to blocking the full assignment if minimization
     # ever produced a consistent subset.
     if core and not consistent(core):
         return core
     return list(literals)
+
+
+# The two shrink helpers are module functions, not closures of
+# ``_shrink_conflict``: a recursive closure is a reference cycle, which
+# would keep every conflict's checker alive until a cyclic collection.
+
+
+def _deletion(
+    consistent: Callable[[List[Literal]], bool],
+    background: List[Literal],
+    candidates: List[Literal],
+) -> List[Literal]:
+    """Minimal subset of ``candidates`` inconsistent with ``background``
+    by one-at-a-time deletion — never returns a consistent core."""
+    current = list(candidates)
+    index = 0
+    while index < len(current):
+        trial = current[:index] + current[index + 1 :]
+        if (trial or background) and not consistent(background + trial):
+            current = trial
+        else:
+            index += 1
+    return current
+
+
+def _quickxplain(
+    consistent: Callable[[List[Literal]], bool],
+    background: List[Literal],
+    candidates: List[Literal],
+    background_grew: bool,
+) -> List[Literal]:
+    if background_grew and not consistent(background):
+        return []
+    if len(candidates) == 1:
+        return list(candidates)
+    if len(candidates) <= _SHRINK_DELETION_LIMIT:
+        return _deletion(consistent, background, candidates)
+    mid = len(candidates) // 2
+    left, right = candidates[:mid], candidates[mid:]
+    conflict_right = _quickxplain(consistent, background + left, right, bool(left))
+    conflict_left = _quickxplain(
+        consistent, background + conflict_right, left, bool(conflict_right)
+    )
+    return conflict_left + conflict_right
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,12 @@ from .errors import (
     UnsupportedTermError,
     WellFormednessError,
 )
-from ..horn.musfix import MusFixSolver
 from .session import TypecheckSession
 
 __all__ = [
     "EMPTY",
     "Environment",
     "MatchError",
-    "MusFixSolver",
     "ShapeError",
     "SubtypingError",
     "TerminationError",

@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 from ..logic import ops
 from ..logic.formulas import FALSE, TRUE, Formula, Var, value_var
 from ..logic.simplify import simplify
-from ..logic.sortcheck import SortError, check_refinement
+from ..logic.sortcheck import MeasureSignatures, SortError, check_refinement
 from ..logic.sorts import BOOL, INT, VarSort
 from ..logic.substitution import instantiate_value_var, substitute
 from ..syntax.terms import (
@@ -151,37 +151,36 @@ class _SubtypeLabel:
 def well_formed(session: "TypecheckSession", env: Environment, rtype: RType) -> None:
     """Demand every refinement in ``rtype`` is a boolean formula over the
     variables in scope, raising :class:`WellFormednessError` otherwise."""
-    scope = env.sort_scope()
+    _check_well_formed(rtype, env.sort_scope(), session.measures)
 
-    def walk(node: RType, local: dict) -> None:
-        if isinstance(node, ScalarType):
-            refinement_scope = dict(local)
-            refinement_scope[value_var(node.sort).name] = node.sort
-            try:
-                check_refinement(node.refinement, refinement_scope, session.measures)
-            except SortError as error:
-                raise WellFormednessError(
-                    f"ill-formed refinement in {node!r}: {error}"
-                ) from error
-            return
-        if isinstance(node, FunctionType):
-            walk(node.arg_type, local)
-            inner = dict(local)
-            if isinstance(node.arg_type, ScalarType):
-                inner[node.arg_name] = node.arg_type.sort
-            walk(node.result_type, inner)
-            return
-        if isinstance(node, ContextualType):
-            inner = dict(local)
-            for name, bound in node.bindings:
-                walk(bound, inner)
-                if isinstance(bound, ScalarType):
-                    inner[name] = bound.sort
-            walk(node.body, inner)
-            return
-        raise WellFormednessError(f"unknown type node: {node!r}")
 
-    walk(rtype, scope)
+def _check_well_formed(node: RType, local: dict, measures: MeasureSignatures) -> None:
+    """The walk behind :func:`well_formed` — a module function, not a
+    recursive closure, so it builds no reference cycle around the session."""
+    if isinstance(node, ScalarType):
+        refinement_scope = dict(local)
+        refinement_scope[value_var(node.sort).name] = node.sort
+        try:
+            check_refinement(node.refinement, refinement_scope, measures)
+        except SortError as error:
+            raise WellFormednessError(f"ill-formed refinement in {node!r}: {error}") from error
+        return
+    if isinstance(node, FunctionType):
+        _check_well_formed(node.arg_type, local, measures)
+        inner = dict(local)
+        if isinstance(node.arg_type, ScalarType):
+            inner[node.arg_name] = node.arg_type.sort
+        _check_well_formed(node.result_type, inner, measures)
+        return
+    if isinstance(node, ContextualType):
+        inner = dict(local)
+        for name, bound in node.bindings:
+            _check_well_formed(bound, inner, measures)
+            if isinstance(bound, ScalarType):
+                inner[name] = bound.sort
+        _check_well_formed(node.body, inner, measures)
+        return
+    raise WellFormednessError(f"unknown type node: {node!r}")
 
 
 # ---------------------------------------------------------------------------

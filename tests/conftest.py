@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import gc
 import weakref
 
 import pytest
@@ -19,6 +20,21 @@ def solvers_made(monkeypatch):
 
     monkeypatch.setattr(IncrementalSolver, "__init__", tracking)
     return made
+
+
+@pytest.fixture
+def refcount_only():
+    """The cyclic collector off for the test: what the test builds must be
+    freed by reference counting alone, so a liveness check needs no
+    ``gc.collect()`` and gives the same answer on every run."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture(params=["refinement", "type", "term"])

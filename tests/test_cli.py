@@ -103,6 +103,45 @@ class TestUsageErrors:
         assert code == EXIT_OK
         assert flag not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", str(EXAMPLES / "max.sq"), "--timeout-ms", "0"],
+            ["synth", str(EXAMPLES / "max.sq"), "--timeout-ms", "-5"],
+            ["synth", str(EXAMPLES / "max.sq"), "--timeout-ms", "nan"],
+            ["check", str(EXAMPLES / "max.sq"), "--timeout-ms", "inf"],
+            ["synth", str(EXAMPLES / "max.sq"), "--depth", "-1"],
+            ["synth", str(EXAMPLES / "max.sq"), "--max-conditionals", "-1"],
+            ["synth", str(EXAMPLES / "max.sq"), "--max-matches", "-1"],
+            ["batch", str(EXAMPLES), "--depth", "-1"],
+            ["batch", str(EXAMPLES), "--jobs", "0"],
+            ["batch", str(EXAMPLES), "--file-timeout-ms", "0"],
+            ["batch", str(EXAMPLES), "--file-timeout-ms", "nan"],
+            ["serve", "--request-timeout", "0"],
+            ["serve", "--request-timeout", "inf"],
+        ],
+        ids=[
+            "synth-timeout-0",
+            "synth-timeout-negative",
+            "synth-timeout-nan",
+            "check-timeout-inf",
+            "synth-depth-negative",
+            "synth-max-conditionals-negative",
+            "synth-max-matches-negative",
+            "batch-depth-negative",
+            "batch-jobs-0",
+            "batch-file-timeout-0",
+            "batch-file-timeout-nan",
+            "serve-request-timeout-0",
+            "serve-request-timeout-inf",
+        ],
+    )
+    def test_out_of_range_number_is_a_usage_error(self, argv, capsys):
+        code, out = run(argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {argv[-2]}: expected" in errors[0]
+
     def test_help_exits_zero(self):
         code, _ = run(["--help"])
         assert code == EXIT_OK

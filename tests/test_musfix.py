@@ -67,7 +67,7 @@ def recorded(solver, constr):
 class TestVacuityCores:
     def test_every_recorded_core_is_a_refuting_minimal_mus(self):
         constr = guard_constraint()
-        solver = MusFixSolver({})
+        solver = MusFixSolver()
         for subset in subsets_smallest_first(POOL):
             assert solver.is_vacuous(constr, subset) is not consistent(subset)
         cores = recorded(solver, constr)
@@ -82,7 +82,7 @@ class TestVacuityCores:
 
     def test_probing_every_subset_finds_every_mus(self):
         constr = guard_constraint()
-        solver = MusFixSolver({})
+        solver = MusFixSolver()
         for subset in subsets_smallest_first(POOL):
             solver.is_vacuous(constr, subset)
         assert recorded(solver, constr) == brute_force_muses(POOL)
@@ -99,7 +99,7 @@ class TestVacuityCores:
         # singletons, and shrinking the whole pool finds nothing new.
         hard = ops.ge(x, IntLit(5))
         constr = guard_constraint(hard)
-        solver = MusFixSolver({})
+        solver = MusFixSolver()
         solver.prefill_vacuity(constr, POOL)
         assert solver.is_vacuous(constr, POOL)
         assert recorded(solver, constr) == brute_force_muses(POOL, (hard,))
@@ -112,7 +112,7 @@ class TestVacuityCores:
         # The constraint is vacuous for *every* valuation: that is no
         # valuation's fault, so nothing may be pruned.
         constr = guard_constraint(ops.lt(x, ZERO), ops.gt(x, ZERO))
-        solver = MusFixSolver({})
+        solver = MusFixSolver()
         solver.prefill_vacuity(constr, POOL)
         for subset in subsets_smallest_first(POOL):
             assert not solver.is_vacuous(constr, subset)
@@ -121,7 +121,7 @@ class TestVacuityCores:
     def test_fully_consistent_pool_records_no_cores(self):
         pool = (ops.ge(x, ZERO), ops.ge(x, ONE))
         constr = guard_constraint()
-        solver = MusFixSolver({})
+        solver = MusFixSolver()
         solver.prefill_vacuity(constr, pool)
         for subset in subsets_smallest_first(pool):
             assert not solver.is_vacuous(constr, subset)
@@ -131,7 +131,7 @@ class TestVacuityCores:
 class TestPruneCandidates:
     def test_candidates_containing_a_mus_are_dropped(self):
         constr = guard_constraint()
-        solver = MusFixSolver({})
+        solver = MusFixSolver()
         assert solver.is_vacuous(constr, (ops.ge(x, ONE), ops.le(x, ZERO)))
         doomed = {"C": (ops.ge(x, ONE), ops.le(x, ZERO))}
         superset_doomed = {"C": (ops.ge(x, ZERO), ops.ge(x, ONE), ops.le(x, ZERO))}
@@ -145,7 +145,7 @@ class TestPruneCandidates:
 
     def test_muses_only_apply_to_the_constraints_unknowns(self):
         constr = guard_constraint()
-        solver = MusFixSolver({})
+        solver = MusFixSolver()
         assert solver.is_vacuous(constr, (ops.ge(x, ONE), ops.le(x, ZERO)))
         # the same qualifiers under an unknown the constraint never
         # mentions are untouched
@@ -157,7 +157,7 @@ class TestVacuity:
     def test_is_vacuous_learns_a_mus_from_the_witness(self):
         hard = ops.ge(x, IntLit(5))
         constr = guard_constraint(hard)
-        solver = MusFixSolver({})
+        solver = MusFixSolver()
         assert solver.is_vacuous(constr, (ops.ge(x, ZERO), ops.le(x, ZERO)))
         assert not solver.is_vacuous(constr, (ops.ge(x, ZERO),))
         # the discovery was shrunk and recorded: it now prunes candidates
@@ -167,7 +167,7 @@ class TestVacuity:
     def test_repeated_probes_spend_no_theory_check(self):
         constr = guard_constraint()
         backend = IncrementalSolver()
-        solver = MusFixSolver({}, backend)
+        solver = MusFixSolver(backend)
         live, dead = (ops.ge(x, ONE),), (ops.ge(x, ONE), ops.le(x, ZERO))
         assert not solver.is_vacuous(constr, live)
         assert solver.is_vacuous(constr, dead)
@@ -184,7 +184,7 @@ class TestVacuity:
         first = guard_constraint()
         second = constraint([Unknown("C")], ops.gt(x, IntLit(7)), "other")
         backend = IncrementalSolver()
-        solver = MusFixSolver({}, backend)
+        solver = MusFixSolver(backend)
         dead = (ops.ge(x, ZERO), ops.ge(x, ONE), ops.le(x, NEG_ONE))
         assert solver.is_vacuous(first, dead)
         spent = backend.statistics.sat_queries
@@ -197,7 +197,7 @@ class TestVacuity:
     def test_note_live_answers_without_a_theory_check(self):
         constr = guard_constraint(ops.ge(x, IntLit(5)))
         backend = IncrementalSolver()
-        solver = MusFixSolver({}, backend)
+        solver = MusFixSolver(backend)
         solver.note_live(constr, ops.ge(x, ONE))
         assert not solver.is_vacuous(constr, (ops.ge(x, ONE),))
         assert backend.statistics.sat_queries == 0
@@ -215,7 +215,7 @@ class TestVacuity:
         guarded = guard_constraint(ops.ge(x, IntLit(5)))
         declared = guard_constraint()
         guard = {"C": (ops.le(x, ZERO),)}
-        solver = MusFixSolver({})
+        solver = MusFixSolver()
         assert solver.is_vacuous(guarded, guard["C"])
         mentioning = {"C": [guarded, declared]}
         assert not solver.dooms_everywhere(guard, mentioning)

@@ -6,7 +6,6 @@ computed — and a ``--no-cache`` CLI run must print byte-for-byte what a
 cached run prints.
 """
 
-import gc
 import io
 from pathlib import Path
 
@@ -92,11 +91,10 @@ class TestOneSolverPerQuery:
     """The sweep and the cached CLI compute the way a stateless run does."""
 
     def test_sweep_answers_like_stateless_runs_and_frees_every_solver(
-        self, tmp_path, solvers_made
+        self, tmp_path, solvers_made, refcount_only
     ):
         report = run_batch(str(corpus(tmp_path)), jobs=2, cache=open_cache(str(tmp_path / "c")))
         assert report["failures"] == report["resets"] == 0
-        gc.collect()
         assert solvers_made and not any(ref() for ref in solvers_made)
         assert not list((tmp_path / "c").rglob("*.pickle")), "no lemma pool is written"
         for record in report["files"]:

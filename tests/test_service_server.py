@@ -234,6 +234,30 @@ class TestBadRequests:
         assert status == 400
         assert "`depth` must be an integer" in body["error"]
 
+    @pytest.mark.parametrize(
+        "field, raw_value",
+        [
+            ("depth", '"four"'),
+            ("depth", "-2"),
+            ("max_conditionals", "-1"),
+            ("max_matches", "-1"),
+            ("timeout_ms", "0"),
+            ("timeout_ms", "-3"),
+            ("timeout_ms", "NaN"),
+            ("timeout_ms", "Infinity"),
+        ],
+    )
+    def test_bad_number_is_400_and_computes_nothing(self, server, field, raw_value):
+        """JSON's ``NaN`` and ``Infinity`` parse as floats, so they are
+        sent raw; no bad bound starts a query, counts a reset, or is cached."""
+        raw = f'{{"program": {json.dumps(MAX_SQ)}, "{field}": {raw_value}}}'.encode()
+        status, body = call(server, "POST", "/synth", raw=raw)
+        assert status == 400
+        assert body["error"].startswith(f"`{field}` must be")
+        _, stats = call(server, "GET", "/stats")
+        assert stats["worker"] == {"queries": 0, "resets": 0, "timeout_resets": 0}
+        assert stats["cache"]["entries"] == 0
+
     def test_empty_body_is_400(self, server):
         status, body = call(server, "POST", "/check")
         assert status == 400
@@ -318,8 +342,8 @@ def renamed(example, index):
 
 
 def alive(solvers_made):
-    """How many of the tracked solvers are still reachable."""
-    gc.collect()
+    """How many of the tracked solvers are still reachable, without a
+    cyclic collection: a request's solvers die with its last reference."""
     return sum(1 for ref in solvers_made if ref() is not None)
 
 
@@ -329,7 +353,7 @@ class TestOneSolverPerRequest:
 
     @pytest.mark.parametrize("route, example, compute", UNSEEN, ids=["check-list", "synth-max"])
     def test_unseen_programs_answer_like_stateless_runs_and_free_their_solvers(
-        self, server, solvers_made, route, example, compute
+        self, server, solvers_made, refcount_only, route, example, compute
     ):
         conn = HTTPConnection("127.0.0.1", server.server_port, timeout=60)
         try:

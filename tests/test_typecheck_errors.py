@@ -279,11 +279,3 @@ class TestIntroductionForms:
         session = TypecheckSession()
         with pytest.raises(ShapeError, match="non-function"):
             session.check(EMPTY, FixTerm("f", v("f")), int_type(), "fix")
-
-
-class TestMusFixMoved:
-    def test_typecheck_reexports_the_horn_enumerator(self):
-        from repro.horn.musfix import MusFixSolver as horn_musfix
-        from repro.typecheck import MusFixSolver as reexported
-
-        assert reexported is horn_musfix
