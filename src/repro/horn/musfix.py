@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..logic.formulas import Formula
-from ..smt.sets import mentions_sets
 from ..smt.solver import IncrementalSolver
 from .constraints import HornConstraint
 
@@ -136,7 +135,7 @@ class MusFixSolver:
         """
         hard = constraint.concrete_premises()
         pending = [q for q in qualifiers if (hard, frozenset((q,))) not in self._vacuity]
-        if not pending or any(mentions_sets(f) for f in tuple(hard) + tuple(pending)):
+        if not pending:
             return
         with self._backend.scoped():
             for premise in hard:

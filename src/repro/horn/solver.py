@@ -55,7 +55,6 @@ from ..logic import ops
 from ..logic.formulas import Formula, Unknown
 from ..logic.substitution import apply_assignment, substitute
 from ..logic.transform import unknowns as formula_unknowns
-from ..smt.sets import mentions_sets
 from ..smt.solver import IncrementalSolver
 from .constraints import HornConstraint, substitute_unknowns
 from .musfix import MusFixSolver
@@ -246,8 +245,8 @@ def screen_singletons(
 
     Returns ``{qualifier: first refuting constraint, or None if valid
     everywhere}`` — or ``None`` when the system is not flat (weakening
-    constraints, other unknowns, nested unknown occurrences, set atoms)
-    and the per-candidate fixpoint must run instead.
+    constraints, other unknowns, nested unknown occurrences) and the
+    per-candidate fixpoint must run instead.
 
     The trick: under ``premises && !conclusion`` asserted once, a single
     SAT model convicts every qualifier it satisfies, and narrowing with
@@ -270,9 +269,6 @@ def screen_singletons(
                 subs.append(dict(premise.substitution))
             elif formula_unknowns(premise):
                 return None  # an unknown nested under connectives
-        involved = list(constr.premises) + [constr.conclusion] + list(qualifiers)
-        if any(mentions_sets(f) for f in involved if not isinstance(f, Unknown)):
-            return None
         plan.append((constr, subs))
 
     verdicts: Dict[Formula, Optional[HornConstraint]] = {q: None for q in qualifiers}
@@ -693,48 +689,34 @@ class HornSolver:
         pending = dict(target.substitution)
         goals = [substitute(q, pending) if pending else q for q in current]
 
-        # Set-sensitive constraints go through is_valid_implication per
-        # qualifier (the backend conjoins them so set elimination sees one
-        # universe); the batched counterexample path below cannot read set
-        # atoms back from a model.
-        if any(mentions_sets(p) for p in premises) or any(mentions_sets(g) for g in goals):
-            self.statistics.validity_checks += 1
-            if self._backend.is_valid_implication(premises, ops.conj(goals)):
-                return False
-            kept: List[Formula] = []
-            for qualifier, goal in zip(current, goals):
-                self.statistics.validity_checks += 1
-                if self._backend.is_valid_implication(premises, goal):
-                    kept.append(qualifier)
-        else:
-            # The premises are asserted (and encoded) once for the whole
-            # sweep.  The fast-path query doubles as a batched probe: when
-            # the full valuation is not entailed, the counterexample model
-            # is read back and every qualifier it falsifies is pruned in
-            # one pass; only qualifiers the model happens to satisfy fall
-            # back to a per-qualifier validity check.
-            kept = []
-            retry: List[Tuple[Formula, Formula]] = []
+        # The premises are asserted (and encoded) once for the whole
+        # sweep.  The fast-path query doubles as a batched probe: when the
+        # full valuation is not entailed, the counterexample model is read
+        # back and every qualifier it falsifies is pruned in one pass; only
+        # qualifiers the model satisfies or leaves open (set atoms read as
+        # open) fall back to a per-qualifier validity check.
+        kept: List[Formula] = []
+        retry: List[Tuple[Formula, Formula]] = []
+        with self._backend.scoped():
+            for premise in premises:
+                self._backend.assert_(premise)
             with self._backend.scoped():
-                for premise in premises:
-                    self._backend.assert_(premise)
+                self._backend.assert_(ops.not_(ops.conj(goals)))
+                self.statistics.validity_checks += 1
+                values = self._backend.check_evaluating(goals)
+            if values is None:
+                return False  # the whole current valuation is entailed
+            for qualifier, goal, value in zip(current, goals, values):
+                if value is False:
+                    self.statistics.model_pruned_qualifiers += 1
+                else:
+                    retry.append((qualifier, goal))
+            for qualifier, goal in retry:
                 with self._backend.scoped():
-                    self._backend.assert_(ops.not_(ops.conj(goals)))
+                    self._backend.assert_(ops.not_(goal))
                     self.statistics.validity_checks += 1
-                    values = self._backend.check_evaluating(goals)
-                if values is None:
-                    return False  # the whole current valuation is entailed
-                for qualifier, goal, value in zip(current, goals, values):
-                    if value is False:
-                        self.statistics.model_pruned_qualifiers += 1
-                    else:
-                        retry.append((qualifier, goal))
-                for qualifier, goal in retry:
-                    with self._backend.scoped():
-                        self._backend.assert_(ops.not_(goal))
-                        self.statistics.validity_checks += 1
-                        if not self._backend.check():
-                            kept.append(qualifier)
+                    if not self._backend.check():
+                        kept.append(qualifier)
 
         dropped = len(current) - len(kept)
         if dropped:

@@ -49,7 +49,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from math import inf
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .. import limits
 from ..syntax.parser import ParseError, parse_program
@@ -195,7 +195,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             if self.path == "/synth":
                 return self._handle_synth(self._json_body(data))
             return 404, {"error": f"no such route: {self.path}"}
-        except (_BadRequest, api.NestingTooDeep) as error:
+        except _BadRequest as error:
             return 400, {"error": str(error)}
         except limits.BudgetExhausted as exhausted:
             # The budget tripped outside the degradation paths the query
@@ -222,39 +222,46 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return 503, body
         return 200, body
 
-    def _handle_check(self, body: dict) -> Tuple[int, dict]:
-        program = self._program(body)
+    def _query(
+        self, body: dict, query: Callable[..., Tuple[dict, bool, str]], program, **options
+    ) -> Tuple[int, dict]:
+        """Run one query under the request's budget and the stack's guard.
+
+        A program nested too deeply to check is the client's error, so it
+        is answered 400 from inside the guard: the guard counts a reset
+        for every exception that leaves it, and resets count crashes.
+        """
         server: ReproServer = self.server
         with limits.budget_scope(self._budget(body)):
             with server.stack.query():
-                payload, cached, digest = api.check_query(program, cache=server.cache)
+                try:
+                    payload, cached, digest = query(program, cache=server.cache, **options)
+                except api.NestingTooDeep as error:
+                    return 400, {"error": str(error)}
         return self._finish(payload, cached, digest)
+
+    def _handle_check(self, body: dict) -> Tuple[int, dict]:
+        return self._query(body, api.check_query, self._program(body))
 
     def _handle_synth(self, body: dict) -> Tuple[int, dict]:
         program = self._program(body)
         only = body.get("only")
         if only is not None and not isinstance(only, str):
             raise _BadRequest("`only` must be a goal name")
-        # Read before the query starts, so a bad bound is not counted as a reset.
-        depth = self._count(body, "depth", 4)
-        max_conditionals = self._count(body, "max_conditionals", 2)
-        max_matches = self._count(body, "max_matches", 1)
-        server: ReproServer = self.server
-        try:
-            with limits.budget_scope(self._budget(body)):
-                with server.stack.query():
-                    payload, cached, digest = api.synth_query(
-                        program,
-                        only=only,
-                        depth=depth,
-                        max_conditionals=max_conditionals,
-                        max_matches=max_matches,
-                        cache=server.cache,
-                        recheck=bool(body.get("recheck", False)),
-                    )
-        except api.UnknownGoal as error:
-            raise _BadRequest(f"no signature for goal `{error}`") from error
-        return self._finish(payload, cached, digest)
+        # Read before the query starts, so a bad goal or bound is not
+        # counted as a query or a reset.
+        if only is not None and only not in program.signatures:
+            raise _BadRequest(f"no signature for goal `{only}`")
+        return self._query(
+            body,
+            api.synth_query,
+            program,
+            only=only,
+            depth=self._count(body, "depth", 4),
+            max_conditionals=self._count(body, "max_conditionals", 2),
+            max_matches=self._count(body, "max_matches", 1),
+            recheck=bool(body.get("recheck", False)),
+        )
 
 
 class ReproServer(ThreadingHTTPServer):

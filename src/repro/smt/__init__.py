@@ -4,7 +4,7 @@ from .euf import CongruenceClosure, TermBank
 from .lia import Constraint, LinearExpr, Relation
 from .names import FreshNames
 from .sat import SatResult, SatSolver, SatStatistics, solve_clauses
-from .sets import eliminate_sets, mentions_sets
+from .sets import eliminate_sets
 from .solver import IncrementalSolver, SolverStatistics, TseitinEncoder
 from .theory import Literal, TheoryChecker
 
@@ -24,6 +24,5 @@ __all__ = [
     "TheoryChecker",
     "TseitinEncoder",
     "eliminate_sets",
-    "mentions_sets",
     "solve_clauses",
 ]

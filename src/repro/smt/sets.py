@@ -2,7 +2,9 @@
 
 The paper's refinement logic uses sets (via the theory of arrays in Z3) for
 measures such as ``elems`` and ``keys``.  This module compiles set atoms away
-before the lazy SMT loop runs:
+before the lazy SMT loop runs.  The incremental solver hands it one *joint
+conjunction* per check — every live formula that mentions sets — so the
+universe below spans the whole scope, however the formulas were asserted:
 
 * the *universe* of each element sort is the set of element terms of that
   sort named in the query plus one fresh witness per negative set atom over
@@ -38,12 +40,10 @@ from ..logic.formulas import (
     Var,
 )
 from ..logic.sorts import SetSort, Sort
-from ..logic.transform import mentions_sets, subterms
+from ..logic.transform import subterms
 from .names import FreshNames
 
-# ``mentions_sets`` reads the fact every formula caches; it is re-exported
-# here next to the encoder it gates.
-__all__ = ["SetEncoder", "eliminate_sets", "mentions_sets"]
+__all__ = ["SetEncoder", "eliminate_sets"]
 
 #: Name of the uninterpreted membership predicate introduced by the encoding.
 MEMBERSHIP_FUNC = "__mem"
@@ -53,11 +53,12 @@ WITNESS_PREFIX = "__wit"
 
 
 class SetEncoder:
-    """Stateful encoder; one instance per SMT query.
+    """Stateful encoder; one instance per joint conjunction.
 
-    When several queries share a solver context (the incremental backend),
-    pass the solver's :class:`FreshNames` so witness elements introduced for
-    different assertions never alias each other.
+    :class:`~repro.smt.solver.IncrementalSolver` eliminates the conjunction
+    of a check's live set formulas with one encoder, and passes its
+    :class:`FreshNames` so the witnesses of different conjunctions never
+    alias each other.
     """
 
     __slots__ = ("fresh_names", "_universe", "_witnesses", "_witness_count")

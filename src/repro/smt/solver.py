@@ -34,7 +34,8 @@ Per-query preprocessing (see :meth:`IncrementalSolver._preprocess`):
 1. boolean equalities are rewritten to ``iff``;
 2. if-then-else terms are lifted into fresh definitional variables;
 3. the formula is put into negation normal form;
-4. finite-set atoms are compiled away (``repro.smt.sets``);
+4. finite-set atoms are compiled away (``repro.smt.sets``), for all the
+   live formulas that mention sets at once;
 5. the result is Tseitin-encoded and handed to the lazy loop.
 """
 
@@ -57,10 +58,10 @@ from ..logic.formulas import (
 )
 from ..logic.simplify import negation_normal_form, simplify
 from ..logic.sorts import BoolSort
-from ..logic.transform import transform
+from ..logic.transform import mentions_sets, transform
 from .names import FreshNames
 from .sat import SatSolver
-from .sets import eliminate_sets, mentions_sets
+from .sets import eliminate_sets
 from .theory import Conflict, IncrementalTheory, Literal, TheoryChecker
 
 
@@ -383,14 +384,13 @@ class IncrementalSolver:
     theory to the atoms of the *active* assertions, maintained
     incrementally as scopes are pushed and popped.
 
-    Note on finite sets: set atoms are compiled away per assertion, so the
-    element universe of a positive set equality/inclusion is the assertion's
-    own universe rather than the whole scope's.  Splitting one formula into
-    several assertions can therefore under-approximate unsatisfiability of
-    set constraints; callers deciding *validity* (unsat of the negation)
-    stay sound, and :meth:`is_valid_implication` conjoins automatically
-    when sets are involved.  Assert a single conjunction when exact set
-    reasoning across hand-rolled assertions is required.
+    Finite sets are eliminated per scope, not per assertion: a formula that
+    mentions sets gets no selector of its own.  ``assert_`` records it in
+    its scope, and each check conjoins every live one, in scope order, and
+    eliminates the conjunction at once, so a positive set equality or
+    inclusion is expanded over the elements of *every* live set formula
+    however the caller split them.  Each distinct conjunction gets a
+    selector like any other assertion and is encoded once.
     """
 
     #: Upper bound on lazy refinement iterations per query (safety net).
@@ -418,6 +418,10 @@ class IncrementalSolver:
         #: atoms of the encoder's log already linked.
         self._linked_atoms = 0
         self._frames: List[List[int]] = [[]]
+        #: the live formulas that mention sets, in scope order, and the
+        #: length of that list when each open scope was pushed.
+        self._set_formulas: List[Formula] = []
+        self._set_marks: List[int] = []
         self.statistics = SolverStatistics()
         #: the persistent DPLL(T) theory, shadowing the SAT trail.
         self._bridge = _TheoryBridge(self._encoder, self._sat._assign, self.statistics)
@@ -428,11 +432,13 @@ class IncrementalSolver:
     def push(self) -> None:
         """Open a new assertion scope."""
         self._frames.append([])
+        self._set_marks.append(len(self._set_formulas))
 
     def pop(self) -> None:
         """Discard the innermost assertion scope."""
         if len(self._frames) == 1:
             raise RuntimeError("pop without matching push")
+        del self._set_formulas[self._set_marks.pop() :]
         counts = self._active_atom_counts
         for selector in self._frames.pop():
             for variable in self._selector_atoms[selector]:
@@ -444,13 +450,12 @@ class IncrementalSolver:
 
     def assert_(self, formula: Formula) -> None:
         """Add a formula to the innermost scope (a formula asserted before
-        reuses its selector and CNF)."""
-        if formula in self._selectors:
-            self.statistics.reused_assertions += 1
-            selector = self._selectors[formula]
-        else:
-            selector = self._make_selector(formula)
-            self._selectors[formula] = selector
+        reuses its selector and CNF).  One that mentions sets waits for the
+        check, which eliminates the live ones together."""
+        if mentions_sets(formula):
+            self._set_formulas.append(formula)
+            return
+        selector = self._selector(formula)
         if selector is not None:
             self._frames[-1].append(selector)
             counts = self._active_atom_counts
@@ -497,29 +502,15 @@ class IncrementalSolver:
 
     def check_assuming(self, formulas: Iterable[Formula]) -> bool:
         """Satisfiability of the live assertions plus the given formulas."""
-        formulas = list(formulas)
         with self.scoped():
-            if any(mentions_sets(f) for f in formulas):
-                # Per-assertion set elimination scopes element universes too
-                # narrowly for cross-assertion reasoning; fall back to one
-                # conjoined assertion (the exact, one-shot pipeline).
-                self.assert_(ops.conj(formulas))
-            else:
-                for formula in formulas:
-                    self.assert_(formula)
+            for formula in formulas:
+                self.assert_(formula)
             return self.check()
 
     def is_valid_implication(self, premises: Iterable[Formula], conclusion: Formula) -> bool:
         """Does the conjunction of ``premises`` entail ``conclusion`` (in the
         context of the live assertions)?"""
-        premises = list(premises)
-        if mentions_sets(conclusion) or any(mentions_sets(p) for p in premises):
-            return not self.check_assuming([ops.and_(ops.conj(premises), ops.not_(conclusion))])
-        with self.scoped():
-            for premise in premises:
-                self.assert_(premise)
-            self.assert_(ops.not_(conclusion))
-            return not self.check()
+        return not self.check_assuming([*premises, ops.not_(conclusion)])
 
     # -- internals -----------------------------------------------------------
 
@@ -536,6 +527,13 @@ class IncrementalSolver:
         self.statistics.sat_queries += 1
         assumptions = [lit for frame in self._frames for lit in frame]
         active_atoms = frozenset(self._active_atom_counts)
+        if self._set_formulas:
+            # One assertion for all live set formulas, so their sets are
+            # eliminated over one universe; its atoms join this solve only.
+            selector = self._selector(ops.conj(self._set_formulas))
+            if selector is not None:
+                assumptions.append(selector)
+                active_atoms |= self._selector_atoms[selector]
         self._bridge.begin(active_atoms)
         try:
             result = self._sat.solve(assumptions, decide=active_atoms, theory=self._bridge)
@@ -562,6 +560,14 @@ class IncrementalSolver:
         stats.theory_conflicts = sat_stats.theory_conflicts
         stats.theory_checks = self._bridge.checks
         stats.tableau_pivots = self._bridge.theory.simplex.pivots
+
+    def _selector(self, formula: Formula) -> Optional[int]:
+        """The formula's selector, made (and its CNF loaded) on first use."""
+        if formula in self._selectors:
+            self.statistics.reused_assertions += 1
+            return self._selectors[formula]
+        selector = self._selectors[formula] = self._make_selector(formula)
+        return selector
 
     def _make_selector(self, formula: Formula) -> Optional[int]:
         self.statistics.encoded_assertions += 1

@@ -31,19 +31,18 @@ when the goal is disjunctive.  The synthesizer realizes them in order,
 falling to the next member when no Boolean E-term establishes one.
 
 The pre-candidate-set searcher — a brute-force smallest-first subset walk
-over the pool — is kept as :func:`_abduce_brute_force`.  It is the
+over the pool — lives on in ``tests/abduction_oracle.py`` as the
 differential oracle: ``tests/test_conditions_differential.py`` asserts
-both paths agree on hundreds of randomized instances.  (Its original
-greedy form was order-fragile: minimizing the *strongest* valuation can
-return a minimal-but-strong conjunction such as ``x == 0 && y == 0``
-where ``y <= x`` suffices.  Both paths now settle ties by logical
-entailment, so the answer is the weakest guard regardless of pool order —
+both agree on hundreds of randomized instances.  (Its original greedy
+form was order-fragile: minimizing the *strongest* valuation can return a
+minimal-but-strong conjunction such as ``x == 0 && y == 0`` where
+``y <= x`` suffices.  Both now settle ties by logical entailment, so the
+answer is the weakest guard regardless of pool order —
 ``tests/test_synth_disjunctive.py`` pins that with shuffled pools.)
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,8 +95,8 @@ def _dedupe_pool(pool: Sequence[Formula]) -> Tuple[Formula, ...]:
     after ``x == y``), keeping the first orientation seen.
 
     Guards built from either orientation are logically identical, so the
-    flips only widen the candidate lattice.  Both abduction paths share
-    this filter — the differential oracle must walk the same pool.
+    flips only widen the candidate lattice.  The differential oracle
+    walks the pool this filter leaves, so both search the same lattice.
     """
     kept: List[Formula] = []
     seen = set()
@@ -180,71 +179,6 @@ def abduce_condition(
     return AbducedCondition(antichain[0], tuple(antichain))
 
 
-def _abduce_brute_force(
-    session: TypecheckSession,
-    env: Environment,
-    candidate: Term,
-    goal: RType,
-    where: str = "abduce",
-    max_conjuncts: int = 2,
-) -> Optional[AbducedCondition]:
-    """The pre-candidate-set searcher, kept as the differential oracle.
-
-    Tries conjunctions of the pool smallest-first (the empty conjunction
-    is ``True``; then single qualifiers; then pairs, up to
-    ``max_conjuncts``), collecting every consistent subset at the first
-    size where any validates all constraints — smaller conjunctions are
-    logically weaker, so that size holds the weakest abducible conditions
-    up to the space's granularity.  A subset is rejected as *vacuous*
-    when it contradicts the concrete premises of **every** live
-    constraint context mentioning ``C`` — exactly the candidate-set
-    path's rule (refuted even at the abduction point itself, such a
-    guard is unestablishable; killing only a deeper context is a
-    legitimate branch condition).  Ties inside the size are settled
-    exactly like the candidate-set path: :func:`_weakest_guards` by
-    entailment.
-    """
-    with session.trial():
-        unknown = session.fresh_unknown(env, None, kind="C")
-        pool = _dedupe_pool(session.spaces[unknown.name].qualifiers)
-        try:
-            session.check(env.assume(unknown), candidate, goal, where)
-        except TypecheckError:
-            return None
-        constraints = list(session.constraints)
-        other_spaces: Dict[str, QualifierSpace] = {
-            name: qspace
-            for name, qspace in session.spaces.items()
-            if name != unknown.name
-        }
-
-    solver = HornSolver(session.backend, validity_memo=session._validity_memo)
-    context = env.embedding()
-    contexts = {
-        constr.concrete_premises()
-        for constr in constraints
-        if unknown.name in constr.premise_unknowns()
-    }
-    # A context whose premises are contradictory on their own is dead
-    # regardless of the guard, so it cannot count against one.
-    live = [hard for hard in contexts if _consistent(session, hard, ())]
-    for size in range(0, max_conjuncts + 1):
-        hits: List[Tuple[Formula, ...]] = []
-        for subset in combinations(pool, size):
-            if subset and live and all(
-                not _consistent(session, hard, subset) for hard in live
-            ):
-                continue
-            condition = {unknown.name: ops.conj(subset)}
-            grounded = [substitute_unknowns(constr, condition) for constr in constraints]
-            if solver.solve(grounded, other_spaces).solved:
-                hits.append(subset)
-        if hits:
-            antichain = _weakest_guards(session.backend, context, hits)
-            return AbducedCondition(antichain[0], tuple(antichain))
-    return None
-
-
 def _weakest_guards(
     backend: IncrementalSolver,
     context: Sequence[Formula],
@@ -282,11 +216,3 @@ def _weakest_guards(
             continue  # equivalent to an earlier survivor
         kept.append(i)
     return [tuple(guards[i]) for i in kept]
-
-
-def _consistent(
-    session: TypecheckSession, context: Sequence[Formula], subset: Sequence[Formula]
-) -> bool:
-    """Is the tentative condition satisfiable together with the context?"""
-    premises = list(context) + list(subset)
-    return not session.backend.is_valid_implication(premises, ops.bool_lit(False))

@@ -2,7 +2,7 @@
 
 :func:`repro.synth.conditions.abduce_condition` (candidate-set search with
 MUS pruning, level stop, fail-fast, and antichain filtering) must agree
-*everywhere* with :func:`repro.synth.conditions._abduce_brute_force` (the
+*everywhere* with :func:`abduction_oracle.abduce_brute_force` (the
 exhaustive smallest-first subset walk): same abducible/unabducible verdict,
 same surviving guard antichain, and in particular identical rejection of
 vacuous conditions (guards unsatisfiable at the abduction point).  The
@@ -13,11 +13,12 @@ import random
 
 import pytest
 
+from abduction_oracle import abduce_brute_force
 from repro.logic import ops
 from repro.logic.formulas import Var
 from repro.logic.qualifiers import make_qualifier, placeholder
 from repro.logic.sorts import INT
-from repro.synth.conditions import _abduce_brute_force, abduce_condition
+from repro.synth.conditions import abduce_condition
 from repro.syntax import parse_term
 from repro.syntax.types import ScalarType, int_type
 from repro.typecheck import EMPTY, TypecheckSession
@@ -113,7 +114,7 @@ def _run_block(seeds):
     for seed in seeds:
         session, env, candidate, goal = _instance(seed)
         fast = abduce_condition(session, env, candidate, goal)
-        slow = _abduce_brute_force(session, env, candidate, goal)
+        slow = abduce_brute_force(session, env, candidate, goal)
         assert (fast is None) == (slow is None), (
             f"seed {seed}: candidate-set={fast!r} brute-force={slow!r}"
         )
@@ -170,5 +171,5 @@ def test_vacuous_condition_rejected_identically():
     env = EMPTY.bind("x", int_type(ops.gt(nu, ZERO)))
     goal = int_type(ops.conj([ops.le(nu, ZERO), ops.le(X, ZERO)]))
     fast = abduce_condition(session, env, parse_term("0"), goal)
-    slow = _abduce_brute_force(session, env, parse_term("0"), goal)
+    slow = abduce_brute_force(session, env, parse_term("0"), goal)
     assert fast is None and slow is None

@@ -7,16 +7,18 @@ applies.  The cores come from the vacuity probes: ``prefill_vacuity``
 records the inconsistent singletons and ``is_vacuous`` shrinks each
 inconsistent valuation it is asked about.  The tests check every recorded
 core against a brute-force MUS enumeration (it must refute, be minimal and
-be one of the true MUSes) and exercise pruning and vacuity.
+be one of the true MUSes) and exercise pruning and vacuity, also over
+premises and qualifiers that mention sets.
 """
 
 from itertools import combinations
 
-from repro.horn import constraint
+from repro.horn import HornConstraint, HornSolver, QualifierSpace, constraint
 from repro.horn.musfix import MusFixSolver
+from repro.horn.solver import HornStatistics, screen_singletons
 from repro.logic import ops
 from repro.logic.formulas import IntLit, Unknown
-from repro.logic.sorts import INT
+from repro.logic.sorts import INT, set_of
 from repro.smt.solver import IncrementalSolver
 
 x = ops.var("x", INT)
@@ -221,3 +223,50 @@ class TestVacuity:
         assert not solver.dooms_everywhere(guard, mentioning)
         assert solver.prune_everywhere([guard], mentioning) == [guard]
         assert solver.dooms_everywhere(guard, {"C": [guarded]})
+
+
+s = ops.var("s", set_of(INT))
+t = ops.var("t", set_of(INT))
+X_IN_S, X_IN_T = ops.member(x, s), ops.member(x, t)
+
+
+class TestSetContexts:
+    """Set premises and qualifiers take the batched probes too: the
+    backend eliminates every live set formula of a check together, so a
+    premise asserted apart still shares the qualifier's universe."""
+
+    def test_is_vacuous_sees_set_premises_asserted_apart(self):
+        constr = HornConstraint((ops.eq(s, t), X_IN_S), ops.bool_lit(True))
+        assert MusFixSolver().is_vacuous(constr, (ops.not_(X_IN_T),)) is True
+
+    def test_weakening_keeps_what_set_premises_entail(self):
+        space = QualifierSpace("P", (X_IN_S, X_IN_T, ops.not_(X_IN_T)))
+        solution = HornSolver().solve([constraint([ops.eq(s, t), X_IN_S], Unknown("P"))], [space])
+        assert solution.solved
+        assert solution.assignment["P"] == (X_IN_S, X_IN_T)
+
+    @staticmethod
+    def guard_system():
+        """``C`` must make ``x in t`` follow from ``s == t``; a second
+        context, which also knows ``x in s``, refutes the guard
+        ``!(x in t)`` on its own (a singleton MUS there only)."""
+        pool = (X_IN_T, X_IN_S, ops.not_(X_IN_T))
+        declared = constraint([Unknown("C"), ops.eq(s, t)], X_IN_T, "declared")
+        guarded = constraint([Unknown("C"), ops.eq(s, t), X_IN_S], X_IN_T, "guarded")
+        return [declared, guarded], QualifierSpace("C", pool, abducible=True)
+
+    def test_singleton_screen_classifies_set_guards(self):
+        constraints, space = self.guard_system()
+        verdicts = screen_singletons(
+            IncrementalSolver(), HornStatistics(), constraints, "C", space.qualifiers
+        )
+        assert verdicts == {X_IN_T: None, X_IN_S: None, ops.not_(X_IN_T): constraints[0]}
+
+    def test_abduction_finds_both_guards_and_the_set_core(self):
+        constraints, space = self.guard_system()
+        solver = HornSolver()
+        solution = solver.solve(constraints, [space])
+        assert solution.solved
+        assert [member["C"] for member in solution.candidates] == [(X_IN_T,), (X_IN_S,)]
+        # The vacuity prefill of the second context records its one core.
+        assert solver.statistics.muses_enumerated == 1

@@ -182,6 +182,10 @@ class TestSynthRoute:
         status, body = call(server, "POST", "/synth", {"program": MAX_SQ, "only": "nonesuch"})
         assert status == 400
         assert "no signature" in body["error"]
+        # Rejected before the query starts, like a bad number: a client
+        # error is not a crash, so it counts no reset.
+        _, stats = call(server, "GET", "/stats")
+        assert stats["worker"] == {"queries": 0, "resets": 0, "timeout_resets": 0}
 
 
 class TestBadRequests:
@@ -217,6 +221,8 @@ class TestBadRequests:
     def test_check_too_deep_for_the_stack_is_400(self, server, curried_program):
         status, body = call(server, "POST", "/check", {"program": curried_program(600)})
         assert (status, body) == (400, {"error": "`f` nests too deeply to check"})
+        _, stats = call(server, "GET", "/stats")
+        assert stats["worker"] == {"queries": 1, "resets": 0, "timeout_resets": 0}
         status, body = call(server, "POST", "/check", {"program": curried_program(300)})
         assert status == 200
         assert body["result"]["items"] == [{"name": "f", "status": "ok"}]
@@ -228,6 +234,8 @@ class TestBadRequests:
         monkeypatch.setattr("repro.service.api.Synthesizer.synthesize", overflow)
         status, body = call(server, "POST", "/synth", {"program": MAX_SQ})
         assert (status, body) == (400, {"error": "`max` nests too deeply to synthesize"})
+        _, stats = call(server, "GET", "/stats")
+        assert stats["worker"] == {"queries": 1, "resets": 0, "timeout_resets": 0}
 
     def test_non_integer_option_is_400(self, server):
         status, body = call(server, "POST", "/synth", {"program": MAX_SQ, "depth": "four"})

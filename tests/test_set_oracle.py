@@ -3,7 +3,9 @@
 Set atoms reach the solver compiled away element by element
 (``repro.smt.sets``): a set equality or inclusion holds when it holds at
 every element of a finite *universe* — the elements the query names plus
-one witness per negated equality or inclusion.  For this fragment (union,
+one witness per negated equality or inclusion.  The solver eliminates
+every live set formula of a check together, so the answer must not depend
+on how a query is split into assertions.  For this fragment (union,
 intersection, difference, literals, membership, inclusion, equality;
 no cardinality) a query with ``e`` element variables and ``a`` equality
 or inclusion atoms has a countermodel exactly when it has one over
@@ -95,6 +97,40 @@ def test_set_atoms_of_two_element_sorts_keep_their_meaning():
         [ops.subset(left, right), ops.member(n, left), apart], ops.member(n, right)
     )
     assert not solver.is_valid_implication([ops.subset(left, right), apart], ops.eq(left, right))
+
+
+def test_set_formulas_asserted_one_by_one_share_one_universe():
+    """``x`` is named only by the last two assertions, yet ``s == t``
+    must be expanded at it; eliminated one by one, ``s == t`` expands at
+    no element and the scope reads satisfiable."""
+    solver = IncrementalSolver()
+    for formula in (ops.eq(s, t), ops.member(x, s), ops.not_(ops.member(x, t))):
+        solver.assert_(formula)
+    assert solver.check() is False
+
+
+def test_check_assuming_sees_the_live_set_assertions():
+    solver = IncrementalSolver()
+    solver.assert_(ops.eq(s, t))
+    solver.assert_(ops.member(x, s))
+    assert solver.check_assuming([ops.not_(ops.member(x, t))]) is False
+
+
+def test_each_conjunction_of_live_set_formulas_is_encoded_once():
+    """A popped scope takes its set formulas with it, and a check whose
+    live set formulas were checked before reuses their encoding."""
+    solver = IncrementalSolver()
+    solver.assert_(ops.eq(s, t))
+    assert solver.check()
+    with solver.scoped():
+        solver.assert_(ops.member(x, s))
+        solver.assert_(ops.not_(ops.member(x, t)))
+        assert not solver.check()
+    encoded = solver.statistics.encoded_assertions
+    assert solver.check()
+    assert solver.statistics.encoded_assertions == encoded
+    assert not solver.check_assuming([ops.member(x, s), ops.not_(ops.member(x, t))])
+    assert solver.statistics.encoded_assertions == encoded
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +279,31 @@ def test_solver_agrees_with_the_bounded_oracle():
     # The sample exercises both answers and the witnesses of negated atoms.
     assert 20 <= valid <= 130
     assert witnessed >= 50
+
+
+def split_valid(solver, premises, goal, assume_goal):
+    """Validity asked through split assertions in a scope of ``solver``:
+    one assertion per premise, then the negated goal asserted too or
+    passed to ``check_assuming``."""
+    negated = ops.not_(literal_formula(goal))
+    with solver.scoped():
+        for premise in premises:
+            solver.assert_(literal_formula(premise))
+        if assume_goal:
+            return not solver.check_assuming([negated])
+        solver.assert_(negated)
+        return not solver.check()
+
+
+@pytest.mark.parametrize("assume_goal", [False, True], ids=["asserted", "check_assuming"])
+def test_split_assertions_agree_with_the_bounded_oracle(assume_goal):
+    """The seeded implications again, each premise its own assertion, on
+    one solver shared by all 150: the answers must not depend on how the
+    query was split, nor on the scopes popped before it."""
+    solver = IncrementalSolver()
+    wrong = [
+        (premises, goal)
+        for premises, goal in random_queries(seed=2016, count=150)
+        if split_valid(solver, premises, goal, assume_goal) != oracle_valid(premises, goal)
+    ]
+    assert not wrong, f"{len(wrong)} wrong answers, first: {wrong[0]}"

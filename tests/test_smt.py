@@ -172,8 +172,8 @@ class TestIncrementalSolver:
         assert solver.check_assuming([ops.member(x, s)])
 
     def test_set_reasoning_across_premises(self):
-        # Set elimination is per assertion; is_valid_implication must still
-        # decide cross-assertion set entailments exactly (it conjoins).
+        # Each premise is its own assertion; the check eliminates the live
+        # set formulas together, so they share one element universe.
         solver = IncrementalSolver()
         s = ops.var("s", set_of(INT))
         t = ops.var("t", set_of(INT))
