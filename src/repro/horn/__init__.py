@@ -15,7 +15,6 @@ from .solver import (
     CandidateSearchResult,
     HornSolution,
     HornSolver,
-    HornStatistics,
     SolveOptions,
 )
 from .spaces import QualifierSpace, as_space_map, build_space, build_spaces
@@ -26,7 +25,6 @@ __all__ = [
     "HornConstraint",
     "HornSolution",
     "HornSolver",
-    "HornStatistics",
     "MusFixSolver",
     "QualifierSpace",
     "SolveOptions",

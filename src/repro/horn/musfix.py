@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..logic.formulas import Formula
+from ..metrics import Counters
 from ..smt.solver import IncrementalSolver
 from .constraints import HornConstraint
 
@@ -35,19 +36,15 @@ from .constraints import HornConstraint
 CandidateLike = Mapping[str, Sequence[Formula]]
 
 
-class MusFixStatistics:
-    """Counters describing one solver's work."""
-
-    def __init__(self) -> None:
-        self.muses_enumerated = 0
-        self.candidates_pruned = 0
-
-
 class MusFixSolver:
-    """Records the MUSes its vacuity probes find and prunes candidates."""
+    """Records the MUSes its vacuity probes find and prunes candidates.
 
-    def __init__(self, backend: Optional[IncrementalSolver] = None) -> None:
-        self.statistics = MusFixStatistics()
+    It charges ``muses_enumerated`` and ``candidates_pruned`` to
+    ``statistics``, the counters of the Horn solver it works for.
+    """
+
+    def __init__(self, statistics: Counters, backend: Optional[IncrementalSolver] = None) -> None:
+        self.statistics = statistics
         self._backend = backend if backend is not None else IncrementalSolver()
         #: Known MUSes per constraint.
         self._mus_sets: Dict[HornConstraint, List[FrozenSet[Formula]]] = {}

@@ -55,6 +55,7 @@ from ..logic import ops
 from ..logic.formulas import Formula, Unknown
 from ..logic.substitution import apply_assignment, substitute
 from ..logic.transform import unknowns as formula_unknowns
+from ..metrics import Counters
 from ..smt.solver import IncrementalSolver
 from .constraints import HornConstraint, substitute_unknowns
 from .musfix import MusFixSolver
@@ -80,36 +81,24 @@ class SolveOptions:
         self.max_candidates = max_candidates
 
 
-class HornStatistics:
-    """Counters describing one solver's work (instance attributes, so
-    ``vars()`` lists them)."""
-
-    def __init__(self) -> None:
-        self.validity_checks = 0
-        self.fixpoint_rounds = 0
-        self.weakenings = 0
-        self.pruned_qualifiers = 0
-        #: Qualifiers pruned directly from a counterexample model, without a
-        #: per-qualifier validity probe of their own.
-        self.model_pruned_qualifiers = 0
-        #: Candidate assignments taken off the search frontier and evaluated.
-        self.candidates_explored = 0
-        #: Candidates dropped because they contained a known MUS (or were
-        #: vacuous) — work the search never had to do.
-        self.candidates_pruned = 0
-        #: Minimal unsatisfiable subsets the vacuity probes recorded.
-        self.muses_enumerated = 0
-
-    def merge(self, other: "HornStatistics") -> None:
-        """Fold another solver's counters into this one."""
-        self.validity_checks += other.validity_checks
-        self.fixpoint_rounds += other.fixpoint_rounds
-        self.weakenings += other.weakenings
-        self.pruned_qualifiers += other.pruned_qualifiers
-        self.model_pruned_qualifiers += other.model_pruned_qualifiers
-        self.candidates_explored += other.candidates_explored
-        self.candidates_pruned += other.candidates_pruned
-        self.muses_enumerated += other.muses_enumerated
+#: The counters of one :class:`HornSolver` (its MUS probes charge the last
+#: two).
+HORN_COUNTERS = (
+    "validity_checks",
+    "fixpoint_rounds",
+    "weakenings",
+    "pruned_qualifiers",
+    # qualifiers pruned directly from a counterexample model, without a
+    # per-qualifier validity probe of their own
+    "model_pruned_qualifiers",
+    # candidate assignments taken off the search frontier and evaluated
+    "candidates_explored",
+    # candidates dropped because they contained a known MUS (or were
+    # vacuous): work the search never had to do
+    "candidates_pruned",
+    # minimal unsatisfiable subsets the vacuity probes recorded
+    "muses_enumerated",
+)
 
 
 class HornSolution:
@@ -234,7 +223,7 @@ def order_solutions(
 
 def screen_singletons(
     backend: IncrementalSolver,
-    statistics: "HornStatistics",
+    statistics: Counters,
     constraints: Sequence[HornConstraint],
     name: str,
     qualifiers: Sequence[Formula],
@@ -333,7 +322,7 @@ class HornSolver:
         validity_memo: Optional[Dict[Tuple[Tuple[Formula, ...], Formula], bool]] = None,
     ) -> None:
         self._backend = backend if backend is not None else IncrementalSolver()
-        self.statistics = HornStatistics()
+        self.statistics = Counters(*HORN_COUNTERS)
         # Validity of a *grounded* implication is a pure function of its
         # formulas, and the candidate-set search re-derives the same
         # grounded constraints for every candidate that leaves them
@@ -426,7 +415,7 @@ class HornSolver:
         capacity = max(1, opts.max_candidates)
         explore_limit = 64 * capacity
 
-        musfix = MusFixSolver(backend=self._backend)
+        musfix = MusFixSolver(self.statistics, self._backend)
 
         # The demanding contexts of each abducible: one representative
         # constraint per distinct concrete-premise tuple, weakest first so
@@ -574,8 +563,6 @@ class HornSolver:
                     # else: frontier full — the overflow branch is dropped,
                     # which is what makes max_candidates=1 a greedy search.
 
-        self.statistics.candidates_pruned += musfix.statistics.candidates_pruned
-        self.statistics.muses_enumerated += musfix.statistics.muses_enumerated
         return CandidateSearchResult(solutions=tuple(solutions), failed=failed_constr)
 
     def _vacuous(

@@ -106,9 +106,6 @@ class Budget:
             return None
         return max(0.0, (self.deadline - time.monotonic()) * 1000.0)
 
-    def expired(self) -> bool:
-        return self.deadline is not None and time.monotonic() >= self.deadline
-
 
 #: Maps checkpoint counter names to the Budget field bounding them.
 _LIMIT_FIELD: Dict[str, str] = {

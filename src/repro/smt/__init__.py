@@ -3,9 +3,9 @@
 from .euf import CongruenceClosure, TermBank
 from .lia import Constraint, LinearExpr, Relation
 from .names import FreshNames
-from .sat import SatResult, SatSolver, SatStatistics, solve_clauses
+from .sat import SatResult, SatSolver, solve_clauses
 from .sets import eliminate_sets
-from .solver import IncrementalSolver, SolverStatistics, TseitinEncoder
+from .solver import IncrementalSolver, TseitinEncoder
 from .theory import Literal, TheoryChecker
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
     "Relation",
     "SatResult",
     "SatSolver",
-    "SatStatistics",
-    "SolverStatistics",
     "TermBank",
     "TheoryChecker",
     "TseitinEncoder",

@@ -27,6 +27,7 @@ from math import gcd
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .. import limits
+from ..metrics import Counters
 
 #: An exact rational: an ``int``, or a ``Fraction`` after an inexact division.
 Number = Union[int, Fraction]
@@ -146,6 +147,10 @@ def lt(lhs: LinearExpr, rhs: LinearExpr) -> Constraint:
 DERIVED = object()
 
 
+#: The counters a :class:`Simplex` charges.
+SIMPLEX_COUNTERS = ("tableau_pivots",)
+
+
 class Simplex:
     """An incremental Dutertre–de Moura general simplex over the rationals.
 
@@ -180,9 +185,12 @@ class Simplex:
     carries the caller's *tag* (typically the asserting theory literal);
     infeasibility verdicts return the tags of a conflicting bound set, so
     theory conflicts are explained without a minimization pass.
+
+    Each pivot is charged to ``statistics.tableau_pivots``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, statistics: Counters) -> None:
+        self.statistics = statistics
         #: external name -> variable id
         self._ids: Dict[str, int] = {}
         #: normalized multi-variable expression -> slack variable id
@@ -220,8 +228,6 @@ class Simplex:
         self._suspects: Set[int] = set()
         #: has any bound changed since the last feasible check()?
         self._dirty = False
-        #: lifetime pivot count (exposed as ``tableau_pivots``)
-        self.pivots = 0
 
     # -- backtracking --------------------------------------------------------
 
@@ -541,7 +547,7 @@ class Simplex:
             self._pivot_and_update(broken, pivot_col, target)
 
     def _pivot_and_update(self, leaving: int, entering: int, target: Number) -> None:
-        self.pivots += 1
+        self.statistics.tableau_pivots += 1
         values = self._value
         rows = self._rows
         cols = self._cols

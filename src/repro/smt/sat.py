@@ -41,6 +41,7 @@ from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import limits
+from ..metrics import Counters
 
 #: Variable activities are rescaled past this magnitude (VSIDS).
 _VAR_RESCALE = 1e100
@@ -54,23 +55,22 @@ _RESTART_BASE = 100
 _THEORY_RESTART = object()
 
 
-class SatStatistics:
-    """Counters describing one solver's lifetime of work."""
-
-    def __init__(self) -> None:
-        self.decisions = 0
-        self.propagations = 0
-        self.conflicts = 0
-        self.restarts = 0
-        self.learned_clauses = 0
-        self.gced_clauses = 0
-        self.gc_runs = 0
-        #: literals deleted from 1UIP clauses by recursive self-subsumption
-        self.minimized_literals = 0
-        #: implications enqueued on behalf of the theory listener
-        self.theory_propagations = 0
-        #: conflicts raised by the theory listener (each learns a lemma)
-        self.theory_conflicts = 0
+#: The counters a :class:`SatSolver` charges, over its whole lifetime.
+SAT_COUNTERS = (
+    "decisions",
+    "propagations",
+    "conflicts",
+    "restarts",
+    "learned_clauses",
+    "gced_clauses",
+    "gc_runs",
+    # literals deleted from 1UIP clauses by recursive self-subsumption
+    "minimized_literals",
+    # implications enqueued on behalf of the theory listener
+    "theory_propagations",
+    # conflicts raised by the theory listener (each learns a lemma)
+    "theory_conflicts",
+)
 
 
 class SatResult:
@@ -111,9 +111,12 @@ class SatSolver:
     and are subject to activity-driven garbage collection once the database
     exceeds ``max_learnts`` live clauses (the bound grows slowly with each
     collection, MiniSat-style).
+
+    The solver charges :data:`SAT_COUNTERS` to ``statistics``: its own
+    counters by default, or the ones of the solver it works for.
     """
 
-    def __init__(self, max_learnts: int = 1000) -> None:
+    def __init__(self, max_learnts: int = 1000, statistics: Optional[Counters] = None) -> None:
         self._clauses: List[_Clause] = []
         self._learnts: List[_Clause] = []
         self._watches: Dict[int, List[_Clause]] = {}
@@ -157,7 +160,7 @@ class SatSolver:
         #: per-solve cap on theory-conflict restarts (a diverging theory
         #: loop raises instead of hanging; mirrors the old lazy-loop bound).
         self.max_theory_restarts = 20000
-        self.statistics = SatStatistics()
+        self.statistics = statistics if statistics is not None else Counters(*SAT_COUNTERS)
 
     # -- clause management -------------------------------------------------
 

@@ -59,44 +59,29 @@ from ..logic.formulas import (
 from ..logic.simplify import negation_normal_form, simplify
 from ..logic.sorts import BoolSort
 from ..logic.transform import mentions_sets, transform
+from ..metrics import Counters
 from .names import FreshNames
-from .sat import SatSolver
+from .lia import SIMPLEX_COUNTERS
+from .sat import SAT_COUNTERS, SatSolver
 from .sets import eliminate_sets
 from .theory import Conflict, IncrementalTheory, Literal, TheoryChecker
 
 
-class SolverStatistics:
-    """Counters exposed for the evaluation harness (instance attributes,
-    so ``vars()`` lists them); equal when every counter is."""
-
-    def __init__(self) -> None:
-        self.sat_queries = 0
-        self.theory_checks = 0
-        #: Distinct formulas encoded into CNF (selector created).
-        self.encoded_assertions = 0
-        #: Assertions answered from the selector table without re-encoding.
-        self.reused_assertions = 0
-        #: Theory checks spent minimizing conflicts (QuickXplain probes).
-        self.shrink_theory_checks = 0
-        # Mirrors of the persistent SAT core's lifetime counters.
-        self.propagations = 0
-        self.conflicts = 0
-        self.restarts = 0
-        self.learned_clauses = 0
-        self.gced_clauses = 0
-        #: Implications the theory pushed into the SAT trail (DPLL(T)).
-        self.theory_propagations = 0
-        #: Theory conflicts raised against (partial) assignments.
-        self.theory_conflicts = 0
-        #: Pivots performed by the persistent simplex tableau.
-        self.tableau_pivots = 0
-        #: Literals removed from learned clauses by self-subsumption.
-        self.minimized_literals = 0
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
+#: The counters of one :class:`IncrementalSolver`: its own, then the ones
+#: its SAT core and its bridge theory's simplex charge to it.
+SOLVER_COUNTERS = (
+    "sat_queries",
+    # incremental theory checks of the bridge (one per literal batch)
+    "theory_checks",
+    # distinct formulas encoded into CNF (selector created)
+    "encoded_assertions",
+    # assertions answered from the selector table without re-encoding
+    "reused_assertions",
+    # theory checks spent minimizing conflicts (QuickXplain probes)
+    "shrink_theory_checks",
+    *SAT_COUNTERS,
+    *SIMPLEX_COUNTERS,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +251,9 @@ class _TheoryBridge:
         self,
         encoder: TseitinEncoder,
         assign: List[Optional[bool]],
-        statistics: SolverStatistics,
+        statistics: Counters,
     ) -> None:
-        self.theory = IncrementalTheory()
+        self.theory = IncrementalTheory(statistics)
         self._encoder = encoder
         self._assign = assign
         #: decides the QuickXplain probes of unexplained conflicts.
@@ -280,8 +265,6 @@ class _TheoryBridge:
         self._marks: List[int] = []
         #: watched atom variables of the current solve's decision cone.
         self._watch_vars: List[int] = []
-        #: incremental theory checks performed (one per literal batch).
-        self.checks = 0
 
     def begin(self, cone) -> None:
         """Start a solve over the given decision cone."""
@@ -314,7 +297,7 @@ class _TheoryBridge:
                 return "conflict", self._conflict_clause(conflict)
         if not touched:
             return "ok", ()
-        self.checks += 1
+        self._statistics.theory_checks += 1
         conflict = theory.check()
         if conflict is not None:
             return "conflict", self._conflict_clause(conflict)
@@ -391,14 +374,18 @@ class IncrementalSolver:
     inclusion is expanded over the elements of *every* live set formula
     however the caller split them.  Each distinct conjunction gets a
     selector like any other assertion and is encoded once.
+
+    ``statistics`` holds :data:`SOLVER_COUNTERS`; the SAT core, the theory
+    bridge and its simplex charge their counters to it directly.
     """
 
     #: Upper bound on lazy refinement iterations per query (safety net).
     MAX_ITERATIONS = 20_000
 
     def __init__(self) -> None:
+        self.statistics = Counters(*SOLVER_COUNTERS)
         self._encoder = TseitinEncoder()
-        self._sat = SatSolver()
+        self._sat = SatSolver(statistics=self.statistics)
         self._fresh = FreshNames()
         #: clauses of the encoder already loaded into the SAT core.
         self._loaded_clauses = 0
@@ -422,7 +409,6 @@ class IncrementalSolver:
         #: length of that list when each open scope was pushed.
         self._set_formulas: List[Formula] = []
         self._set_marks: List[int] = []
-        self.statistics = SolverStatistics()
         #: the persistent DPLL(T) theory, shadowing the SAT trail.
         self._bridge = _TheoryBridge(self._encoder, self._sat._assign, self.statistics)
         self._sat.max_theory_restarts = self.MAX_ITERATIONS
@@ -535,10 +521,7 @@ class IncrementalSolver:
                 assumptions.append(selector)
                 active_atoms |= self._selector_atoms[selector]
         self._bridge.begin(active_atoms)
-        try:
-            result = self._sat.solve(assumptions, decide=active_atoms, theory=self._bridge)
-        finally:
-            self._sync_sat_statistics()
+        result = self._sat.solve(assumptions, decide=active_atoms, theory=self._bridge)
         if not result.satisfiable:
             return None
         # Every assigned atom was asserted into (and accepted by) the
@@ -547,19 +530,6 @@ class IncrementalSolver:
             variable for variable in active_atoms if variable in result.model
         )
         return result.model, checked
-
-    def _sync_sat_statistics(self) -> None:
-        stats, sat_stats = self.statistics, self._sat.statistics
-        stats.propagations = sat_stats.propagations
-        stats.conflicts = sat_stats.conflicts
-        stats.restarts = sat_stats.restarts
-        stats.learned_clauses = sat_stats.learned_clauses
-        stats.gced_clauses = sat_stats.gced_clauses
-        stats.minimized_literals = sat_stats.minimized_literals
-        stats.theory_propagations = sat_stats.theory_propagations
-        stats.theory_conflicts = sat_stats.theory_conflicts
-        stats.theory_checks = self._bridge.checks
-        stats.tableau_pivots = self._bridge.theory.simplex.pivots
 
     def _selector(self, formula: Formula) -> Optional[int]:
         """The formula's selector, made (and its CNF loaded) on first use."""
@@ -746,7 +716,7 @@ _SHRINK_DELETION_LIMIT = 8
 def _shrink_conflict(
     theory: TheoryChecker,
     literals: List[Literal],
-    statistics: Optional[SolverStatistics] = None,
+    statistics: Optional[Counters] = None,
 ) -> List[Literal]:
     """QuickXplain-style divide-and-conquer minimization of an inconsistent
     literal set (Junker 2004).

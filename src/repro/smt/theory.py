@@ -53,10 +53,11 @@ from ..logic.formulas import (
     Var,
 )
 from ..logic.sorts import BOOL, IntSort
+from ..metrics import Counters
 from ..value import Value
 from . import lia
 from .euf import CongruenceClosure, TermBank
-from .lia import DERIVED, Constraint, LinearExpr, Relation, Simplex
+from .lia import DERIVED, SIMPLEX_COUNTERS, Constraint, LinearExpr, Relation, Simplex
 
 
 class Literal(Value):
@@ -133,15 +134,20 @@ class IncrementalTheory:
     and only re-closes congruence over the *live* applications (those
     referenced by currently asserted literals; the bank's dead terms are
     never scanned).
+
+    The simplex charges its pivots to ``statistics`` (a fresh set of
+    counters when none is given).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, statistics: Optional[Counters] = None) -> None:
         self.bank = TermBank()
         self.closure = CongruenceClosure(self.bank)
         self._true = self.bank.constant("__true")
         self._false = self.bank.constant("__false")
         self.closure.assert_distinct(self._true, self._false)
-        self.simplex = Simplex()
+        self.simplex = Simplex(
+            statistics if statistics is not None else Counters(*SIMPLEX_COUNTERS)
+        )
         self._term_ids: Dict[Formula, int] = {}
         #: term id -> (app ids, int-sorted ids) of the term's whole subtree
         self._term_refs: Dict[Formula, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
@@ -177,8 +183,6 @@ class IncrementalTheory:
         #: means the congruence/N-O half of check() can be skipped (nothing
         #: that feeds it has moved)
         self._closed_state: Optional[Tuple[int, int, int]] = None
-        #: number of batch checks performed (for the statistics mirror)
-        self.checks = 0
 
     # -- scope management ----------------------------------------------------
 
@@ -454,7 +458,6 @@ class IncrementalTheory:
         set, or the link set moved since the last check, and the simplex
         skips repair when no bound changed (its own dirty flag).
         """
-        self.checks += 1
         if faults.maybe_fire("theory.raise"):
             raise faults.FaultInjected("theory.raise: injected theory-check failure")
         # Wall-clock cancellation point before the (change-driven, but

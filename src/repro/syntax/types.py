@@ -435,12 +435,6 @@ class TypeSchema(Value):
     def _fields(self) -> Tuple:
         return (self.type_vars, self.pred_vars, self.body)
 
-    def monotype(self) -> RType:
-        """The body of a quantifier-free schema."""
-        if self.type_vars or self.pred_vars:
-            raise TypeError(f"schema {self!r} is polymorphic; instantiate it first")
-        return self.body
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         quants = "".join(f"<{a}> . " for a in self.type_vars)
         quants += "".join(f"<{p.name}> . " for p in self.pred_vars)

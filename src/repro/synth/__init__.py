@@ -9,7 +9,7 @@ over ``.sq`` files.
 """
 
 from .conditions import AbducedCondition, abduce_condition
-from .enumerator import EnumerationStatistics, ETermEnumerator
+from .enumerator import ETermEnumerator
 from .synthesizer import (
     SynthesisGoal,
     SynthesisResult,
@@ -21,7 +21,6 @@ from .synthesizer import (
 __all__ = [
     "AbducedCondition",
     "ETermEnumerator",
-    "EnumerationStatistics",
     "SynthesisGoal",
     "SynthesisResult",
     "Synthesizer",

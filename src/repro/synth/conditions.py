@@ -48,16 +48,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import limits
 from ..horn.constraints import substitute_unknowns
-from ..horn.solver import HornSolver, HornStatistics, SolveOptions
+from ..horn.solver import HornSolver, SolveOptions
 from ..horn.spaces import QualifierSpace
 from ..logic import ops
 from ..logic.formulas import Binary, BinaryOp, Formula
+from ..metrics import Counters
 from ..smt.solver import IncrementalSolver
 from ..syntax.terms import Term
 from ..syntax.types import RType
 from ..typecheck.environment import Environment
 from ..typecheck.errors import TypecheckError
 from ..typecheck.session import TypecheckSession
+
+
+#: The counters of an abduction's Horn search that ``abduce_condition``
+#: adds to the synthesis run's.
+ABDUCTION_COUNTERS = ("candidates_explored", "candidates_pruned", "muses_enumerated")
 
 
 class AbducedCondition:
@@ -117,7 +123,7 @@ def abduce_condition(
     goal: RType,
     where: str = "abduce",
     max_conjuncts: int = 2,
-    stats: Optional[HornStatistics] = None,
+    stats: Optional[Counters] = None,
 ) -> Optional[AbducedCondition]:
     """The weakest qualifier-space conditions validating ``candidate``
     against ``goal``, or ``None`` when no consistent condition of at most
@@ -127,7 +133,7 @@ def abduce_condition(
     residue); ``C``'s space is then re-inserted marked ``abducible`` and
     the whole system goes through the candidate-set Horn search on the
     session's shared incremental backend.  ``stats`` — when given —
-    accumulates the solver's search counters.
+    accumulates the search's :data:`ABDUCTION_COUNTERS`.
     """
     # Cancellation point per abduction attempt: each spawns a whole
     # candidate-set Horn search, so check the budget before committing.
@@ -171,7 +177,7 @@ def abduce_condition(
     solver = HornSolver(session.backend, validity_memo=session._validity_memo)
     solution = solver.solve(constraints, spaces, opts)
     if stats is not None:
-        stats.merge(solver.statistics)
+        stats.add(solver.statistics, ABDUCTION_COUNTERS)
     if not solution.solved:
         return None
     guards = [tuple(member.get(unknown.name, ())) for member in solution.candidates]

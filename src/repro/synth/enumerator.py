@@ -17,10 +17,12 @@ depth, and prunes them as early as possible:
   arguments (the paper's key observation), so its entire extension subtree
   is pruned before it is enumerated.
 
-The enumerator reports how much that pruning saves through
-:class:`EnumerationStatistics`: ``generated`` counts every candidate term
-built (including prefixes), ``pruned_early`` the ones rejected by the
-local check, and ``checked`` the solver round-trips issued.
+The enumerator reports how much that pruning saves on the synthesis
+run's counters (see :data:`repro.synth.synthesizer.SYNTHESIS_COUNTERS`):
+``generated`` counts every candidate term built (including prefixes),
+``pruned_early`` the ones rejected by the local check, ``pruned_shape``
+the ones whose result shape violates a rigid type variable, and
+``checked`` the solver round-trips issued.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import limits
+from ..metrics import Counters
 from ..syntax.terms import AppTerm, BoolConst, IntConst, Term, VarTerm
 from ..syntax.types import (
     BOOL_BASE,
@@ -112,61 +115,6 @@ def rigid_shape_match(candidate: RType, goal: RType, rigid: "frozenset" = frozen
     return False
 
 
-class EnumerationStatistics:
-    """Counters describing one synthesis run's enumeration work."""
-
-    def __init__(self) -> None:
-        #: Candidate E-terms built (atoms, prefixes, and full applications).
-        self.generated = 0
-        #: Candidates rejected by the early local liquid check — each one
-        #: cut off an entire subtree of extensions before it was enumerated.
-        self.pruned_early = 0
-        #: Candidates rejected because their instantiated result shape
-        #: violates the goal's rigid (parametric) type variables — no
-        #: solver involved.
-        self.pruned_shape = 0
-        #: Local round-trip checks issued (each solves a small Horn system
-        #: on the shared incremental backend).
-        self.checked = 0
-        #: Full goal checks of complete candidates (issued by the
-        #: synthesizer).
-        self.goal_checks = 0
-        #: Branch conditions abduced (issued by the synthesizer).
-        self.abductions = 0
-        #: Candidate guard valuations the abduction-side Horn search
-        #: evaluated (folded in from
-        #: :class:`repro.horn.solver.HornStatistics`).
-        self.candidates_explored = 0
-        #: Guard valuations the MUS machinery pruned without evaluation.
-        self.candidates_pruned = 0
-        #: Minimal unsatisfiable subsets the abduction searches enumerated.
-        self.muses_enumerated = 0
-        #: Deepest E-term enumeration level completed or entered — the
-        #: "best depth reached" a timeout report carries.
-        self.depth_reached = 0
-
-    def merge_horn(self, horn: object) -> None:
-        """Fold one abduction's Horn search counters into this run."""
-        self.candidates_explored += getattr(horn, "candidates_explored", 0)
-        self.candidates_pruned += getattr(horn, "candidates_pruned", 0)
-        self.muses_enumerated += getattr(horn, "muses_enumerated", 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a plain dict (for reports and benchmarks)."""
-        return {
-            "generated": self.generated,
-            "pruned_early": self.pruned_early,
-            "pruned_shape": self.pruned_shape,
-            "checked": self.checked,
-            "goal_checks": self.goal_checks,
-            "abductions": self.abductions,
-            "candidates_explored": self.candidates_explored,
-            "candidates_pruned": self.candidates_pruned,
-            "muses_enumerated": self.muses_enumerated,
-            "depth_reached": self.depth_reached,
-        }
-
-
 class _Head:
     """An application head: a component with at least one arrow."""
 
@@ -190,13 +138,13 @@ class ETermEnumerator:
         self,
         session: TypecheckSession,
         env: Environment,
-        statistics: Optional[EnumerationStatistics] = None,
+        statistics: Counters,
         literals: Sequence[Term] = (IntConst(0),),
         rigid: "frozenset" = frozenset(),
     ) -> None:
         self.session = session
         self.env = env
-        self.statistics = statistics if statistics is not None else EnumerationStatistics()
+        self.statistics = statistics
         self.literals: Tuple[Term, ...] = tuple(literals)
         #: The goal's parametric type variables (see :func:`rigid_shape_match`).
         self.rigid = frozenset(rigid)

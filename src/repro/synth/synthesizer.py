@@ -33,12 +33,12 @@ from __future__ import annotations
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import limits
-from ..horn.solver import HornStatistics
 from ..logic import ops
 from ..logic.formulas import FALSE, TRUE, Var
 from ..logic.measures import MeasureDef
 from ..logic.simplify import simplify
 from ..logic.substitution import instantiate_value_var
+from ..metrics import Counters
 from ..syntax.datatypes import Datatype
 from ..syntax.parser import Program
 from ..syntax.terms import (
@@ -72,8 +72,8 @@ from ..typecheck.checker import elaborate_match_case, recursion_signature
 from ..typecheck.environment import EMPTY, Environment
 from ..typecheck.errors import TerminationError, TypecheckError
 from ..typecheck.session import TypecheckSession
-from .conditions import abduce_condition
-from .enumerator import EnumerationStatistics, ETermEnumerator
+from .conditions import ABDUCTION_COUNTERS, abduce_condition
+from .enumerator import ETermEnumerator
 
 
 class SynthesisGoal:
@@ -135,6 +135,31 @@ class SynthesisGoal:
         return session, env
 
 
+#: The counters of one synthesis run, in the order its reports list them.
+SYNTHESIS_COUNTERS = (
+    # candidate E-terms built (atoms, prefixes, and full applications)
+    "generated",
+    # candidates rejected by the early local liquid check: each one cut
+    # off an entire subtree of extensions before it was enumerated
+    "pruned_early",
+    # candidates whose instantiated result shape violates the goal's rigid
+    # (parametric) type variables: no solver involved
+    "pruned_shape",
+    # local round-trip checks issued (each solves a small Horn system)
+    "checked",
+    # full goal checks of complete candidates
+    "goal_checks",
+    # branch conditions abduced
+    "abductions",
+    # the abduction-side Horn searches' candidate guard valuations
+    # evaluated, pruned without evaluation, and MUSes enumerated
+    *ABDUCTION_COUNTERS,
+    # deepest E-term enumeration level completed or entered: the "best
+    # depth reached" a timeout report carries
+    "depth_reached",
+)
+
+
 class SynthesisResult:
     """Outcome of one synthesis run."""
 
@@ -144,7 +169,7 @@ class SynthesisResult:
         self,
         goal: SynthesisGoal,
         program: Optional[Term],
-        statistics: Optional[EnumerationStatistics] = None,
+        statistics: Counters,
         verified: bool = False,
         reason: str = "",
         timeout: bool = False,
@@ -152,7 +177,7 @@ class SynthesisResult:
     ) -> None:
         self.goal = goal
         self.program = program
-        self.statistics = statistics if statistics is not None else EnumerationStatistics()
+        self.statistics = statistics
         #: True when the program was independently re-checked in a fresh
         #: session of the ordinary type checker.
         self.verified = verified
@@ -189,7 +214,7 @@ class Synthesizer:
         self.max_conditionals = max_conditionals
         self.max_matches = max_matches
         self.literals: Tuple[Term, ...] = tuple(literals)
-        self.statistics = EnumerationStatistics()
+        self.statistics = Counters(*SYNTHESIS_COUNTERS)
         #: The logical form of the term-literal pool: these join every
         #: qualifier space, so abduction and the enumerator agree on which
         #: constants exist.
@@ -437,9 +462,7 @@ class Synthesizer:
         """
         for candidate in failures:
             self.statistics.abductions += 1
-            sink = HornStatistics()
-            abduced = abduce_condition(self.session, env, candidate, goal, stats=sink)
-            self.statistics.merge_horn(sink)
+            abduced = abduce_condition(self.session, env, candidate, goal, stats=self.statistics)
             if abduced is None or abduced.is_trivial():
                 continue
             members = abduced.candidates or (abduced.qualifiers,)

@@ -20,7 +20,6 @@ from .environment import EMPTY, Environment
 from .errors import (
     MatchError,
     ShapeError,
-    SubtypingError,
     TerminationError,
     TypecheckError,
     UnsupportedTermError,
@@ -33,7 +32,6 @@ __all__ = [
     "Environment",
     "MatchError",
     "ShapeError",
-    "SubtypingError",
     "TerminationError",
     "TypecheckError",
     "TypecheckSession",

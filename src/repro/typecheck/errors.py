@@ -1,16 +1,12 @@
 """Typed errors raised by the refinement type checker.
 
-Every error carries enough provenance to name the program location and —
-for refinement-level failures — the exact Horn constraint whose
-unsolvability refuted the program, so messages read like
-``subtyping obligation failed at max / if / then-branch: ... ==> ...``.
+Every error carries enough provenance to name the program location.  A
+refinement-level failure is not raised: ``TypecheckSession.solve`` returns
+it as a :class:`~repro.horn.HornSolution` naming the refuted obligation,
+e.g. ``subtyping obligation failed at max / if / then-branch: ... ==> ...``.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-from ..horn.constraints import HornConstraint
 
 
 class TypecheckError(TypeError):
@@ -44,16 +40,3 @@ class TerminationError(TypecheckError):
     """A ``fix`` whose termination cannot be established: no argument has
     a well-founded metric, or the body does not bind the decreasing
     arguments with lambdas."""
-
-
-class SubtypingError(TypecheckError):
-    """A subtyping obligation is invalid under *every* valuation of the
-    predicate unknowns — the Horn solver refuted the program.
-
-    ``constraint`` is the failing definite constraint; its provenance names
-    the subtyping obligation that produced it.
-    """
-
-    def __init__(self, message: str, constraint: Optional[HornConstraint] = None) -> None:
-        super().__init__(message)
-        self.constraint = constraint

@@ -15,9 +15,7 @@ encoded once and theory lemmas learned early prune every later query.
 :class:`repro.horn.HornSolver` and returns its
 :class:`~repro.horn.HornSolution`: on success it carries the inferred
 valuation of every unknown; on failure it names the subtyping obligation
-whose constraint was refuted (:attr:`~repro.horn.HornSolution.error_message`),
-and :meth:`TypecheckSession.solve_or_raise` turns that into a
-:class:`SubtypingError`.
+whose constraint was refuted (:attr:`~repro.horn.HornSolution.error_message`).
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from ..syntax.terms import Term
 from ..syntax.types import BaseType, RType, ScalarType, TypeSchema, base_sort
 from . import checker
 from .environment import EMPTY, Environment
-from .errors import SubtypingError, TypecheckError, WellFormednessError
+from .errors import TypecheckError, WellFormednessError
 
 
 class TypecheckSession:
@@ -321,11 +319,3 @@ class TypecheckSession:
         solver = HornSolver(self.backend, validity_memo=self._validity_memo)
         self.last_solver = solver
         return solver.solve(self.constraints, self.spaces, options)
-
-    def solve_or_raise(self, options: Optional[SolveOptions] = None) -> HornSolution:
-        """Like :meth:`solve`, raising :class:`SubtypingError` on failure."""
-        result = self.solve(options)
-        if not result.solved:
-            assert result.error_message is not None
-            raise SubtypingError(result.error_message, result.failed)
-        return result

@@ -18,7 +18,6 @@ class TestBudget:
     def test_from_timeout_ms_sets_a_monotonic_deadline(self):
         budget = Budget.from_timeout_ms(5_000)
         assert budget.deadline is not None
-        assert not budget.expired()
         left = budget.remaining_ms()
         assert 0 < left <= 5_000
 
@@ -26,12 +25,10 @@ class TestBudget:
         budget = Budget.from_timeout_ms(None, max_terms=10)
         assert budget.deadline is None
         assert budget.remaining_ms() is None
-        assert not budget.expired()
         assert budget.max_terms == 10
 
     def test_expired_deadline_is_clamped_to_zero(self):
         budget = Budget(deadline=time.monotonic() - 1.0)
-        assert budget.expired()
         assert budget.remaining_ms() == 0.0
 
 

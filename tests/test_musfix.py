@@ -15,10 +15,11 @@ from itertools import combinations
 
 from repro.horn import HornConstraint, HornSolver, QualifierSpace, constraint
 from repro.horn.musfix import MusFixSolver
-from repro.horn.solver import HornStatistics, screen_singletons
+from repro.horn.solver import HORN_COUNTERS, screen_singletons
 from repro.logic import ops
 from repro.logic.formulas import IntLit, Unknown
 from repro.logic.sorts import INT, set_of
+from repro.metrics import Counters
 from repro.smt.solver import IncrementalSolver
 
 x = ops.var("x", INT)
@@ -61,6 +62,11 @@ def brute_force_muses(pool, hard=()):
     return {frozenset(mus) for mus in muses}
 
 
+def musfix(backend=None):
+    """A MUS solver charging a fresh set of Horn solver counters."""
+    return MusFixSolver(Counters(*HORN_COUNTERS), backend)
+
+
 def recorded(solver, constr):
     """The cores the solver has recorded for ``constr``."""
     return set(solver._mus_sets.get(constr, []))
@@ -69,7 +75,7 @@ def recorded(solver, constr):
 class TestVacuityCores:
     def test_every_recorded_core_is_a_refuting_minimal_mus(self):
         constr = guard_constraint()
-        solver = MusFixSolver()
+        solver = musfix()
         for subset in subsets_smallest_first(POOL):
             assert solver.is_vacuous(constr, subset) is not consistent(subset)
         cores = recorded(solver, constr)
@@ -84,7 +90,7 @@ class TestVacuityCores:
 
     def test_probing_every_subset_finds_every_mus(self):
         constr = guard_constraint()
-        solver = MusFixSolver()
+        solver = musfix()
         for subset in subsets_smallest_first(POOL):
             solver.is_vacuous(constr, subset)
         assert recorded(solver, constr) == brute_force_muses(POOL)
@@ -101,7 +107,7 @@ class TestVacuityCores:
         # singletons, and shrinking the whole pool finds nothing new.
         hard = ops.ge(x, IntLit(5))
         constr = guard_constraint(hard)
-        solver = MusFixSolver()
+        solver = musfix()
         solver.prefill_vacuity(constr, POOL)
         assert solver.is_vacuous(constr, POOL)
         assert recorded(solver, constr) == brute_force_muses(POOL, (hard,))
@@ -114,7 +120,7 @@ class TestVacuityCores:
         # The constraint is vacuous for *every* valuation: that is no
         # valuation's fault, so nothing may be pruned.
         constr = guard_constraint(ops.lt(x, ZERO), ops.gt(x, ZERO))
-        solver = MusFixSolver()
+        solver = musfix()
         solver.prefill_vacuity(constr, POOL)
         for subset in subsets_smallest_first(POOL):
             assert not solver.is_vacuous(constr, subset)
@@ -123,7 +129,7 @@ class TestVacuityCores:
     def test_fully_consistent_pool_records_no_cores(self):
         pool = (ops.ge(x, ZERO), ops.ge(x, ONE))
         constr = guard_constraint()
-        solver = MusFixSolver()
+        solver = musfix()
         solver.prefill_vacuity(constr, pool)
         for subset in subsets_smallest_first(pool):
             assert not solver.is_vacuous(constr, subset)
@@ -133,7 +139,7 @@ class TestVacuityCores:
 class TestPruneCandidates:
     def test_candidates_containing_a_mus_are_dropped(self):
         constr = guard_constraint()
-        solver = MusFixSolver()
+        solver = musfix()
         assert solver.is_vacuous(constr, (ops.ge(x, ONE), ops.le(x, ZERO)))
         doomed = {"C": (ops.ge(x, ONE), ops.le(x, ZERO))}
         superset_doomed = {"C": (ops.ge(x, ZERO), ops.ge(x, ONE), ops.le(x, ZERO))}
@@ -147,7 +153,7 @@ class TestPruneCandidates:
 
     def test_muses_only_apply_to_the_constraints_unknowns(self):
         constr = guard_constraint()
-        solver = MusFixSolver()
+        solver = musfix()
         assert solver.is_vacuous(constr, (ops.ge(x, ONE), ops.le(x, ZERO)))
         # the same qualifiers under an unknown the constraint never
         # mentions are untouched
@@ -159,7 +165,7 @@ class TestVacuity:
     def test_is_vacuous_learns_a_mus_from_the_witness(self):
         hard = ops.ge(x, IntLit(5))
         constr = guard_constraint(hard)
-        solver = MusFixSolver()
+        solver = musfix()
         assert solver.is_vacuous(constr, (ops.ge(x, ZERO), ops.le(x, ZERO)))
         assert not solver.is_vacuous(constr, (ops.ge(x, ZERO),))
         # the discovery was shrunk and recorded: it now prunes candidates
@@ -169,7 +175,7 @@ class TestVacuity:
     def test_repeated_probes_spend_no_theory_check(self):
         constr = guard_constraint()
         backend = IncrementalSolver()
-        solver = MusFixSolver(backend)
+        solver = musfix(backend)
         live, dead = (ops.ge(x, ONE),), (ops.ge(x, ONE), ops.le(x, ZERO))
         assert not solver.is_vacuous(constr, live)
         assert solver.is_vacuous(constr, dead)
@@ -186,7 +192,7 @@ class TestVacuity:
         first = guard_constraint()
         second = constraint([Unknown("C")], ops.gt(x, IntLit(7)), "other")
         backend = IncrementalSolver()
-        solver = MusFixSolver(backend)
+        solver = musfix(backend)
         dead = (ops.ge(x, ZERO), ops.ge(x, ONE), ops.le(x, NEG_ONE))
         assert solver.is_vacuous(first, dead)
         spent = backend.statistics.sat_queries
@@ -199,7 +205,7 @@ class TestVacuity:
     def test_note_live_answers_without_a_theory_check(self):
         constr = guard_constraint(ops.ge(x, IntLit(5)))
         backend = IncrementalSolver()
-        solver = MusFixSolver(backend)
+        solver = musfix(backend)
         solver.note_live(constr, ops.ge(x, ONE))
         assert not solver.is_vacuous(constr, (ops.ge(x, ONE),))
         assert backend.statistics.sat_queries == 0
@@ -217,7 +223,7 @@ class TestVacuity:
         guarded = guard_constraint(ops.ge(x, IntLit(5)))
         declared = guard_constraint()
         guard = {"C": (ops.le(x, ZERO),)}
-        solver = MusFixSolver()
+        solver = musfix()
         assert solver.is_vacuous(guarded, guard["C"])
         mentioning = {"C": [guarded, declared]}
         assert not solver.dooms_everywhere(guard, mentioning)
@@ -237,7 +243,7 @@ class TestSetContexts:
 
     def test_is_vacuous_sees_set_premises_asserted_apart(self):
         constr = HornConstraint((ops.eq(s, t), X_IN_S), ops.bool_lit(True))
-        assert MusFixSolver().is_vacuous(constr, (ops.not_(X_IN_T),)) is True
+        assert musfix().is_vacuous(constr, (ops.not_(X_IN_T),)) is True
 
     def test_weakening_keeps_what_set_premises_entail(self):
         space = QualifierSpace("P", (X_IN_S, X_IN_T, ops.not_(X_IN_T)))
@@ -258,7 +264,7 @@ class TestSetContexts:
     def test_singleton_screen_classifies_set_guards(self):
         constraints, space = self.guard_system()
         verdicts = screen_singletons(
-            IncrementalSolver(), HornStatistics(), constraints, "C", space.qualifiers
+            IncrementalSolver(), Counters(*HORN_COUNTERS), constraints, "C", space.qualifiers
         )
         assert verdicts == {X_IN_T: None, X_IN_S: None, ops.not_(X_IN_T): constraints[0]}
 

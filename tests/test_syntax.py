@@ -38,7 +38,6 @@ from repro.syntax import (
     int_type,
     lam,
     lit,
-    monomorphic,
     parse_formula,
     parse_program,
     parse_type,
@@ -195,12 +194,6 @@ class TestSubstitution:
 
 
 class TestSchemas:
-    def test_monotype(self):
-        schema = monomorphic(int_type())
-        assert schema.monotype() == int_type()
-        with pytest.raises(TypeError):
-            TypeSchema(("a",), (), type_var("a")).monotype()
-
     def test_predicate_instantiation(self):
         body = arrow("x", int_type(), ScalarType(int_type().base, Unknown("P")))
         schema = TypeSchema((), (PredSig("P", (INT,)),), body)

@@ -11,6 +11,7 @@ import pytest
 from repro.logic import ops
 from repro.logic.formulas import Var
 from repro.logic.sorts import INT
+from repro.metrics import Counters
 from repro.syntax import (
     FixTerm,
     IfTerm,
@@ -29,6 +30,7 @@ from repro.synth import (
     synthesize,
 )
 from repro.synth.enumerator import rigid_shape_match
+from repro.synth.synthesizer import SYNTHESIS_COUNTERS
 from repro.typecheck import EMPTY, TypecheckSession
 
 PRELUDE = """
@@ -156,7 +158,7 @@ class TestSearchLimits:
 class TestEnumerator:
     def make(self, env, **kw):
         session = TypecheckSession(literals=[ops.int_lit(0)])
-        return session, ETermEnumerator(session, env, **kw)
+        return session, ETermEnumerator(session, env, Counters(*SYNTHESIS_COUNTERS), **kw)
 
     def test_atoms_are_shape_filtered(self):
         env = EMPTY.bind("n", int_type()).bind("b", bool_type())
@@ -174,7 +176,7 @@ class TestEnumerator:
             .bind("n", int_type(ops.lt(ops.var("nu", INT), ops.int_lit(0))))
         )
         session = TypecheckSession(literals=[ops.int_lit(0)])
-        enum = ETermEnumerator(session, env)
+        enum = ETermEnumerator(session, env, Counters(*SYNTHESIS_COUNTERS))
         found = list(enum.candidates(int_type(), 2))
         assert found == []
         assert enum.statistics.pruned_early == 2  # pos n, pos 0
@@ -186,7 +188,7 @@ class TestEnumerator:
             .bind("n", int_type())
         )
         session = TypecheckSession(literals=[ops.int_lit(0)])
-        enum = ETermEnumerator(session, env)
+        enum = ETermEnumerator(session, env, Counters(*SYNTHESIS_COUNTERS))
         list(enum.candidates(int_type(), 2))
         assert session.constraints == []
         assert session.spaces == {}
@@ -215,7 +217,7 @@ class TestRigidShapes:
         session = TypecheckSession(literals=[ops.int_lit(0)])
         env = EMPTY.bind("ident", generalize(parse_type("x:a -> {a | nu == x}")))
         env = env.bind("n", int_type())
-        enum = ETermEnumerator(session, env, rigid=frozenset({"a"}))
+        enum = ETermEnumerator(session, env, Counters(*SYNTHESIS_COUNTERS), rigid=frozenset({"a"}))
         found = {pretty_term(t) for t in enum.candidates(int_type(), 2)}
         assert "ident n" in found and "ident 0" in found
 

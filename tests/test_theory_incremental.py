@@ -36,7 +36,8 @@ from repro.logic import ops
 from repro.logic.formulas import Binary, BinaryOp, IntLit
 from repro.logic.sorts import BOOL, INT
 from repro.logic.transform import subterms
-from repro.smt.lia import LinearExpr, Simplex, le, lt
+from repro.metrics import Counters
+from repro.smt.lia import SIMPLEX_COUNTERS, LinearExpr, Simplex, le, lt
 from repro.smt.solver import _SHRINK_DELETION_LIMIT, IncrementalSolver, _shrink_conflict
 from repro.smt.theory import IncrementalTheory, Literal, TheoryChecker
 from theory_oracle import FourierMotzkinChecker
@@ -287,13 +288,13 @@ class TestTableauBound:
     """
 
     def test_unused_row_is_gone_after_the_trail_empties(self):
-        simplex = Simplex()
+        simplex = Simplex(Counters(*SIMPLEX_COUNTERS))
         x, y, u, v = (LinearExpr.variable(name) for name in "xyuv")
         # The slack of x + y starts at 0, below its bound: repair pivots.
         first = le(LinearExpr.constant_expr(2), x.add(y))
         assert simplex.assert_constraint(first, "xy") is None
         assert simplex.check() is None
-        assert simplex.pivots > 0
+        assert simplex.statistics.tableau_pivots > 0
         slack = simplex.bound_form(first)[0]
         first_vars = {slack, simplex._ids["x"], simplex._ids["y"]}
         simplex.undo_to(0)
@@ -307,7 +308,7 @@ class TestTableauBound:
             assert not first_vars & row.keys()
 
     def test_basis_asked_for_every_cycle_is_kept(self):
-        simplex = Simplex()
+        simplex = Simplex(Counters(*SIMPLEX_COUNTERS))
         x, y, z = (LinearExpr.variable(name) for name in "xyz")
         pivots = []
         for _ in range(5):
@@ -317,7 +318,7 @@ class TestTableauBound:
             conflict = simplex.assert_constraint(lt(z, x), "zx") or simplex.check()
             assert sorted(conflict) == ["xy", "yz", "zx"]
             simplex.undo_to(0)
-            pivots.append(simplex.pivots)
+            pivots.append(simplex.statistics.tableau_pivots)
         # A rebuilt tableau would pivot again to find the cycle each time;
         # the kept basis finds it where the first cycle left off.
         assert pivots[0] > 0
@@ -338,7 +339,7 @@ class TestExactArithmetic:
     """The simplex computes in ``int`` and promotes only inexact divisions."""
 
     def test_fractional_bound_is_exact(self):
-        simplex = Simplex()
+        simplex = Simplex(Counters(*SIMPLEX_COUNTERS))
         x = LinearExpr.variable("x")
         two_x, three = x.scale(2), LinearExpr.constant_expr(3)
         assert simplex.assert_constraint(le(two_x, three), "2x<=3") is None
@@ -372,4 +373,4 @@ class TestExactArithmetic:
                 assert all(type(number) is int for number in numbers), numbers
             while theory.depth:
                 theory.pop()
-        assert theory.simplex.pivots > 0
+        assert theory.simplex.statistics.tableau_pivots > 0
