@@ -55,6 +55,10 @@ class MusFixSolver:
         self._vacuity: Dict[
             Tuple[Tuple[Formula, ...], FrozenSet[Formula]], Optional[Tuple[Formula, ...]]
         ] = {}
+        #: How many MUSes are known, and how many were when
+        #: :meth:`prune_everywhere` last scanned its frontier.
+        self._mus_count = 0
+        self._scanned_at = 0
 
     def _record_mus(self, constraint: HornConstraint, mus: Tuple[Formula, ...]) -> None:
         known = self._mus_sets.setdefault(constraint, [])
@@ -62,6 +66,7 @@ class MusFixSolver:
         if any(mus_set == existing for existing in known):
             return
         known.append(mus_set)
+        self._mus_count += 1
         self.statistics.muses_enumerated += 1
 
     # -- candidate pruning ---------------------------------------------------
@@ -72,7 +77,16 @@ class MusFixSolver:
         mentioning: Mapping[str, Sequence[HornConstraint]],
     ) -> List[Dict[str, Sequence[Formula]]]:
         """Drop every candidate some valuation of which is known-vacuous in
-        *all* of its demanding contexts (see :meth:`dooms_everywhere`)."""
+        *all* of its demanding contexts (see :meth:`dooms_everywhere`).
+
+        ``candidates`` is a frontier: each member passed
+        :meth:`dooms_everywhere` when it joined, or survived an earlier
+        call.  Only a new MUS can doom such a candidate, so when none was
+        recorded since the last scan the frontier comes back unscanned.
+        """
+        if self._scanned_at == self._mus_count:
+            return list(candidates)
+        self._scanned_at = self._mus_count
         survivors = [c for c in candidates if not self.dooms_everywhere(c, mentioning)]
         self.statistics.candidates_pruned += len(candidates) - len(survivors)
         return survivors

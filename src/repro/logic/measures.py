@@ -162,7 +162,7 @@ class MeasureDef(Value):
 def instantiate_postconditions(
     formulas: Iterable[Formula],
     defs: Mapping[str, MeasureDef],
-    order: Optional[Dict[Formula, Tuple[App, ...]]] = None,
+    memo: Optional[Dict[Formula, Tuple[Tuple[App, Formula], ...]]] = None,
 ) -> List[Formula]:
     """Postcondition instances for every measure application in ``formulas``.
 
@@ -172,32 +172,38 @@ def instantiate_postconditions(
     emitted Horn constraints are stable across runs: each formula's
     applications are taken in the order of their printed form.
 
-    ``order`` remembers that order per formula for a caller that passes
-    the same formulas again (a typecheck session's obligations share
-    most of their premises), so each formula's applications are printed
-    and sorted once.
+    ``memo`` remembers each formula's applications in that order, each
+    with its instance, for a caller that passes the same formulas again
+    (a typecheck session's obligations share most of their premises): a
+    formula's applications are printed, sorted and instantiated once.
     """
     if not defs:
         return []
-    if order is None:
-        order = {}
+    if memo is None:
+        memo = {}
     seen = set()
-    ordered: List[App] = []
-    for formula in formulas:
-        applications = order.get(formula)
-        if applications is None:
-            applications = tuple(sorted(measure_apps(formula), key=repr))
-            order[formula] = applications
-        for application in applications:
-            if application in seen:
-                continue
-            seen.add(application)
-            mdef = defs.get(application.func)
-            if mdef is not None and not is_true(mdef.postcondition):
-                ordered.append(application)
     instances: List[Formula] = []
-    for application in ordered:
-        instance = defs[application.func].postcondition_for(application)
-        if not is_true(instance):
-            instances.append(instance)
+    for formula in formulas:
+        pairs = memo.get(formula)
+        if pairs is None:
+            pairs = memo[formula] = _postcondition_instances(formula, defs)
+        for application, instance in pairs:
+            if application not in seen:
+                seen.add(application)
+                instances.append(instance)
     return instances
+
+
+def _postcondition_instances(
+    formula: Formula, defs: Mapping[str, MeasureDef]
+) -> Tuple[Tuple[App, Formula], ...]:
+    """The applications in ``formula`` whose postcondition instance says
+    something, in printed order, each with that instance."""
+    pairs = []
+    for application in sorted(measure_apps(formula), key=repr):
+        mdef = defs.get(application.func)
+        if mdef is not None:
+            instance = mdef.postcondition_for(application)
+            if not is_true(instance):
+                pairs.append((application, instance))
+    return tuple(pairs)

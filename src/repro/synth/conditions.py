@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import limits
 from ..horn.constraints import substitute_unknowns
-from ..horn.solver import HornSolver, SolveOptions
+from ..horn.solver import HornSolution, HornSolver, SolveOptions
 from ..horn.spaces import QualifierSpace
 from ..logic import ops
 from ..logic.formulas import Binary, BinaryOp, Formula
@@ -145,12 +145,29 @@ def abduce_condition(
             session.check(env.assume(unknown), candidate, goal, where)
         except TypecheckError:
             return None
-        constraints = list(session.constraints)
-        spaces: Dict[str, QualifierSpace] = {
-            name: qspace
-            for name, qspace in session.spaces.items()
-            if name != unknown.name
-        }
+        # Solved inside the trial: the constraints mention the names the
+        # check minted, which the trial gives back when it ends.
+        solution = _search_guards(session, unknown.name, pool, max_conjuncts, stats)
+    if solution is None:
+        return None
+    guards = [tuple(member.get(unknown.name, ())) for member in solution.candidates]
+    antichain = _weakest_guards(session.backend, env.embedding(), guards)
+    return AbducedCondition(antichain[0], tuple(antichain))
+
+
+def _search_guards(
+    session: TypecheckSession,
+    name: str,
+    pool: Tuple[Formula, ...],
+    max_conjuncts: int,
+    stats: Optional[Counters],
+) -> Optional[HornSolution]:
+    """The candidate-set search over the session's constraints, with the
+    abducible unknown ``name`` ranging over ``pool``; ``None`` when no
+    guard solves them."""
+    spaces: Dict[str, QualifierSpace] = {
+        other: qspace for other, qspace in session.spaces.items() if other != name
+    }
     # Sound fail-fast: grounding ``C`` at the conjunction of the *whole*
     # pool is the strongest condition the space can express, and validity
     # is monotone in strengthening a premise-position unknown (stronger
@@ -159,15 +176,13 @@ def abduce_condition(
     # size helps — one fixpoint run settles unabducible candidates that
     # would otherwise walk the whole sublattice.
     if pool:
-        strongest = {unknown.name: ops.conj(pool)}
-        grounded = [substitute_unknowns(constr, strongest) for constr in constraints]
+        strongest = {name: ops.conj(pool)}
+        grounded = [substitute_unknowns(constr, strongest) for constr in session.constraints]
         prefilter = HornSolver(session.backend, validity_memo=session._validity_memo)
         if not prefilter.solve(grounded, spaces).solved:
             return None
 
-    spaces[unknown.name] = QualifierSpace(
-        unknown.name, pool, abducible=True, max_conjuncts=max_conjuncts
-    )
+    spaces[name] = QualifierSpace(name, pool, abducible=True, max_conjuncts=max_conjuncts)
     # The frontier must hold the whole <= max_conjuncts sublattice of the
     # pool: a capacity-truncated queue would silently skip guards the
     # brute-force oracle tries, breaking differential agreement.
@@ -175,14 +190,14 @@ def abduce_condition(
     opts = SolveOptions(max_candidates=max(SolveOptions().max_candidates, lattice))
 
     solver = HornSolver(session.backend, validity_memo=session._validity_memo)
-    solution = solver.solve(constraints, spaces, opts)
-    if stats is not None:
-        stats.add(solver.statistics, ABDUCTION_COUNTERS)
-    if not solution.solved:
-        return None
-    guards = [tuple(member.get(unknown.name, ())) for member in solution.candidates]
-    antichain = _weakest_guards(session.backend, env.embedding(), guards)
-    return AbducedCondition(antichain[0], tuple(antichain))
+    try:
+        solution = solver.solve(session.constraints, spaces, opts)
+    finally:
+        # Also when the budget cuts the search short: the candidates it
+        # explored before then are part of the run's work.
+        if stats is not None:
+            stats.add(solver.statistics, ABDUCTION_COUNTERS)
+    return solution if solution.solved else None
 
 
 def _weakest_guards(

@@ -157,6 +157,10 @@ class ETermEnumerator:
         #: Memoized local inference per candidate term (None = ill-typed):
         #: the same prefix reappears across depths and parent applications,
         #: and its local obligations do not change within one (session, env).
+        #: A memoized type mentions names its trial minted and gave back
+        #: (``_tv``, ``_ctx``, unknowns), which later trials mint again for
+        #: other things; only its erased shape is ever read, and there a
+        #: fresh ``_tv`` is a flexible variable, never one of ``rigid``.
         self._local_types: Dict[Term, Optional[RType]] = {}
 
     def _collect_scope(self) -> None:

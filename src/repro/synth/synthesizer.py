@@ -505,7 +505,10 @@ class Synthesizer:
         translation) are skipped: their refinements mention internal
         ``_ctx*`` names, which must not leak into the else-branch's
         enumeration scope — a program would be synthesized over variables
-        that do not exist in the emitted term.
+        that do not exist in the emitted term.  So is a guard whose
+        refinement mentions any other name its inference trial minted (an
+        unknown of an instantiated predicate variable): the trial gave the
+        name back, and a later trial mints it again for something else.
         """
         bool_shape = ScalarType(BOOL_BASE)
         for depth in range(1, self.max_depth + 1):
@@ -514,6 +517,8 @@ class Synthesizer:
                 if inferred is None or isinstance(inferred, ContextualType):
                     continue
                 if not (isinstance(inferred, ScalarType) and inferred.base == BOOL_BASE):
+                    continue
+                if self.session.minted_in_last_trial(inferred.refinement):
                     continue
                 truth = simplify(instantiate_value_var(inferred.refinement, TRUE))
                 refuted = simplify(instantiate_value_var(inferred.refinement, FALSE))

@@ -32,7 +32,7 @@ Binding = Union[RType, TypeSchema]
 class Environment:
     """An immutable typing context; extension returns a new environment."""
 
-    __slots__ = ("bindings", "assumptions")
+    __slots__ = ("bindings", "assumptions", "_embedding")
 
     def __init__(
         self,
@@ -41,6 +41,8 @@ class Environment:
     ) -> None:
         self.bindings = bindings
         self.assumptions = assumptions
+        #: :meth:`embedding`, made on first use.
+        self._embedding: Optional[Tuple[Formula, ...]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -147,13 +149,21 @@ class Environment:
 
     def embedding(self) -> List[Formula]:
         """The formulas this context contributes as premises: ``[x/nu]psi``
-        for every scalar binding ``x : {B | psi}``, then the assumptions."""
-        premises: List[Formula] = []
-        for name, scalar in self.scalar_bindings():
-            if not is_true(scalar.refinement):
-                premises.append(instantiate_value_var(scalar.refinement, Var(name, scalar.sort)))
-        premises.extend(self.assumptions)
-        return premises
+        for every scalar binding ``x : {B | psi}``, then the assumptions.
+
+        Every obligation checked in one context asks for its premises, so
+        they are derived once per (immutable) environment; each call
+        returns a new list the caller may extend."""
+        if self._embedding is None:
+            premises: List[Formula] = []
+            for name, scalar in self.scalar_bindings():
+                if not is_true(scalar.refinement):
+                    premises.append(
+                        instantiate_value_var(scalar.refinement, Var(name, scalar.sort))
+                    )
+            premises.extend(self.assumptions)
+            self._embedding = tuple(premises)
+        return list(self._embedding)
 
 
 #: The empty context.

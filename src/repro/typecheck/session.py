@@ -21,7 +21,7 @@ whose constraint was refuted (:attr:`~repro.horn.HornSolution.error_message`).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..horn.constraints import HornConstraint
 from ..horn.solver import HornSolution, HornSolver, SolveOptions
@@ -32,6 +32,7 @@ from ..logic.qualifiers import Qualifier, default_qualifiers
 from ..logic.simplify import conjuncts
 from ..logic.sortcheck import MeasureSignatures
 from ..logic.sorts import INT, Sort, UninterpretedSort
+from ..logic.transform import free_vars, unknowns
 from ..smt.names import FreshNames
 from ..smt.solver import IncrementalSolver
 from ..syntax.datatypes import Datatype
@@ -75,9 +76,11 @@ class TypecheckSession:
         #: formulas, so verdicts stay good across solves (and trials).
         self._validity_memo: Dict = {}
         #: Each obligation formula's measure applications in their
-        #: deterministic order (see :func:`instantiate_postconditions`).
-        self._application_order: Dict[Formula, Tuple[App, ...]] = {}
+        #: deterministic order, with their postcondition instances (see
+        #: :func:`instantiate_postconditions`).
+        self._postconditions: Dict[Formula, Tuple[Tuple[App, Formula], ...]] = {}
         self._names = FreshNames(prefix="_")
+        self._last_trial_names: FrozenSet[str] = frozenset()
         for datatype in datatypes:
             self.declare_datatype(datatype)
         for mdef in measure_defs:
@@ -95,6 +98,7 @@ class TypecheckSession:
         constraint."""
         self.measure_defs[mdef.name] = mdef
         self.measures[mdef.name] = mdef.signature()
+        self._postconditions.clear()  # remembered under the old measures
 
     def measures_for(self, datatype: str) -> List[MeasureDef]:
         """The measures declared over ``datatype``, declaration order."""
@@ -202,7 +206,7 @@ class TypecheckSession:
         """
         if self.measure_defs:
             axioms = instantiate_postconditions(
-                list(premises) + [conclusion], self.measure_defs, self._application_order
+                list(premises) + [conclusion], self.measure_defs, self._postconditions
             )
             if axioms:
                 premises = list(premises) + axioms
@@ -250,24 +254,38 @@ class TypecheckSession:
 
     @contextmanager
     def trial(self) -> Iterator["TypecheckSession"]:
-        """A scope whose constraints and qualifier spaces are rolled back.
+        """A scope whose constraints, qualifier spaces and fresh names are
+        rolled back.
 
         The synthesizer's round-trip loop checks thousands of candidate
         terms against one session; each candidate's obligations must leave
         no residue once the candidate is discarded, while the shared
         incremental backend keeps every clause and theory lemma it learned
-        (that reuse is what makes early pruning cheap).  Fresh-name counters
-        are deliberately *not* rolled back — names stay unique across
-        trials.
+        (that reuse is what makes early pruning cheap).  The names the
+        trial minted (``_ctx``, ``_tv`` and the unknowns) are given back as
+        well, so sibling trials mint the same ones: an obligation that a
+        candidate repeats from the prefix it extends is then the very same
+        formula node, which the validity memo and the backend's per-formula
+        tables answer without encoding or deciding it again.  So no value
+        mentioning such a name may outlive its trial;
+        :meth:`minted_in_last_trial` tells a caller whether one does.
         """
         constraints_mark = len(self.constraints)
         space_names = set(self.spaces)
+        names_mark = self._names.mark()
         try:
             yield self
         finally:
             del self.constraints[constraints_mark:]
             for name in [n for n in self.spaces if n not in space_names]:
                 del self.spaces[name]
+            self._last_trial_names = self._names.release(names_mark)
+
+    def minted_in_last_trial(self, formula: Formula) -> bool:
+        """Does ``formula`` mention a variable or unknown that the latest
+        :meth:`trial` minted (and gave back when it ended)?"""
+        minted = self._last_trial_names
+        return not (minted.isdisjoint(free_vars(formula)) and minted.isdisjoint(unknowns(formula)))
 
     def try_check(
         self,
@@ -298,7 +316,9 @@ class TypecheckSession:
         because no valuation of the unknowns validates its obligations.
         This is the early local liquid check of Sec. 4: an application
         prefix rejected here cannot be repaired by any extension, so the
-        enumerator prunes its whole subtree.
+        enumerator prunes its whole subtree.  The type returned may mention
+        names the trial minted and gave back (see
+        :meth:`minted_in_last_trial`).
         """
         with self.trial():
             try:

@@ -160,6 +160,36 @@ class TestPruneCandidates:
         other = {"D": (ops.ge(x, ONE), ops.le(x, ZERO))}
         assert solver.prune_everywhere([other], {"C": [constr]}) == [other]
 
+    def test_a_rescan_waits_for_a_new_mus(self):
+        # Only a new MUS can doom a frontier member, so a second prune
+        # with none recorded in between evaluates no candidate.
+        constr = guard_constraint()
+        mentioning = {"C": [constr]}
+        solver = musfix()
+        evaluated = []
+        dooms = solver.dooms_everywhere
+
+        def counting(candidate, contexts):
+            evaluated.append(candidate)
+            return dooms(candidate, contexts)
+
+        solver.dooms_everywhere = counting
+        assert solver.is_vacuous(constr, (ops.ge(x, ONE), ops.le(x, ZERO)))
+        viable = {"C": (ops.ge(x, ZERO),)}
+        frontier = [{"C": (ops.ge(x, ONE), ops.le(x, ZERO))}, viable]
+        assert solver.prune_everywhere(frontier, mentioning) == [viable]
+        assert len(evaluated) == 2
+        joined = {"C": (ops.ge(x, ONE),)}
+        assert solver.prune_everywhere([viable, joined], mentioning) == [viable, joined]
+        assert len(evaluated) == 2
+        assert solver.statistics.candidates_pruned == 1
+        # a new core makes the next prune scan again
+        assert solver.is_vacuous(constr, (ops.ge(x, ZERO), ops.le(x, NEG_ONE)))
+        doomed = {"C": (ops.ge(x, ZERO), ops.le(x, NEG_ONE))}
+        assert solver.prune_everywhere([viable, doomed], mentioning) == [viable]
+        assert len(evaluated) == 4
+        assert solver.statistics.candidates_pruned == 2
+
 
 class TestVacuity:
     def test_is_vacuous_learns_a_mus_from_the_witness(self):

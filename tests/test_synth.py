@@ -8,10 +8,13 @@ ill-typed subterms die before they are extended.
 
 import pytest
 
+from repro import limits
 from repro.logic import ops
-from repro.logic.formulas import Var
-from repro.logic.sorts import INT
+from repro.logic.formulas import Unknown, Var, value_var
+from repro.logic.sorts import BOOL, INT
+from repro.logic.transform import unknowns
 from repro.metrics import Counters
+from repro.service import api
 from repro.syntax import (
     FixTerm,
     IfTerm,
@@ -21,7 +24,16 @@ from repro.syntax import (
     parse_type,
     pretty_term,
 )
-from repro.syntax.types import bool_type, int_type, type_var
+from repro.syntax.types import (
+    BOOL_BASE,
+    PredSig,
+    ScalarType,
+    TypeSchema,
+    arrow,
+    bool_type,
+    int_type,
+    type_var,
+)
 from repro.synth import (
     ETermEnumerator,
     SynthesisGoal,
@@ -153,6 +165,17 @@ class TestSearchLimits:
     def test_conditional_budget_zero_disables_abduction(self):
         result = run(MAX_SQ, "max", max_depth=3, max_conditionals=0)
         assert not result.solved
+
+    def test_a_budget_cut_abduction_reports_its_candidates(self):
+        """The candidates an abduction's Horn search explored count in the
+        timeout payload even when the budget stops that search (a count
+        budget, so the cut falls at the same place on every run)."""
+        with limits.budget_scope(limits.Budget(max_candidates=1)):
+            payload = api.compute_synth(parse_program(MAX_SQ))
+        [item] = payload["items"]
+        assert item["timeout"] and item["limit"] == "horn_candidates"
+        assert item["statistics"]["abductions"] == 1
+        assert item["statistics"]["candidates_explored"] > 0
 
 
 class TestEnumerator:
@@ -293,6 +316,60 @@ class TestTrialScopes:
         ).bind("n", int_type(ops.lt(ops.var("nu", INT), ops.int_lit(0))))
         assert session.try_infer(env, parse_term("pos n")) is None
         assert session.try_infer(env, parse_term("pos")) is not None
+
+    def test_sibling_trials_mint_the_same_names(self):
+        session = TypecheckSession()
+        env = EMPTY.bind("n", int_type())
+
+        def mint():
+            with session.trial():
+                return session.fresh_name("ctx"), session.fresh_unknown(env, INT).name
+
+        first = mint()
+        assert mint() == first
+        assert session.spaces == {}
+        # a name minted outside any trial stays taken
+        kept = session.fresh_name("ctx")
+        assert mint()[0] != kept
+
+    def test_a_repeated_candidate_is_neither_encoded_nor_decided_again(self):
+        """Its obligations mention contextual names (``_ctx``); minted
+        again under the same names, they are the formulas the first check
+        already encoded and decided."""
+        env = (
+            EMPTY.bind("pos", parse_type("a:{Int | nu > 0} -> {Int | nu == a}"))
+            .bind("inc", parse_type("a:Int -> {Int | nu == a + 1}"))
+            .bind("n", parse_type("{Int | nu >= 0}"))
+        )
+        session = TypecheckSession()
+        candidate = parse_term("pos (pos (inc n))")
+        statistics = session.backend.statistics
+        assert session.try_infer(env, candidate) is not None
+        assert session.try_check(env, candidate, int_type()).solved
+        spent = (statistics.encoded_assertions, statistics.sat_queries)
+        assert session.try_infer(env, candidate) is not None
+        assert session.try_check(env, candidate, int_type()).solved
+        assert (statistics.encoded_assertions, statistics.sat_queries) == spent
+
+    def test_a_guard_mentioning_a_trial_minted_name_is_skipped(self):
+        """``cmp x y`` entails the condition, but its refinement mentions
+        the unknown its trial minted for ``P``: assumed in the else-branch,
+        that name would alias whatever a later trial mints under it."""
+        a, b = ops.var("a", INT), ops.var("b", INT)
+        refinement = ops.and_(ops.iff(value_var(BOOL), ops.le(b, a)), Unknown("P"))
+        body = arrow("a", int_type(), arrow("b", int_type(), ScalarType(BOOL_BASE, refinement)))
+        env = (
+            EMPTY.bind("cmp", TypeSchema((), (PredSig("P", (BOOL,)),), body))
+            .bind("leq", parse_type("a:Int -> b:Int -> {Bool | nu <==> a <= b}"))
+            .bind("x", int_type())
+            .bind("y", int_type())
+        )
+        synthesizer = Synthesizer(SynthesisGoal.from_program(parse_program(MAX_SQ), "max"))
+        enumerator = ETermEnumerator(synthesizer.session, env, synthesizer.statistics)
+        condition = ops.le(ops.var("y", INT), ops.var("x", INT))
+        guard, refuted = synthesizer._realize_guard(env, enumerator, condition)
+        assert pretty_term(guard) == "leq y x"
+        assert not unknowns(refuted)
 
 
 class TestGoalDescription:
