@@ -24,13 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import benchlib  # noqa: E402
 
-from repro.horn import (  # noqa: E402
-    HornSolver,
-    QualifierSpace,
-    SolveOptions,
-    build_space,
-    constraint,
-)
+from repro.horn import HornSolver, QualifierSpace, build_space, constraint  # noqa: E402
 from repro.logic import ops  # noqa: E402
 from repro.logic.formulas import IntLit, Unknown, value_var  # noqa: E402
 from repro.logic.qualifiers import default_qualifiers  # noqa: E402
@@ -91,7 +85,7 @@ def run_horn(system_builder):
     constraints, spaces = system_builder()
     solver = HornSolver()
     start = time.perf_counter()
-    solution = solver.solve(constraints, spaces, SolveOptions(minimize=True))
+    solution = solver.solve(constraints, spaces, minimize=True)
     elapsed = time.perf_counter() - start
     assert solution.solved, "benchmark system must be solvable"
     return elapsed, {
@@ -129,7 +123,7 @@ def run_typecheck_max():
     session.check(env, term, sig, where="max")
     spec = parse_type("x:Int -> y:Int -> {Int | nu >= x && nu >= y}")
     session.subtype(env, sig, spec, where="max-spec")
-    outcome = session.solve(SolveOptions(minimize=True))
+    outcome = session.solve(minimize=True)
     elapsed = time.perf_counter() - start
     assert outcome.solved
     return elapsed, {
@@ -151,7 +145,7 @@ def run_typecheck_abs():
     sig = arrow("x", int_type(), result)
     session.check(env, term, sig, where="abs")
     session.subtype(env, sig, parse_type("x:Int -> {Int | nu >= 0}"), "abs-spec")
-    outcome = session.solve(SolveOptions(minimize=True))
+    outcome = session.solve(minimize=True)
     elapsed = time.perf_counter() - start
     assert outcome.solved
     return elapsed, {

@@ -71,8 +71,8 @@ def _answer(args, compute, query, program: Program, **options) -> dict:
     added to ``options``.
 
     One-shot verbs only persist results when pointed at a cache —
-    ``--cache-dir`` on the command line or ``REPRO_CACHE_DIR`` in the
-    environment.  A plain invocation is stateless: it calls ``compute``
+    ``--cache-dir`` on the command line or a non-empty ``REPRO_CACHE_DIR``
+    in the environment.  A plain invocation is stateless: it calls ``compute``
     without loading the cache.  Otherwise ``query`` answers through the
     cache, which computes the same way on a miss.  (``batch`` and
     ``serve`` cache by default.)  A definition or goal nested too deeply
@@ -80,7 +80,7 @@ def _answer(args, compute, query, program: Program, **options) -> dict:
     """
     options.update(timeout_ms=args.timeout_ms)
     try:
-        if args.no_cache or (args.cache_dir is None and "REPRO_CACHE_DIR" not in os.environ):
+        if args.no_cache or (args.cache_dir is None and not os.environ.get("REPRO_CACHE_DIR")):
             return compute(program, **options)
         from .service.cache import open_cache
 
@@ -195,6 +195,7 @@ def _run_batch(args, out: TextIO) -> int:
 def _add_cache_flags(command, default_dir: bool) -> None:
     command.add_argument(
         "--cache-dir",
+        type=_DIRECTORY,
         metavar="DIR",
         default=None,
         help=(
@@ -235,6 +236,8 @@ _WORKERS = _option_type(int, lambda count: count >= 1, "an integer of 1 or more"
 _MILLISECONDS = _option_type(
     float, lambda ms: 0 < ms < math.inf, "a positive, finite number of milliseconds"
 )
+#: ``--cache-dir``: an empty path would name the working directory.
+_DIRECTORY = _option_type(str, bool, "a non-empty directory path")
 
 
 def _add_timeout_flag(command) -> None:

@@ -10,24 +10,16 @@ incremental SMT backend.
 
 from .constraints import HornConstraint, constraint, substitute_unknowns
 from .musfix import MusFixSolver
-from .solver import (
-    Assignment,
-    CandidateSearchResult,
-    HornSolution,
-    HornSolver,
-    SolveOptions,
-)
+from .solver import Assignment, HornSolution, HornSolver
 from .spaces import QualifierSpace, as_space_map, build_space, build_spaces
 
 __all__ = [
     "Assignment",
-    "CandidateSearchResult",
     "HornConstraint",
     "HornSolution",
     "HornSolver",
     "MusFixSolver",
     "QualifierSpace",
-    "SolveOptions",
     "as_space_map",
     "build_space",
     "build_spaces",

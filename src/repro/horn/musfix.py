@@ -1,9 +1,10 @@
 """MUSFix: minimal unsatisfiable subsets that prune the guard search.
 
-The candidate-set Horn search (Sec. 5 of the paper) prunes its frontier
-wholesale: the subsets of an abducible unknown's qualifier space that are
-*inconsistent with a constraint's concrete premises* make that constraint
-hold only vacuously — the guard renders its program point unreachable.
+The candidate-set Horn search (Sec. 5 of the paper) prunes its guard
+candidates wholesale: the subsets of an abducible unknown's qualifier
+space that are *inconsistent with a constraint's concrete premises* make
+that constraint hold only vacuously — the guard renders its program point
+unreachable.
 Those regions are summarized by their minimal elements: **minimal
 unsatisfiable subsets** (MUSes) of the qualifier pool relative to one
 constraint's unknown-free premises.  A MUS against a *single* constraint
@@ -37,10 +38,11 @@ CandidateLike = Mapping[str, Sequence[Formula]]
 
 
 class MusFixSolver:
-    """Records the MUSes its vacuity probes find and prunes candidates.
+    """Records the MUSes its vacuity probes find and judges candidates by
+    them.
 
-    It charges ``muses_enumerated`` and ``candidates_pruned`` to
-    ``statistics``, the counters of the Horn solver it works for.
+    It charges ``muses_enumerated`` to ``statistics``, the counters of the
+    Horn solver it works for.
     """
 
     def __init__(self, statistics: Counters, backend: Optional[IncrementalSolver] = None) -> None:
@@ -55,10 +57,6 @@ class MusFixSolver:
         self._vacuity: Dict[
             Tuple[Tuple[Formula, ...], FrozenSet[Formula]], Optional[Tuple[Formula, ...]]
         ] = {}
-        #: How many MUSes are known, and how many were when
-        #: :meth:`prune_everywhere` last scanned its frontier.
-        self._mus_count = 0
-        self._scanned_at = 0
 
     def _record_mus(self, constraint: HornConstraint, mus: Tuple[Formula, ...]) -> None:
         known = self._mus_sets.setdefault(constraint, [])
@@ -66,30 +64,9 @@ class MusFixSolver:
         if any(mus_set == existing for existing in known):
             return
         known.append(mus_set)
-        self._mus_count += 1
         self.statistics.muses_enumerated += 1
 
     # -- candidate pruning ---------------------------------------------------
-
-    def prune_everywhere(
-        self,
-        candidates: Sequence[Dict[str, Sequence[Formula]]],
-        mentioning: Mapping[str, Sequence[HornConstraint]],
-    ) -> List[Dict[str, Sequence[Formula]]]:
-        """Drop every candidate some valuation of which is known-vacuous in
-        *all* of its demanding contexts (see :meth:`dooms_everywhere`).
-
-        ``candidates`` is a frontier: each member passed
-        :meth:`dooms_everywhere` when it joined, or survived an earlier
-        call.  Only a new MUS can doom such a candidate, so when none was
-        recorded since the last scan the frontier comes back unscanned.
-        """
-        if self._scanned_at == self._mus_count:
-            return list(candidates)
-        self._scanned_at = self._mus_count
-        survivors = [c for c in candidates if not self.dooms_everywhere(c, mentioning)]
-        self.statistics.candidates_pruned += len(candidates) - len(survivors)
-        return survivors
 
     def dooms_everywhere(
         self,
@@ -103,7 +80,7 @@ class MusFixSolver:
         program point unreachable — a legitimate branch condition.  Only a
         guard refuted in **all** the contexts where its unknown is demanded
         (equivalently, at the weakest of them — its own declaration point)
-        is unestablishable outright, so this is the sound frontier prune
+        is unestablishable outright, so this is the sound candidate prune
         for condition abduction.  MUS knowledge is partial (only the cores
         the vacuity probes have found so far), so a ``False`` here is only
         "not yet known doomed".

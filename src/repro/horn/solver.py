@@ -23,13 +23,16 @@ Unknowns whose space is marked :attr:`~repro.horn.spaces.QualifierSpace.abducibl
 (premise-position guards, as in condition abduction) break that
 completeness: they are solved bottom-up from the weakest valuation
 ``True``, and a failing definite constraint admits *several* minimal
-strengthenings — disjunctive inference.  For those the solver keeps a
-**frontier of candidates**: each candidate fixes the abducible valuations,
-the classic fixpoint core runs on the grounded system, and a failure
-branches the candidate into its single-qualifier strengthenings while
+strengthenings — disjunctive inference.  For those the solver walks the
+lattice of **candidate guards** breadth-first from ``True``: each
+candidate fixes the abducible valuations, the classic fixpoint core runs
+on the grounded system, and a failure branches the candidate into its
+single-qualifier strengthenings, while
 :class:`~repro.horn.musfix.MusFixSolver` records the inconsistent cores
-(MUSes) its vacuity probes find and prunes every frontier member whose
-guard contains one in every demanding context.
+(MUSes) its vacuity probes find.  A candidate whose guard contains one in
+every demanding context is dropped without a fixpoint.  The walk stops at
+the first size that holds a solution, so the solutions it returns are
+exactly the minimal-size ones, and no one of them strengthens another.
 
 Pruning on the classic path is unsat-core style: a constraint's full
 valuation is first checked in one validity query; only when that fails
@@ -48,7 +51,7 @@ preconditions.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import limits
 from ..logic import ops
@@ -65,24 +68,8 @@ from .spaces import QualifierSpace, SpacesLike, as_space_map
 Assignment = Dict[str, Tuple[Formula, ...]]
 
 
-class SolveOptions:
-    """How :meth:`HornSolver.solve` should search.
-
-    ``minimize`` greedily weakens the chosen solution into a locally
-    minimal one.  ``max_candidates`` bounds the candidate frontier *and*
-    the number of surviving solutions reported — 1 degenerates to a
-    greedy single path that can dead-end on disjunctive goals.
-    """
-
-    __slots__ = ("minimize", "max_candidates")
-
-    def __init__(self, minimize: bool = False, max_candidates: int = 16) -> None:
-        self.minimize = minimize
-        self.max_candidates = max_candidates
-
-
 #: The counters of one :class:`HornSolver` (its MUS probes charge the last
-#: two).
+#: one).
 HORN_COUNTERS = (
     "validity_checks",
     "fixpoint_rounds",
@@ -91,7 +78,7 @@ HORN_COUNTERS = (
     # qualifiers pruned directly from a counterexample model, without a
     # per-qualifier validity probe of their own
     "model_pruned_qualifiers",
-    # candidate assignments taken off the search frontier and evaluated
+    # candidate assignments taken off the search queue and evaluated
     "candidates_explored",
     # candidates dropped because they contained a known MUS (or were
     # vacuous): work the search never had to do
@@ -146,28 +133,11 @@ class HornSolution:
         )
 
 
-class CandidateSearchResult:
-    """Raw outcome of one :meth:`HornSolver.search_candidates` run.
-
-    ``solutions`` are full assignments (abducible guards plus fixpoint
-    valuations), and ``failed`` is the last constraint a candidate died
-    on (diagnostics when nothing solves).
-    """
-
-    __slots__ = ("solutions", "failed")
-
-    def __init__(self, solutions: Tuple[Assignment, ...], failed: Optional[HornConstraint]) -> None:
-        self.solutions = solutions
-        self.failed = failed
-
-
 def _candidate_key(candidate: Assignment) -> Tuple:
     return tuple(sorted(candidate.items(), key=lambda item: item[0]))
 
 
-def _solution_order_key(
-    assignment: Assignment, names: Sequence[str], spaces: Dict[str, QualifierSpace]
-) -> Tuple:
+def _solution_order_key(assignment: Assignment, spaces: Dict[str, QualifierSpace]) -> Tuple:
     """Sort key: total guard size, then per-space qualifier indices.
 
     Positions in each space's fixed qualifier order — not reprs — so the
@@ -175,50 +145,19 @@ def _solution_order_key(
     (``itertools.combinations`` over the space) would reach first; the
     brute-force abduction oracle relies on that agreement.
     """
-    guards = []
-    for name in sorted(names):
-        quals = assignment.get(name, ())
-        space = spaces.get(name)
-        if space is not None:
-            key: Tuple = tuple(sorted(space.index_of(q) for q in quals))
-        else:
-            key = tuple(sorted(repr(q) for q in quals))
-        guards.append((name, key))
-    return (sum(len(key) for _, key in guards), guards)
-
-
-def filter_dominated(
-    solutions: Sequence[Assignment], abducible_names: Sequence[str]
-) -> List[Assignment]:
-    """Keep only the antichain of weakest solutions.
-
-    A solution is dominated when another one's abducible guards are all
-    (weakly) subsets of its own with at least one strictly smaller — the
-    weaker guard admits every behaviour the stronger one does.
-    """
     guards = [
-        {name: frozenset(sol.get(name, ())) for name in abducible_names} for sol in solutions
+        tuple(sorted(space.index_of(q) for q in assignment[name]))
+        for name, space in sorted(spaces.items())
     ]
-    kept: List[Assignment] = []
-    kept_guards: List[Dict[str, FrozenSet[Formula]]] = []
-    for sol, guard in zip(solutions, guards):
-        dominated = any(
-            other != guard and all(other[name] <= guard[name] for name in abducible_names)
-            for other in guards
-        )
-        if not dominated and guard not in kept_guards:
-            kept.append(sol)
-            kept_guards.append(guard)
-    return kept
+    return (sum(len(guard) for guard in guards), guards)
 
 
 def order_solutions(
-    solutions: Sequence[Assignment],
-    names: Sequence[str],
-    spaces: Dict[str, QualifierSpace],
+    solutions: Sequence[Assignment], spaces: Dict[str, QualifierSpace]
 ) -> List[Assignment]:
-    """Deterministic weakest-first order, stable across processes."""
-    return sorted(solutions, key=lambda sol: _solution_order_key(sol, names, spaces))
+    """Deterministic weakest-first order of solutions over the abducible
+    ``spaces``, stable across processes."""
+    return sorted(solutions, key=lambda sol: _solution_order_key(sol, spaces))
 
 
 def screen_singletons(
@@ -230,7 +169,7 @@ def screen_singletons(
     musfix: Optional[MusFixSolver] = None,
 ) -> Optional[Dict[Formula, Optional[HornConstraint]]]:
     """Classify every singleton valuation of ``name`` against a *flat*
-    definite system in a handful of countermodel sweeps.
+    definite system, one countermodel sweep per constraint.
 
     Returns ``{qualifier: first refuting constraint, or None if valid
     everywhere}`` — or ``None`` when the system is not flat (weakening
@@ -238,10 +177,9 @@ def screen_singletons(
     per-candidate fixpoint must run instead.
 
     The trick: under ``premises && !conclusion`` asserted once, a single
-    SAT model convicts every qualifier it satisfies, and narrowing with
-    the disjunction of the still-open qualifiers forces each further model
-    to convict at least one more.  A 20-qualifier pool typically resolves
-    in 2-4 solver calls per constraint instead of 20 grounded fixpoints.
+    SAT model convicts every qualifier it satisfies, and each qualifier
+    it does not convict is probed alone, one incremental check under the
+    same asserted premises; no singleton needs a grounded fixpoint.
     Constraints are processed in order and convicted qualifiers skipped,
     so each qualifier's refuter is the *first* failing constraint —
     exactly what the sequential fixpoint would report.
@@ -345,7 +283,7 @@ class HornSolver:
         self,
         constraints: Sequence[HornConstraint],
         spaces: SpacesLike,
-        options: Optional[SolveOptions] = None,
+        minimize: bool = False,
     ) -> HornSolution:
         """Find assignments making every constraint valid.
 
@@ -353,8 +291,9 @@ class HornSolver:
         the empty valuation ``True`` (they cannot constrain anything).
         Systems without abducible spaces take the classic greatest-fixpoint
         path; abducible spaces trigger the candidate-set search.
+        ``minimize`` also greedily weakens the chosen assignment into a
+        locally minimal one (:attr:`HornSolution.weakest`).
         """
-        opts = options if options is not None else SolveOptions()
         space_map = as_space_map(spaces)
         abducibles = sorted(name for name, sp in space_map.items() if sp.abducible)
         if abducibles:
@@ -365,23 +304,20 @@ class HornSolver:
                         f"abducible unknown {target.name!r} cannot appear as a "
                         f"conclusion (it is solved bottom-up): {constr!r}"
                     )
-            return self._solve_candidates(constraints, space_map, opts)
-
-        solution = self._solve_fixpoint(constraints, space_map)
-        if solution.solved:
-            solution.candidates = (dict(solution.assignment),)
-            if opts.minimize:
-                solution.weakest = self._minimize(constraints, solution.assignment)
+            solution = self.search_candidates(constraints, space_map)
+        else:
+            solution = self._solve_fixpoint(constraints, space_map)
+            if solution.solved:
+                solution.candidates = (dict(solution.assignment),)
+        if minimize and solution.solved:
+            solution.weakest = self._minimize(constraints, solution.assignment)
         return solution
 
     # -- candidate-set search ------------------------------------------------
 
     def search_candidates(
-        self,
-        constraints: Sequence[HornConstraint],
-        spaces: SpacesLike,
-        options: Optional[SolveOptions] = None,
-    ) -> CandidateSearchResult:
+        self, constraints: Sequence[HornConstraint], spaces: SpacesLike
+    ) -> HornSolution:
         """Breadth-first search over candidate abducible valuations.
 
         Each candidate fixes every abducible unknown to a subset of its
@@ -393,27 +329,26 @@ class HornSolver:
         Contradicting only *some* contexts is fine: such a guard merely
         makes those program points unreachable, which is exactly what a
         branch condition is for.  A failed candidate prefills the
-        singleton vacuity of every context demanding a repairable unknown,
-        prunes the frontier with the cores found so far, and branches into
-        its single-qualifier strengthenings.  The frontier starts at the
-        all-``True`` candidate, and at most ``64 * max_candidates``
-        candidates are evaluated.
-
-        The search is *level-stopped*: the queue is size-ordered, so once
-        a solution of total guard size ``k`` exists, the first pop of a
-        size-``> k`` candidate ends the search (everything deeper is
-        either a superset of a solution or a strictly stronger guard no
-        weakest-first caller wants).  The level holding the solution is
-        always finished first, so every minimal-size solution is found.
+        singleton vacuity of every context demanding a repairable unknown
+        and branches into its single-qualifier strengthenings; a
+        candidate that the recorded cores doom is dropped when it is
+        generated or, if a later core dooms it, when it is popped.
         A space's :attr:`~repro.horn.spaces.QualifierSpace.max_conjuncts`
-        additionally stops branching past that valuation size.
+        stops branching past that valuation size.
+
+        The walk starts at the all-``True`` root, which is never pruned:
+        it either solves, ending the search, or fails and branches.  The
+        lattice is finite and each candidate is queued once, so the walk
+        ends.  It is *level-stopped*: the queue is size-ordered, so once a
+        solution of total guard size ``k`` exists, the first pop of a
+        size-``> k`` candidate ends the search.  Every solution therefore
+        has the minimal total size, every minimal-size solution is found,
+        and none strictly strengthens another: the survivors are an
+        antichain, returned weakest first (:func:`order_solutions`).
         """
-        opts = options if options is not None else SolveOptions()
         space_map = as_space_map(spaces)
         abducibles = {n: sp for n, sp in space_map.items() if sp.abducible}
         positives = {n: sp for n, sp in space_map.items() if not sp.abducible}
-        capacity = max(1, opts.max_candidates)
-        explore_limit = 64 * capacity
 
         musfix = MusFixSolver(self.statistics, self._backend)
 
@@ -433,27 +368,23 @@ class HornSolver:
         seen = {_candidate_key(root)}
 
         solutions: List[Assignment] = []
-        solution_guards: List[Dict[str, FrozenSet[Formula]]] = []
         failed_constr: Optional[HornConstraint] = None
-        explored = 0
         best_size: Optional[int] = None
 
         # Flat systems (one abducible, no positives) get their whole
         # size-1 level classified by countermodel sweeps instead of one
-        # grounded fixpoint per candidate; built lazily on the first
-        # size-1 pop so a root that solves outright pays nothing.
+        # grounded fixpoint per candidate; built when the root fails, so a
+        # root that solves outright pays nothing.
         single_name = min(abducibles) if len(abducibles) == 1 and not positives else None
         screen: Optional[Dict[Formula, Optional[HornConstraint]]] = None
-        screen_built = False
 
-        while queue and explored < explore_limit and len(solutions) < capacity:
+        while queue:
             candidate = queue.popleft()
             size = sum(len(candidate[name]) for name in abducibles)
             if best_size is not None and size > best_size:
                 # Level stop: a weaker solution exists and this whole level
                 # (the queue is size-ordered) can only strengthen it.
                 break
-            explored += 1
             self.statistics.candidates_explored += 1
             # One cancellation point per candidate valuation: each costs at
             # least one grounded fixpoint, so this is the search's natural
@@ -462,11 +393,6 @@ class HornSolver:
             if musfix.dooms_everywhere(candidate, mentioning):
                 self.statistics.candidates_pruned += 1
                 continue
-            guard = {name: frozenset(candidate[name]) for name in abducibles}
-            if any(
-                all(prev[name] <= guard[name] for name in abducibles) for prev in solution_guards
-            ):
-                continue  # dominated: a weaker solution already covers it
             if self._vacuous(musfix, mentioning, candidate):
                 # Checked *before* the fixpoint: a vacuous guard's whole
                 # superset cone is vacuous too, so the recorded MUS prunes
@@ -474,24 +400,9 @@ class HornSolver:
                 self.statistics.candidates_pruned += 1
                 continue
 
-            if single_name is not None and size == 1 and not screen_built:
-                screen_built = True
-                screen = screen_singletons(
-                    self._backend,
-                    self.statistics,
-                    constraints,
-                    single_name,
-                    abducibles[single_name].qualifiers,
-                    musfix,
-                )
-            if (
-                screen is not None
-                and size == 1
-                and candidate[single_name]
-                and candidate[single_name][0] in screen
-            ):
-                solved = screen[candidate[single_name][0]] is None
+            if screen is not None and size == 1:
                 original = screen[candidate[single_name][0]]
+                solved = original is None
                 assignment: Assignment = {}
             else:
                 valuations = {name: ops.conj(quals) for name, quals in candidate.items()}
@@ -509,20 +420,17 @@ class HornSolver:
                 full = dict(assignment)
                 full.update(candidate)
                 solutions.append(full)
-                solution_guards.append(guard)
-                if best_size is None or size < best_size:
-                    best_size = size
+                best_size = size
                 continue
 
             failed_constr = original
             assert original is not None
             repairable = sorted(n for n in original.premise_unknowns() if n in abducibles)
-            if single_name is not None and not screen_built:
-                # Build the screen on the *first* failure (usually the
-                # all-``True`` root): its countermodels feed the vacuity
-                # harvest, so it must run before the prefill below or the
-                # prefill re-proves every harvested liveness the hard way.
-                screen_built = True
+            if single_name is not None and size == 0:
+                # Build the screen when the root fails: its countermodels
+                # feed the vacuity harvest, so it must run before the
+                # prefill below or the prefill re-proves every harvested
+                # liveness the hard way.
                 screen = screen_singletons(
                     self._backend,
                     self.statistics,
@@ -537,8 +445,6 @@ class HornSolver:
                 # before a candidate may be dropped.
                 for rep in mentioning[name]:
                     musfix.prefill_vacuity(rep, abducibles[name].qualifiers)
-            if repairable and len(queue):
-                queue = deque(musfix.prune_everywhere(list(queue), mentioning))
             for name in repairable:
                 space = abducibles[name]
                 current = set(candidate[name])
@@ -558,12 +464,12 @@ class HornSolver:
                     if musfix.dooms_everywhere(successor, mentioning):
                         self.statistics.candidates_pruned += 1
                         continue
-                    if len(queue) < capacity:
-                        queue.append(successor)
-                    # else: frontier full — the overflow branch is dropped,
-                    # which is what makes max_candidates=1 a greedy search.
+                    queue.append(successor)
 
-        return CandidateSearchResult(solutions=tuple(solutions), failed=failed_constr)
+        if not solutions:
+            return HornSolution(False, {}, failed=failed_constr)
+        ranked = order_solutions(solutions, abducibles)
+        return HornSolution(True, dict(ranked[0]), candidates=tuple(ranked))
 
     def _vacuous(
         self,
@@ -582,38 +488,6 @@ class HornSolver:
             if all(musfix.is_vacuous(constr, valuation) for constr in constrs):
                 return True
         return False
-
-    def _solve_candidates(
-        self,
-        constraints: Sequence[HornConstraint],
-        space_map: Dict[str, QualifierSpace],
-        options: SolveOptions,
-    ) -> HornSolution:
-        """Candidate-set search, its survivors ranked weakest-first.
-
-        Only minimal-total-size solutions survive; deeper ones are either
-        supersets of a minimal guard or strictly stronger strengthenings no
-        weakest-first caller wants.
-        """
-        result = self.search_candidates(constraints, space_map, options)
-        names = sorted(n for n, sp in space_map.items() if sp.abducible)
-
-        def total_size(sol: Assignment) -> int:
-            return sum(len(sol.get(name, ())) for name in names)
-
-        solutions = list(result.solutions)
-        if solutions:
-            best = min(total_size(sol) for sol in solutions)
-            solutions = [sol for sol in solutions if total_size(sol) == best]
-        survivors = order_solutions(filter_dominated(solutions, names), names, space_map)
-        survivors = survivors[: max(1, options.max_candidates)]
-        if not survivors:
-            return HornSolution(False, {}, failed=result.failed)
-        best = survivors[0]
-        solution = HornSolution(True, dict(best), candidates=tuple(dict(s) for s in survivors))
-        if options.minimize:
-            solution.weakest = self._minimize(constraints, best)
-        return solution
 
     # -- fixpoint internals --------------------------------------------------
 

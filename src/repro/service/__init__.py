@@ -29,5 +29,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def default_cache_dir() -> str:
-    """The cache directory the CLI verbs use unless told otherwise."""
-    return os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+    """The cache directory the CLI verbs use unless told otherwise.  An
+    empty ``REPRO_CACHE_DIR`` counts as unset: it would name the working
+    directory."""
+    return os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR

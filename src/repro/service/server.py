@@ -248,10 +248,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         only = body.get("only")
         if only is not None and not isinstance(only, str):
             raise _BadRequest("`only` must be a goal name")
-        # Read before the query starts, so a bad goal or bound is not
-        # counted as a query or a reset.
+        # Read before the query starts, so a bad goal, flag or bound is
+        # not counted as a query or a reset.
         if only is not None and only not in program.signatures:
             raise _BadRequest(f"no signature for goal `{only}`")
+        recheck = body.get("recheck", False)
+        if not isinstance(recheck, bool):
+            raise _BadRequest("`recheck` must be true or false")
         return self._query(
             body,
             api.synth_query,
@@ -260,7 +263,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             depth=self._count(body, "depth", 4),
             max_conditionals=self._count(body, "max_conditionals", 2),
             max_matches=self._count(body, "max_matches", 1),
-            recheck=bool(body.get("recheck", False)),
+            recheck=recheck,
         )
 
 

@@ -379,9 +379,6 @@ class IncrementalSolver:
     bridge and its simplex charge their counters to it directly.
     """
 
-    #: Upper bound on lazy refinement iterations per query (safety net).
-    MAX_ITERATIONS = 20_000
-
     def __init__(self) -> None:
         self.statistics = Counters(*SOLVER_COUNTERS)
         self._encoder = TseitinEncoder()
@@ -411,7 +408,6 @@ class IncrementalSolver:
         self._set_marks: List[int] = []
         #: the persistent DPLL(T) theory, shadowing the SAT trail.
         self._bridge = _TheoryBridge(self._encoder, self._sat._assign, self.statistics)
-        self._sat.max_theory_restarts = self.MAX_ITERATIONS
 
     # -- assertion scopes ----------------------------------------------------
 

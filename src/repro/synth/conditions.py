@@ -15,20 +15,21 @@ backend as ordinary liquid inference.
 Because ``C`` occurs only in premises (a *negative* position), the
 greatest-fixpoint solver cannot weaken it.  :func:`abduce_condition`
 therefore re-marks ``C``'s space ``abducible`` and hands the system to
-:meth:`~repro.horn.solver.HornSolver.solve`'s candidate-set search: the
-frontier BFS strengthens ``C`` from ``True`` one qualifier at a time
-(capped at ``max_conjuncts``), the inconsistent cores (MUSes) its
+:meth:`~repro.horn.solver.HornSolver.solve`'s candidate-set search: a
+breadth-first walk strengthens ``C`` from ``True`` one qualifier at a
+time (capped at ``max_conjuncts``), the inconsistent cores (MUSes) its
 vacuity probes record (:mod:`repro.horn.musfix`) prune every candidate
 guard containing one in every demanding context, and vacuous guards
 (ones contradicting **every** demanding context — equivalently,
 unsatisfiable at the abduction point itself, so no executable branch
 could ever take them; contradicting only a deeper context, say one match
-arm, is what a branch condition is *for*) are rejected.  The search is level-stopped, so the surviving candidates
-are exactly the minimal-size solutions; :func:`_weakest_guards` then
-drops the ones another survivor strictly entails, and the result is the
-weakest-guard *antichain* — several genuinely incomparable conditions
-when the goal is disjunctive.  The synthesizer realizes them in order,
-falling to the next member when no Boolean E-term establishes one.
+arm, is what a branch condition is *for*) are rejected.  The search is
+level-stopped, so the surviving candidates are exactly the minimal-size
+solutions; :func:`_weakest_guards` then drops the ones another survivor
+strictly entails, and the result is the weakest-guard *antichain* —
+several genuinely incomparable conditions when the goal is disjunctive.
+The synthesizer realizes them in order, falling to the next member when
+no Boolean E-term establishes one.
 
 The pre-candidate-set searcher — a brute-force smallest-first subset walk
 over the pool — lives on in ``tests/abduction_oracle.py`` as the
@@ -43,12 +44,10 @@ answer is the weakest guard regardless of pool order —
 
 from __future__ import annotations
 
-from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import limits
-from ..horn.constraints import substitute_unknowns
-from ..horn.solver import HornSolution, HornSolver, SolveOptions
+from ..horn.solver import HornSolution, HornSolver
 from ..horn.spaces import QualifierSpace
 from ..logic import ops
 from ..logic.formulas import Binary, BinaryOp, Formula
@@ -163,35 +162,21 @@ def _search_guards(
     stats: Optional[Counters],
 ) -> Optional[HornSolution]:
     """The candidate-set search over the session's constraints, with the
-    abducible unknown ``name`` ranging over ``pool``; ``None`` when no
-    guard solves them."""
+    abducible unknown ``name`` ranging over conjunctions of at most
+    ``max_conjuncts`` qualifiers of ``pool``; ``None`` when no guard
+    solves them.
+
+    The search walks that whole sublattice if it must, so it tries every
+    guard the brute-force oracle tries, and its level stop leaves exactly
+    the minimal-size solutions.
+    """
     spaces: Dict[str, QualifierSpace] = {
         other: qspace for other, qspace in session.spaces.items() if other != name
     }
-    # Sound fail-fast: grounding ``C`` at the conjunction of the *whole*
-    # pool is the strongest condition the space can express, and validity
-    # is monotone in strengthening a premise-position unknown (stronger
-    # premises prove more, and the positives' greatest fixpoint only
-    # grows).  If even that leaves the system unsolvable, no guard of any
-    # size helps — one fixpoint run settles unabducible candidates that
-    # would otherwise walk the whole sublattice.
-    if pool:
-        strongest = {name: ops.conj(pool)}
-        grounded = [substitute_unknowns(constr, strongest) for constr in session.constraints]
-        prefilter = HornSolver(session.backend, validity_memo=session._validity_memo)
-        if not prefilter.solve(grounded, spaces).solved:
-            return None
-
     spaces[name] = QualifierSpace(name, pool, abducible=True, max_conjuncts=max_conjuncts)
-    # The frontier must hold the whole <= max_conjuncts sublattice of the
-    # pool: a capacity-truncated queue would silently skip guards the
-    # brute-force oracle tries, breaking differential agreement.
-    lattice = sum(comb(len(pool), size) for size in range(max_conjuncts + 1))
-    opts = SolveOptions(max_candidates=max(SolveOptions().max_candidates, lattice))
-
     solver = HornSolver(session.backend, validity_memo=session._validity_memo)
     try:
-        solution = solver.solve(session.constraints, spaces, opts)
+        solution = solver.solve(session.constraints, spaces)
     finally:
         # Also when the budget cuts the search short: the candidates it
         # explored before then are part of the run's work.

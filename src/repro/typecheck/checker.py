@@ -742,7 +742,7 @@ def _check_fix(
     # entirely (no recursive call can be written), so only bind — and only
     # demand a termination metric — when the name is actually visible.
     if term.name not in {binder for binder, _ in spine}:
-        recursive = _termination_strengthened(session, spine, remaining, where)
+        recursive = recursion_signature(session, spine, remaining, where)
         inner_env = inner_env.bind(term.name, recursive)
     check(session, inner_env, body, remaining, inner_where)
 
@@ -763,15 +763,24 @@ def _metric(session: "TypecheckSession", rtype: RType):
     return None
 
 
-def _termination_strengthened(
+def recursion_signature(
     session: "TypecheckSession",
     spine: list,
     result: RType,
-    where: Provenance,
+    where: Provenance = (),
 ) -> RType:
-    """The recursive occurrence's signature: the goal's arrow spine with
-    every metric-bearing argument refined so the tuple of metrics is
-    lexicographically smaller than the enclosing call's.
+    """The termination-strengthened signature a recursive occurrence is
+    bound at, for an enclosing definition with argument ``spine`` (pairs of
+    binder name and argument type) and result type ``result``: the arrow
+    spine with every metric-bearing argument refined so the tuple of
+    metrics is lexicographically smaller than the enclosing call's.
+
+    :func:`_check_fix` binds ``fix`` bodies at it, and the synthesizer
+    binds a goal's own name at it before enumerating recursive calls
+    (Sec. 4: recursion is only ever attempted at the strengthened type, so
+    non-terminating candidates are pruned like any other ill-typed term).
+    Raises :class:`TerminationError` when no argument carries a
+    well-founded metric.
 
     With metric positions ``p1 < ... < pk`` over outer arguments
     ``x1 ... xk`` and recursive binders ``y1 ... yk``, a *strict* descent
@@ -836,26 +845,6 @@ def _termination_strengthened(
     for name, arg_type in reversed(strengthened):
         rec_type = FunctionType(name, arg_type, rec_type)
     return rec_type
-
-
-def recursion_signature(
-    session: "TypecheckSession",
-    spine: "list",
-    result: RType,
-    where: Provenance = (),
-) -> RType:
-    """The termination-strengthened signature a recursive occurrence is
-    bound at, for an enclosing definition with argument ``spine`` (pairs of
-    binder name and argument type) and result type ``result``.
-
-    This is the same signature :func:`_check_fix` builds for ``fix`` bodies,
-    exposed so the synthesizer can bind a goal's own name before enumerating
-    recursive calls (Sec. 4: recursion is only ever attempted at the
-    strengthened type, so non-terminating candidates are pruned like any
-    other ill-typed term).  Raises :class:`TerminationError` when no
-    argument carries a well-founded metric.
-    """
-    return _termination_strengthened(session, spine, result, where)
 
 
 # ---------------------------------------------------------------------------

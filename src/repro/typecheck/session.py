@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..horn.constraints import HornConstraint
-from ..horn.solver import HornSolution, HornSolver, SolveOptions
+from ..horn.solver import HornSolution, HornSolver
 from ..horn.spaces import QualifierSpace, build_space
 from ..logic.formulas import App, Formula, Unknown, value_var
 from ..logic.measures import MeasureDef, instantiate_postconditions
@@ -293,7 +293,6 @@ class TypecheckSession:
         term: Term,
         goal: RType,
         where: str = "",
-        options: Optional[SolveOptions] = None,
     ) -> HornSolution:
         """Check ``term`` against ``goal`` in a :meth:`trial` scope and solve.
 
@@ -306,7 +305,7 @@ class TypecheckSession:
                 self.check(env, term, goal, where)
             except TypecheckError:
                 return HornSolution(False, {})
-            return self.solve(options)
+            return self.solve()
 
     def try_infer(self, env: Environment, term: Term, where: str = "") -> Optional[RType]:
         """Infer ``term``'s type in a :meth:`trial` scope, solving the local
@@ -329,13 +328,10 @@ class TypecheckSession:
 
     # -- solving -------------------------------------------------------------
 
-    def solve(self, options: Optional[SolveOptions] = None) -> HornSolution:
+    def solve(self, minimize: bool = False) -> HornSolution:
         """Solve the accumulated system with a Horn solver running on this
-        session's shared incremental backend.
-
-        ``options`` selects minimization and the candidate-frontier width;
-        omitted, the defaults of :class:`SolveOptions` apply.
-        """
+        session's shared incremental backend; ``minimize`` also computes
+        the locally weakest valuation (:attr:`HornSolution.weakest`)."""
         solver = HornSolver(self.backend, validity_memo=self._validity_memo)
         self.last_solver = solver
-        return solver.solve(self.constraints, self.spaces, options)
+        return solver.solve(self.constraints, self.spaces, minimize)

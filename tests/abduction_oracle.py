@@ -1,8 +1,8 @@
 """Brute-force reference for condition abduction.
 
 The differential tests pin :func:`repro.synth.conditions.abduce_condition`
-(candidate-set Horn search with MUS pruning, level stop, fail-fast and
-antichain filtering) to :func:`abduce_brute_force`, the searcher the
+(candidate-set Horn search with MUS pruning, level stop and antichain
+filtering) to :func:`abduce_brute_force`, the searcher the
 candidate-set path replaced: a smallest-first walk over every subset of
 the qualifier pool, each grounded and solved on its own.  Both walk the
 same deduplicated pool and settle ties with the same entailment filter,

@@ -433,6 +433,40 @@ class TestCacheFlags:
         assert code == EXIT_OK
         assert list((tmp_path / "envcache").glob("objects/*/*.json"))
 
+    def test_an_empty_env_var_counts_as_unset(self, tmp_path, monkeypatch):
+        """An empty REPRO_CACHE_DIR would name the working directory: a
+        one-shot check stays stateless, and batch caches in the default
+        directory, not in ``./objects``."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", "")
+        sources = tmp_path / "sources"
+        sources.mkdir()
+        (sources / "ok.sq").write_text(CHECK_SQ)
+        code, _ = run(["check", str(sources / "ok.sq")])
+        assert code == EXIT_OK
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["sources"]
+        code, _ = run(["batch", str(sources)])
+        assert code == EXIT_OK
+        assert sorted(path.name for path in tmp_path.iterdir()) == [".repro-cache", "sources"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", str(EXAMPLES / "max.sq")],
+            ["synth", str(EXAMPLES / "max.sq")],
+            ["batch", str(EXAMPLES)],
+            ["serve"],
+        ],
+        ids=["check", "synth", "batch", "serve"],
+    )
+    def test_an_empty_cache_dir_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out = run([*argv, "--cache-dir", ""])
+        assert (code, out) == (EXIT_USAGE, "")
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --cache-dir: expected" in errors[0]
+        assert list(tmp_path.iterdir()) == []
+
 
 #: Run in a fresh interpreter: ``check`` then ``synth`` on one file through
 #: ``main``, then print every module the two runs loaded, except those

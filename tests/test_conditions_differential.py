@@ -1,7 +1,7 @@
 """Differential abduction: the candidate-set Horn path against the oracle.
 
 :func:`repro.synth.conditions.abduce_condition` (candidate-set search with
-MUS pruning, level stop, fail-fast, and antichain filtering) must agree
+MUS pruning, level stop, and antichain filtering) must agree
 *everywhere* with :func:`abduction_oracle.abduce_brute_force` (the
 exhaustive smallest-first subset walk): same abducible/unabducible verdict,
 same surviving guard antichain, and in particular identical rejection of

@@ -8,7 +8,6 @@ case, and the termination metric must refute non-decreasing recursion.
 
 import pytest
 
-from repro.horn import SolveOptions
 from repro.logic import ops
 from repro.logic.formulas import App, Binary, BinaryOp, Var, value_var
 from repro.logic.measures import MeasureCase, MeasureDef, instantiate_postconditions
@@ -376,7 +375,7 @@ class TestLiquidInferenceOverDatatypes:
         result = session.fresh_scalar(inner, INT_BASE)
         sig = arrow("xs", data_type("List", [elem]), result)
         session.check(env, parse_term(LENGTH), sig, where="length-infer")
-        outcome = session.solve(SolveOptions(minimize=True))
+        outcome = session.solve(minimize=True)
         assert outcome.solved
         list_sort = base_sort(data_type("List", [elem]).base)
         len_xs = App("len", (Var("xs", list_sort),), INT)

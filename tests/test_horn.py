@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.horn import (
-    HornSolver,
-    QualifierSpace,
-    SolveOptions,
-    build_space,
-    build_spaces,
-    constraint,
-)
+from repro.horn import HornSolver, QualifierSpace, build_space, build_spaces, constraint
 from repro.logic import ops
 from repro.logic.formulas import IntLit, Unknown, value_var
 from repro.logic.qualifiers import default_qualifiers
@@ -94,7 +87,7 @@ class TestMaxExample:
 
     def test_weakest_assignment(self):
         constraints, spaces = max_system()
-        solution = HornSolver().solve(constraints, spaces, SolveOptions(minimize=True))
+        solution = HornSolver().solve(constraints, spaces, minimize=True)
         assert solution.solved
         assert set(solution.weakest["P"]) == {ops.le(x, nu), ops.le(y, nu)}
 
@@ -316,13 +309,6 @@ class TestSolveOptions:
         solution = HornSolver().solve(constraints, spaces)
         assert solution.candidates == (solution.assignment,)
 
-    def test_options_object_matches_old_default(self):
-        constraints, spaces = max_system()
-        by_default = HornSolver().solve(constraints, spaces)
-        by_options = HornSolver().solve(constraints, spaces, SolveOptions())
-        assert by_default.assignment == by_options.assignment
-        assert by_default.candidates == by_options.candidates
-
     def test_unsolved_classic_path_has_no_candidates(self):
         space = build_space("P", default_qualifiers(), [x], value_sort=INT)
         constraints = [
@@ -335,12 +321,6 @@ class TestSolveOptions:
 
 
 class TestDisjunctiveInference:
-    def test_single_candidate_greedy_path_dead_ends(self):
-        constraints, spaces = disjunctive_system()
-        solution = HornSolver().solve(constraints, spaces, SolveOptions(max_candidates=1))
-        assert not solution.solved
-        assert solution.failed is not None
-
     def test_candidate_set_search_solves_it(self):
         constraints, spaces = disjunctive_system()
         solver = HornSolver()
@@ -365,7 +345,7 @@ class TestDisjunctiveInference:
 
     def test_minimize_applies_to_the_chosen_candidate(self):
         constraints, spaces = disjunctive_system()
-        solution = HornSolver().solve(constraints, spaces, SolveOptions(minimize=True))
+        solution = HornSolver().solve(constraints, spaces, minimize=True)
         assert solution.solved
         assert solution.weakest is not None
         assert solution.weakest["C"] == (ops.le(x, IntLit(-1)),)
@@ -381,6 +361,41 @@ class TestDisjunctiveInference:
         assert not solution.solved
         assert solution.candidates == ()
         assert solution.failed is not None
+
+    def test_the_search_reaches_every_candidate_of_a_wide_pool(self):
+        """Eight bounds and two demanded conclusions: only the pair
+        ``b >= 0 && h >= 0`` solves, and the walk reaches it after the
+        root, the 8 singletons and all 28 pairs — no candidate is ever
+        dropped for lack of room."""
+        bounds = [ops.ge(ops.var(name, INT), IntLit(0)) for name in "abcdefgh"]
+        b_nonneg, h_nonneg = bounds[1], bounds[7]
+        spaces = {"C": QualifierSpace("C", tuple(bounds), abducible=True, max_conjuncts=2)}
+        constraints = [
+            constraint([Unknown("C")], b_nonneg, "b"),
+            constraint([Unknown("C")], h_nonneg, "h"),
+        ]
+        solver = HornSolver()
+        solution = solver.solve(constraints, spaces)
+        assert solution.solved
+        assert solution.assignment["C"] == (b_nonneg, h_nonneg)
+        assert solver.statistics.candidates_explored == 37
+
+    def test_a_later_core_drops_a_queued_superset_when_it_is_popped(self):
+        """``x >= 1 && x <= 0`` is found vacuous at size 2, after its
+        superset with ``y >= 0`` was queued; the recorded core drops that
+        superset when it is popped, without a probe."""
+        z = ops.var("z", INT)
+        pool = (ops.ge(y, IntLit(0)), ops.ge(x, IntLit(1)), ops.le(x, IntLit(0)))
+        spaces = {"C": QualifierSpace("C", pool, abducible=True, max_conjuncts=3)}
+        constraints = [constraint([Unknown("C")], ops.gt(z, IntLit(0)), "unprovable")]
+        solver = HornSolver()
+        solution = solver.solve(constraints, spaces)
+        assert not solution.solved
+        # the root, three singletons, three pairs and the one triple
+        assert solver.statistics.candidates_explored == 8
+        # the vacuous pair and the triple that contains it
+        assert solver.statistics.candidates_pruned == 2
+        assert solver.statistics.muses_enumerated == 1
 
     def test_abducible_in_conclusion_is_rejected(self):
         _, spaces = disjunctive_system()

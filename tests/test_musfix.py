@@ -145,11 +145,11 @@ class TestPruneCandidates:
         superset_doomed = {"C": (ops.ge(x, ZERO), ops.ge(x, ONE), ops.le(x, ZERO))}
         viable = {"C": (ops.le(x, NEG_ONE),)}
         empty = {"C": ()}
-        survivors = solver.prune_everywhere(
-            [doomed, superset_doomed, viable, empty], {"C": [constr]}
-        )
-        assert survivors == [viable, empty]
-        assert solver.statistics.candidates_pruned == 2
+        mentioning = {"C": [constr]}
+        assert solver.dooms_everywhere(doomed, mentioning)
+        assert solver.dooms_everywhere(superset_doomed, mentioning)
+        assert not solver.dooms_everywhere(viable, mentioning)
+        assert not solver.dooms_everywhere(empty, mentioning)
 
     def test_muses_only_apply_to_the_constraints_unknowns(self):
         constr = guard_constraint()
@@ -158,37 +158,7 @@ class TestPruneCandidates:
         # the same qualifiers under an unknown the constraint never
         # mentions are untouched
         other = {"D": (ops.ge(x, ONE), ops.le(x, ZERO))}
-        assert solver.prune_everywhere([other], {"C": [constr]}) == [other]
-
-    def test_a_rescan_waits_for_a_new_mus(self):
-        # Only a new MUS can doom a frontier member, so a second prune
-        # with none recorded in between evaluates no candidate.
-        constr = guard_constraint()
-        mentioning = {"C": [constr]}
-        solver = musfix()
-        evaluated = []
-        dooms = solver.dooms_everywhere
-
-        def counting(candidate, contexts):
-            evaluated.append(candidate)
-            return dooms(candidate, contexts)
-
-        solver.dooms_everywhere = counting
-        assert solver.is_vacuous(constr, (ops.ge(x, ONE), ops.le(x, ZERO)))
-        viable = {"C": (ops.ge(x, ZERO),)}
-        frontier = [{"C": (ops.ge(x, ONE), ops.le(x, ZERO))}, viable]
-        assert solver.prune_everywhere(frontier, mentioning) == [viable]
-        assert len(evaluated) == 2
-        joined = {"C": (ops.ge(x, ONE),)}
-        assert solver.prune_everywhere([viable, joined], mentioning) == [viable, joined]
-        assert len(evaluated) == 2
-        assert solver.statistics.candidates_pruned == 1
-        # a new core makes the next prune scan again
-        assert solver.is_vacuous(constr, (ops.ge(x, ZERO), ops.le(x, NEG_ONE)))
-        doomed = {"C": (ops.ge(x, ZERO), ops.le(x, NEG_ONE))}
-        assert solver.prune_everywhere([viable, doomed], mentioning) == [viable]
-        assert len(evaluated) == 4
-        assert solver.statistics.candidates_pruned == 2
+        assert not solver.dooms_everywhere(other, {"C": [constr]})
 
 
 class TestVacuity:
@@ -200,7 +170,7 @@ class TestVacuity:
         assert not solver.is_vacuous(constr, (ops.ge(x, ZERO),))
         # the discovery was shrunk and recorded: it now prunes candidates
         doomed = {"C": (ops.ge(x, ZERO), ops.le(x, ZERO))}
-        assert solver.prune_everywhere([doomed], {"C": [constr]}) == []
+        assert solver.dooms_everywhere(doomed, {"C": [constr]})
 
     def test_repeated_probes_spend_no_theory_check(self):
         constr = guard_constraint()
@@ -257,7 +227,6 @@ class TestVacuity:
         assert solver.is_vacuous(guarded, guard["C"])
         mentioning = {"C": [guarded, declared]}
         assert not solver.dooms_everywhere(guard, mentioning)
-        assert solver.prune_everywhere([guard], mentioning) == [guard]
         assert solver.dooms_everywhere(guard, {"C": [guarded]})
 
 

@@ -266,6 +266,16 @@ class TestBadRequests:
         assert stats["worker"] == {"queries": 0, "resets": 0, "timeout_resets": 0}
         assert stats["cache"]["entries"] == 0
 
+    @pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "number", "null"])
+    def test_non_boolean_recheck_is_400_and_computes_nothing(self, server, value):
+        """``"recheck": "false"`` is a truthy string: read as a flag it
+        would turn re-verification on."""
+        status, body = call(server, "POST", "/synth", {"program": MAX_SQ, "recheck": value})
+        assert (status, body) == (400, {"error": "`recheck` must be true or false"})
+        _, stats = call(server, "GET", "/stats")
+        assert stats["worker"] == {"queries": 0, "resets": 0, "timeout_resets": 0}
+        assert stats["cache"]["entries"] == 0
+
     def test_empty_body_is_400(self, server):
         status, body = call(server, "POST", "/check")
         assert status == 400

@@ -7,7 +7,6 @@ infers the refinements (predicate unknowns), whose valuations the tests
 assert exactly.
 """
 
-from repro.horn import SolveOptions
 from repro.logic import ops
 from repro.logic.formulas import Unknown, Var, value_var
 from repro.logic.sorts import INT
@@ -134,7 +133,7 @@ class TestMaxExample:
         session.check(env, max_term(), sig, where="max")
         spec = parse_type("x:Int -> y:Int -> {Int | nu >= x && nu >= y}")
         session.subtype(env, sig, spec, where="max-spec")
-        outcome = session.solve(SolveOptions(minimize=True))
+        outcome = session.solve(minimize=True)
         assert outcome.solved
         unknown = result.refinement
         assert isinstance(unknown, Unknown)
@@ -299,7 +298,7 @@ class TestSchemaInstantiation:
 
 
 class TestSolveOptions:
-    """A session solves under its default :class:`SolveOptions`."""
+    """A session's plain ``solve()`` takes the classic path."""
 
     def build_session(self):
         env = component_env(geq=GEQ)
